@@ -7,54 +7,29 @@
 // holistic-vs-exact pessimism gap per system (BENCH_exact.json, published
 // by the perf-smoke CI job).
 //
-// Two perf phases follow the population sweep:
-//
-// Scaling: re-analyses the whole population at ExactOptions::jobs 1/2/4/8
-// and reports the states/sec curve.  Every per-cluster outcome (bounds,
-// cost, fallback, engine counters) must be bit-identical to the jobs=1
-// reference — the parallel engine trades wall time only, never results.
-//
-// Exact-delta warm replay (mirroring bench_delta_eval): an SA-style
-// neighbour-move trajectory over fig9 systems is recorded once to warm the
-// evaluator's exact-space store, then replayed bit-identically on two
-// evaluators — cold (reuse_base_frontier off, re-explores every move) and
-// warm (reuse on, replays cached frontiers).  Whole-config memoization is
-// off on both sides so the reuse measured is exploration reuse, not a hash
-// lookup.  The reuse ratio is cold/warm states explored during the replay.
-//
 // The CI-facing --check gate asserts, over every analysed system:
 // (1) sandwich soundness — observed <= exact <= holistic for every ET
 //     activity of every system where the exploration ran, and
 // (2) usefulness — the aggregate mean pessimism gap over the non-fallback
 //     systems is strictly positive (the backend refines something), and
 // (3) no silent fallback — a budget-exceeded or otherwise skipped cluster
-//     is visible in the per-system fallback column and the JSON, and
-// (4) determinism — jobs 1/2/4/8 outcomes bit-identical, and
-// (5) reuse — the warm-replay reuse ratio clears --min-reuse-ratio, and
-// (6) scaling — jobs=8 states/sec clears --min-speedup x the jobs=1 rate,
-//     enforced only on machines with >= 8 hardware threads (elsewhere the
-//     curve is still printed/published, the floor is skipped).
+//     is visible in the per-system fallback column and the JSON.
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "flexopt/analysis/exact/exact_analysis.hpp"
 #include "flexopt/analysis/multicluster.hpp"
 #include "flexopt/core/config_builder.hpp"
-#include "flexopt/core/sa.hpp"
 #include "flexopt/gen/scenario.hpp"
 #include "flexopt/io/json_writer.hpp"
 #include "flexopt/model/system_model.hpp"
 #include "flexopt/netsim/netsim.hpp"
-#include "flexopt/util/rng.hpp"
 #include "flexopt/util/table.hpp"
 
 using namespace flexopt;
@@ -151,182 +126,12 @@ bool analyze_exact_system(const Application& app, const BusParams& params,
   return true;
 }
 
-/// One system of the bench population, retained for the scaling phase.
-struct PopEntry {
-  std::string workload;
-  int index = 0;
-  Application app;
-};
-
-/// Everything the jobs-identity comparison looks at for one cluster: the
-/// refined bounds and cost plus the engine's own counters — a worker-count
-/// change must not move any of it by a single bit.
-struct ClusterSig {
-  ExactFallback fallback = ExactFallback::None;
-  std::uint64_t explored = 0;
-  std::uint64_t merged = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t refined = 0;
-  double cost = 0.0;
-  std::vector<Time> tasks;
-  std::vector<Time> messages;
-  friend bool operator==(const ClusterSig&, const ClusterSig&) = default;
-};
-
-/// Exact multicluster analysis under the minimal start (no simulation),
-/// appending one ClusterSig per cluster and accumulating explored states
-/// and wall time.  Returns false when the system is skipped.
-bool exact_signatures(const Application& app, const BusParams& params,
-                      const ExactOptions& exact_options, std::vector<ClusterSig>& sigs,
-                      std::uint64_t& states, double& wall) {
-  auto model = SystemModel::build(std::make_shared<const Application>(app));
-  if (!model.ok()) throw std::runtime_error(model.error().message);
-  SystemConfig config;
-  for (std::size_t c = 0; c < model.value().cluster_count(); ++c) {
-    const StartConfig start = minimal_start_config(*model.value().cluster_app(c), params);
-    if (!start.bounds.feasible()) return false;
-    config.clusters.push_back(ClusterConfig::flexray_bus(start.config));
-  }
-  auto layouts = build_system_layouts(model.value(), params, config);
-  if (!layouts.ok()) throw std::runtime_error(layouts.error().message);
-  AnalysisOptions options;
-  options.mode = AnalysisMode::Exact;
-  options.exact = exact_options;
-  const auto started = std::chrono::steady_clock::now();
-  auto exact = analyze_multicluster(model.value(), layouts.value(), options);
-  wall += seconds_since(started);
-  if (!exact.ok()) throw std::runtime_error(exact.error().message);
-  for (const AnalysisResult& cluster : exact.value().clusters) {
-    ClusterSig sig;
-    if (cluster.exact != nullptr) {
-      sig.fallback = cluster.exact->fallback;
-      sig.explored = cluster.exact->explored_states;
-      sig.merged = cluster.exact->merged_states;
-      sig.transitions = cluster.exact->transitions;
-      sig.refined = cluster.exact->refined_messages;
-      states += cluster.exact->explored_states;
-    }
-    sig.cost = cluster.cost.value;
-    sig.tasks = cluster.task_completion;
-    sig.messages = cluster.message_completion;
-    sigs.push_back(std::move(sig));
-  }
-  return true;
-}
-
-/// One point of the jobs scaling curve.
-struct ScalingPoint {
-  int jobs = 1;
-  std::uint64_t states = 0;
-  double wall = 0.0;
-  double rate = 0.0;
-  bool identical = true;  ///< vs the jobs=1 reference signatures
-};
-
-/// Warm-replay exact-delta measurement for one fig9 system.
-struct DeltaResult {
-  int nodes = 0;
-  long proposed = 0;
-  long accepted = 0;
-  std::uint64_t cold_states = 0;  ///< explored during the measured replay, reuse off
-  std::uint64_t warm_states = 0;  ///< explored during the measured replay, reuse on
-  std::uint64_t warm_reused = 0;  ///< frontier cache hits during the replay
-  bool identical = true;          ///< cold and warm costs bit-identical on every move
-};
-
-/// Drives the same SA-style move/acceptance stream through a cold evaluator
-/// (reuse_base_frontier off) and a warm one (reuse on) twice: a recording
-/// pass that fills the warm evaluator's exact-space store, then the
-/// measured bit-identical replay.  Memoization is off on both sides, so a
-/// replayed move re-runs the analysis — the only thing the warm side skips
-/// is the schedule-space exploration itself.
-DeltaResult run_exact_delta(const Application& app, const BusParams& params,
-                            const ExactOptions& exact_options, int nodes, long moves) {
-  DeltaResult r;
-  r.nodes = nodes;
-
-  AnalysisOptions cold_opts;
-  cold_opts.mode = AnalysisMode::Exact;
-  cold_opts.exact = exact_options;
-  cold_opts.exact.jobs = 1;
-  cold_opts.exact.reuse_base_frontier = false;
-  AnalysisOptions warm_opts = cold_opts;
-  warm_opts.exact.reuse_base_frontier = true;
-  EvaluatorOptions eopts;
-  eopts.cache_enabled = false;
-  CostEvaluator cold(app, params, cold_opts, eopts);
-  CostEvaluator warm(app, params, warm_opts, eopts);
-
-  const StartConfig start = minimal_start_config(app, params);
-  if (!start.bounds.feasible()) return r;
-  const std::vector<NodeId>& senders = start.st_senders;
-  const DynBounds& bounds = start.bounds;
-
-  const auto run_pass = [&](bool measured) {
-    BusConfig current = start.config;
-    const auto c0 = cold.evaluate(current);
-    const auto w0 = warm.evaluate(current);
-    if (c0.valid != w0.valid || (c0.valid && c0.cost.value != w0.cost.value)) {
-      r.identical = false;
-    }
-    double current_cost = c0.valid ? c0.cost.value : kInvalidConfigCost;
-
-    // Same seed shape as bench_delta_eval: the streams are bit-identical
-    // across passes, so the replay revisits exactly the recorded geometries.
-    Rng move_rng(0x5eedu + static_cast<std::uint64_t>(nodes));
-    Rng accept_rng(0xaccu + static_cast<std::uint64_t>(nodes));
-    const double temperature = std::max(1.0, std::abs(current_cost) * 0.1);
-
-    for (long i = 0; i < moves; ++i) {
-      BusConfig neighbour = current;
-      bool moved = false;
-      for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
-        moved = random_neighbour_move(neighbour, app, params, move_rng, senders,
-                                      bounds.min_minislots, SpecLimits::kMaxMinislots);
-      }
-      if (!moved) continue;
-      DeltaMove cold_move = DeltaMove::between(current, BusConfig(neighbour));
-      DeltaMove warm_move = DeltaMove::between(current, std::move(neighbour));
-
-      const auto ec = cold.evaluate_delta(current, cold_move);
-      const auto ew = warm.evaluate_delta(current, warm_move);
-      if (measured) ++r.proposed;
-      if (ec.valid != ew.valid || (ec.valid && ec.cost.value != ew.cost.value)) {
-        r.identical = false;
-      }
-
-      const double cost = ec.valid ? ec.cost.value : kInvalidConfigCost;
-      const double delta = cost - current_cost;
-      if (delta <= 0.0 ||
-          accept_rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {
-        current = std::move(cold_move.config);
-        current_cost = cost;
-        if (measured) ++r.accepted;
-      }
-    }
-  };
-
-  run_pass(/*measured=*/false);  // recording: fills the exact-space store
-  const EvaluatorWorkStats cold_before = cold.work_stats();
-  const EvaluatorWorkStats warm_before = warm.work_stats();
-  run_pass(/*measured=*/true);  // measured warm replay
-  const AnalysisWorkCounters cold_work = cold.work_stats().since(cold_before).analysis;
-  const AnalysisWorkCounters warm_work = warm.work_stats().since(warm_before).analysis;
-  r.cold_states = cold_work.exact_states_explored;
-  r.warm_states = warm_work.exact_states_explored;
-  r.warm_reused = warm_work.exact_frontier_reused;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path;
   bool check = false;
   ExactOptions exact_options;
-  double min_reuse_ratio = 2.0;
-  double min_speedup = 3.0;
-  long moves = full_scale() ? 400 : 120;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
@@ -335,15 +140,8 @@ int main(int argc, char** argv) {
       check = true;
     } else if (arg == "--max-states" && i + 1 < argc) {
       exact_options.max_states = std::stoull(argv[++i]);
-    } else if (arg == "--min-reuse-ratio" && i + 1 < argc) {
-      min_reuse_ratio = std::stod(argv[++i]);
-    } else if (arg == "--min-speedup" && i + 1 < argc) {
-      min_speedup = std::stod(argv[++i]);
-    } else if (arg == "--moves" && i + 1 < argc) {
-      moves = std::stol(argv[++i]);
     } else {
-      std::cerr << "usage: bench_exact [--out FILE] [--check] [--max-states N]\n"
-                   "                   [--min-reuse-ratio R] [--min-speedup S] [--moves N]\n";
+      std::cerr << "usage: bench_exact [--out FILE] [--check] [--max-states N]\n";
       return 2;
     }
   }
@@ -355,7 +153,6 @@ int main(int argc, char** argv) {
   const int systems_per_size = full_scale() ? 6 : 2;
 
   std::vector<SystemRow> rows;
-  std::vector<PopEntry> population;
   std::size_t skipped = 0;
   bool all_ok = true;
 
@@ -381,7 +178,6 @@ int main(int argc, char** argv) {
         continue;
       }
       rows.push_back(row);
-      population.push_back({row.workload, index, app.value()});
     }
   }
 
@@ -417,7 +213,6 @@ int main(int argc, char** argv) {
         continue;
       }
       rows.push_back(row);
-      population.push_back({row.workload, index, app.value()});
     }
   }
 
@@ -451,99 +246,6 @@ int main(int argc, char** argv) {
             << " states/s aggregate, mean pessimism gap " << fmt_percent(aggregate_gap)
             << " over " << gap_systems << " non-fallback systems\n";
 
-  // ---- scaling phase: states/sec at jobs 1/2/4/8, bit-identity gate -------
-  std::cout << "\n== Parallel exploration scaling (ExactOptions::jobs) ==\n";
-  const unsigned hardware = std::thread::hardware_concurrency();
-  std::cout << "hardware threads: " << hardware << "\n";
-  std::vector<ScalingPoint> scaling;
-  std::vector<std::vector<ClusterSig>> reference_sigs;  // one entry per system, jobs=1
-  bool jobs_identical = true;
-  for (const int jobs : {1, 2, 4, 8}) {
-    ScalingPoint point;
-    point.jobs = jobs;
-    ExactOptions scaled = exact_options;
-    scaled.jobs = jobs;
-    std::size_t system = 0;
-    try {
-      for (const PopEntry& entry : population) {
-        std::vector<ClusterSig> sigs;
-        if (!exact_signatures(entry.app, params, scaled, sigs, point.states, point.wall)) {
-          continue;
-        }
-        if (jobs == 1) {
-          reference_sigs.push_back(std::move(sigs));
-        } else if (system < reference_sigs.size() && !(sigs == reference_sigs[system])) {
-          std::cerr << entry.workload << "#" << entry.index << ": jobs=" << jobs
-                    << " result differs from jobs=1\n";
-          point.identical = false;
-        }
-        ++system;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "scaling jobs=" << jobs << ": " << e.what() << "\n";
-      all_ok = false;
-    }
-    point.rate = point.wall > 0.0 ? static_cast<double>(point.states) / point.wall : 0.0;
-    jobs_identical = jobs_identical && point.identical;
-    scaling.push_back(point);
-  }
-  Table scaling_table({"jobs", "states", "wall (s)", "states/s", "identical"});
-  for (const ScalingPoint& point : scaling) {
-    scaling_table.add_row({std::to_string(point.jobs), std::to_string(point.states),
-                           fmt_double(point.wall, 3), fmt_double(point.rate, 0),
-                           point.identical ? "yes" : "NO"});
-  }
-  scaling_table.print(std::cout);
-  const double rate_1 = scaling.empty() ? 0.0 : scaling.front().rate;
-  const double rate_8 = scaling.empty() ? 0.0 : scaling.back().rate;
-  const double speedup = rate_1 > 0.0 ? rate_8 / rate_1 : 0.0;
-  // The speedup floor needs the parallelism to exist: on narrow machines
-  // the curve is informational and the floor is skipped (the determinism
-  // comparison above always runs).
-  const bool speedup_gate_active = hardware >= 8;
-  std::cout << "speedup jobs=8 vs jobs=1: " << fmt_double(speedup, 2) << "x (floor "
-            << fmt_double(min_speedup, 1) << "x "
-            << (speedup_gate_active ? "active" : "skipped: < 8 hardware threads") << ")\n";
-
-  // ---- exact-delta warm replay: cross-move exploration reuse --------------
-  std::cout << "\n== Exact-delta warm replay (reuse_base_frontier, memo cache off) ==\n";
-  std::vector<DeltaResult> delta_results;
-  bool delta_identical = true;
-  for (const int nodes : {4, 5}) {
-    const auto app = section7_system(nodes, 0);
-    if (!app.ok()) {
-      std::cerr << "generator failed: " << app.error().message << "\n";
-      all_ok = false;
-      continue;
-    }
-    DeltaResult r = run_exact_delta(app.value(), params, exact_options, nodes, moves);
-    if (r.proposed == 0) continue;
-    delta_identical = delta_identical && r.identical;
-    delta_results.push_back(std::move(r));
-  }
-  Table delta_table({"nodes", "proposed", "accepted", "cold states", "warm states",
-                     "reused", "ratio", "identical"});
-  std::uint64_t delta_cold = 0;
-  std::uint64_t delta_warm = 0;
-  std::uint64_t delta_reused = 0;
-  for (const DeltaResult& r : delta_results) {
-    const double system_ratio = static_cast<double>(r.cold_states) /
-                                static_cast<double>(std::max<std::uint64_t>(1, r.warm_states));
-    delta_table.add_row({std::to_string(r.nodes), std::to_string(r.proposed),
-                         std::to_string(r.accepted), std::to_string(r.cold_states),
-                         std::to_string(r.warm_states), std::to_string(r.warm_reused),
-                         fmt_double(system_ratio, 1), r.identical ? "yes" : "NO"});
-    delta_cold += r.cold_states;
-    delta_warm += r.warm_states;
-    delta_reused += r.warm_reused;
-  }
-  delta_table.print(std::cout);
-  const double reuse_ratio = static_cast<double>(delta_cold) /
-                             static_cast<double>(std::max<std::uint64_t>(1, delta_warm));
-  std::cout << "reuse ratio (cold/warm states during replay): " << fmt_double(reuse_ratio, 1)
-            << "x, " << delta_reused << " frontiers reused (floor "
-            << fmt_double(min_reuse_ratio, 1) << "x)\n";
-
   if (!out_path.empty()) {
     JsonWriter json;
     json.begin_object();
@@ -576,48 +278,6 @@ int main(int argc, char** argv) {
           .end_object();
     }
     json.end_array();
-    // Schema additions (all additive): the jobs scaling curve, the
-    // exact-delta warm-replay block, and the gate parameters.
-    json.key("scaling").begin_array();
-    for (const ScalingPoint& point : scaling) {
-      json.begin_object()
-          .field("jobs", point.jobs)
-          .field("states", point.states)
-          .field("wall_seconds", point.wall)
-          .field("states_per_second", point.rate)
-          .field("identical", point.identical)
-          .end_object();
-    }
-    json.end_array();
-    json.field("speedup_jobs8", speedup);
-    json.field("speedup_gate_active", speedup_gate_active);
-    json.key("delta").begin_object();
-    json.field("moves_per_system", moves);
-    json.key("systems").begin_array();
-    for (const DeltaResult& r : delta_results) {
-      json.begin_object()
-          .field("nodes", r.nodes)
-          .field("proposed_moves", r.proposed)
-          .field("accepted_moves", r.accepted)
-          .field("cold_states", r.cold_states)
-          .field("warm_states", r.warm_states)
-          .field("frontier_reused", r.warm_reused)
-          .field("identical", r.identical)
-          .end_object();
-    }
-    json.end_array();
-    json.field("cold_states", delta_cold)
-        .field("warm_states", delta_warm)
-        .field("frontier_reused", delta_reused)
-        .field("reuse_ratio", reuse_ratio)
-        .field("identical", delta_identical);
-    json.end_object();  // delta
-    json.key("gate")
-        .begin_object()
-        .field("min_reuse_ratio", min_reuse_ratio)
-        .field("min_speedup", min_speedup)
-        .field("hardware_threads", static_cast<std::uint64_t>(hardware))
-        .end_object();
     json.end_object();
     std::ofstream out(out_path, std::ios::binary);
     out << json.str() << "\n";
@@ -630,33 +290,14 @@ int main(int argc, char** argv) {
 
   if (check) {
     const bool gap_ok = gap_systems > 0 && aggregate_gap > 0.0;
-    const bool reuse_ok = !delta_results.empty() && delta_identical &&
-                          reuse_ratio >= min_reuse_ratio;
-    const bool speedup_ok = !speedup_gate_active || speedup >= min_speedup;
-    if (rows.empty() || !all_ok || !gap_ok || !jobs_identical || !reuse_ok || !speedup_ok) {
+    if (rows.empty() || !all_ok || !gap_ok) {
       std::cerr << "CHECK FAILED: " << rows.size() << " systems, all_ok=" << all_ok
                 << ", non-fallback systems=" << gap_systems
                 << ", mean gap=" << aggregate_gap << "\n";
-      if (!jobs_identical) std::cerr << "  jobs 1/2/4/8 results diverged\n";
-      if (!reuse_ok) {
-        std::cerr << "  exact-delta reuse ratio " << fmt_double(reuse_ratio, 1)
-                  << "x below floor " << fmt_double(min_reuse_ratio, 1)
-                  << "x (identical=" << delta_identical << ")\n";
-      }
-      if (!speedup_ok) {
-        std::cerr << "  jobs=8 speedup " << fmt_double(speedup, 2) << "x below floor "
-                  << fmt_double(min_speedup, 1) << "x\n";
-      }
       return 1;
     }
     std::cout << "CHECK OK: observed <= exact <= holistic on " << rows.size()
-              << " systems, mean pessimism gap " << fmt_percent(aggregate_gap)
-              << ", jobs 1/2/4/8 bit-identical, reuse ratio " << fmt_double(reuse_ratio, 1)
-              << "x"
-              << (speedup_gate_active
-                      ? ", jobs=8 speedup " + fmt_double(speedup, 2) + "x"
-                      : "")
-              << "\n";
+              << " systems, mean pessimism gap " << fmt_percent(aggregate_gap) << "\n";
   }
   return 0;
 }

@@ -13,8 +13,6 @@ const char* to_string(AnalysisMode mode) {
       return "holistic";
     case AnalysisMode::Exact:
       return "exact";
-    case AnalysisMode::Simulate:
-      return "simulate";
   }
   return "?";
 }
@@ -22,11 +20,9 @@ const char* to_string(AnalysisMode mode) {
 Expected<AnalysisMode> parse_analysis_mode(std::string_view text) {
   if (text == "holistic") return AnalysisMode::Holistic;
   if (text == "exact") return AnalysisMode::Exact;
-  if (text == "simulate") return AnalysisMode::Simulate;
-  static constexpr std::array<std::string_view, 3> kModes = {"holistic", "exact",
-                                                             "simulate"};
+  static constexpr std::array<std::string_view, 2> kModes = {"holistic", "exact"};
   return make_error("unknown analysis mode '" + std::string(text) +
-                    "' (expected holistic, exact, or simulate)" +
+                    "' (expected holistic or exact)" +
                     suggest_hint(text, kModes));
 }
 

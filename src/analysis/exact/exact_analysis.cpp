@@ -46,11 +46,10 @@ void clamp_to_holistic(const Application& app, AnalysisResult& refined,
 }
 
 /// Runs the exploration preconditions and, when they hold, the exploration
-/// itself — through `cache`'s exact-space store when one is available and
-/// ExactOptions::reuse_base_frontier is on (a hit replays the stored
-/// frontier outcome verbatim, bit-identical to a cold run); returns the
-/// caps to feed the re-run (empty on fallback) and records the outcome in
-/// `info`.
+/// itself — through `cache`'s exact-space store when one is available (a
+/// hit replays the stored frontier outcome verbatim, bit-identical to a
+/// cold run); returns the caps to feed the re-run (empty on fallback) and
+/// records the outcome in `info`.
 std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult& holistic,
                                   const AnalysisOptions& options, ExactClusterInfo& info,
                                   AnalysisComponentCache* cache,
@@ -58,7 +57,7 @@ std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult&
   const Application& app = layout.application();
   // Validated at entry: a zero budget must be a loud diagnostic, not a
   // silently converged empty exploration.
-  if (options.exact.max_states == 0 || options.exact.max_branch_messages <= 0) {
+  if (options.exact.max_states == 0) {
     info.fallback = ExactFallback::InvalidOptions;
     return {};
   }
@@ -80,7 +79,7 @@ std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult&
     return {};
   }
   ScheduleSpaceResult space;
-  if (cache != nullptr && options.exact.reuse_base_frontier) {
+  if (cache != nullptr) {
     space = cache
                 ->schedule_space_for(layout, holistic.message_jitter, horizon.value(),
                                      options.exact, counters)

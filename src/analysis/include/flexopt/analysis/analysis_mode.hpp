@@ -2,12 +2,12 @@
 
 /// \file analysis_mode.hpp
 /// The analysis-backend vocabulary shared by analyze_system,
-/// analyze_multicluster, CostEvaluator, and the campaign runner: which
-/// backend computes the ET (DYN-segment) worst-case response times, the
-/// knobs of the exact schedule-space exploration, and the per-cluster
-/// record of what the exact backend actually did (refinement statistics
-/// plus the holistic reference bounds the pessimism report is computed
-/// against).
+/// analyze_multicluster, CostEvaluator, and the campaign runner: which of
+/// the two backends (holistic, exact) computes the ET (DYN-segment)
+/// worst-case response times, the exact exploration's two knobs (state
+/// budget, dominance pruning), and the per-cluster record of what the
+/// exact backend actually did (refinement statistics plus the holistic
+/// reference bounds the pessimism report is computed against).
 
 #include <cstdint>
 #include <memory>
@@ -25,65 +25,29 @@ namespace flexopt {
 ///  * Exact — schedule-space exploration of the DYN arbitration refines the
 ///    holistic bound per FlexRay cluster; the result is clamped to the
 ///    holistic bound, so exact <= holistic activity-wise by construction.
-///  * Simulate — analysis-wise identical to Holistic; the campaign runner
-///    additionally replays every winner on the network simulator (the
-///    sim_check lane) so the three-way holistic/exact/observed comparison
-///    can be driven from one spec axis.
-enum class AnalysisMode { Holistic, Exact, Simulate };
+///
+/// Replaying winners on the network simulator is orthogonal to the mode
+/// (`flexopt_cli solve --simulate`, campaign `sim_check on`).
+enum class AnalysisMode { Holistic, Exact };
 
 [[nodiscard]] const char* to_string(AnalysisMode mode);
 [[nodiscard]] Expected<AnalysisMode> parse_analysis_mode(std::string_view text);
 
-/// Knobs of the exact DYN schedule-space exploration.
+/// Knobs of the exact DYN schedule-space exploration.  The pruning policy,
+/// the branch cap and the one-hyper-period release window are fixed by the
+/// engine (schedule_space.hpp).
 struct ExactOptions {
   /// Exploration budget: total states expanded per cluster before the
   /// backend gives up and falls back to the holistic bound
   /// (ExactFallback::BudgetExceeded — recorded, never silent).
   std::uint64_t max_states = 1u << 16;
-  /// Upper bound on the per-cycle "maybe ready" set: each maybe message
-  /// doubles the branching factor of a cycle step, so a set larger than
-  /// this triggers the budget fallback instead of 2^k successor blow-up.
-  int max_branch_messages = 12;
   /// Pairwise dominance merging: a frontier state whose per-message
   /// transmitted counts are pointwise >= another's is dropped — the less
   /// progressed state carries at least as much backlog into every future
   /// cycle, so its reachable finish times cover the dropped state's.
   bool prune_dominated = true;
-  /// Frontier size above which the O(n^2) dominance sweep is skipped for
-  /// that cycle (identical-state merging still applies).
-  std::size_t dominance_sweep_limit = 256;
-  /// Job-release window of the exploration in hyper-periods.  All jobs
-  /// released in [0, H * hyperperiods) are explored to completion (plus
-  /// drain cycles up to the analysis horizon).
-  int hyperperiods = 1;
-  /// Worker threads for the sharded frontier exploration.  1 explores
-  /// inline on the calling thread; 0 uses the hardware concurrency.  The
-  /// exploration result is bit-identical for every worker count: states are
-  /// routed to a fixed number of shards by key hash (independent of jobs),
-  /// each shard merges and prunes locally in sorted key order, and all
-  /// counters are order-independent sums.
-  int jobs = 1;
-  /// Reuse explored per-cluster schedule spaces across neighbour moves:
-  /// when an AnalysisComponentCache is available, exploration results are
-  /// keyed by the cluster's DYN-geometry sub-hash plus the converged release
-  /// jitters, horizon and exploration knobs, so a move that leaves a
-  /// cluster's DYN inputs untouched replays the surviving frontier verbatim
-  /// instead of re-exploring from the empty state.  A hit is bit-identical
-  /// to a cold run (the exploration is a pure function of the key).
-  bool reuse_base_frontier = true;
 
   friend bool operator==(const ExactOptions&, const ExactOptions&) = default;
-
-  /// The fields that determine the exploration *result* (bounds and
-  /// counters).  `jobs` and `reuse_base_frontier` are execution knobs with
-  /// bit-identical outcomes, so cache keys must ignore them.
-  [[nodiscard]] bool same_semantics(const ExactOptions& other) const {
-    return max_states == other.max_states &&
-           max_branch_messages == other.max_branch_messages &&
-           prune_dominated == other.prune_dominated &&
-           dominance_sweep_limit == other.dominance_sweep_limit &&
-           hyperperiods == other.hyperperiods;
-  }
 };
 
 /// Why a cluster kept its holistic bounds instead of exact refinements.
@@ -93,8 +57,8 @@ enum class ExactFallback {
   NoDynMessages,       ///< nothing to refine: no DYN traffic on the bus
   NotConverged,        ///< holistic prerequisite diverged; no jitter bounds
   UnboundedJitter,     ///< some DYN release jitter is infinite
-  BudgetExceeded,      ///< max_states / max_branch_messages hit mid-exploration
-  InvalidOptions,      ///< zero max_states / max_branch_messages budget
+  BudgetExceeded,      ///< max_states or the per-cycle branch cap hit
+  InvalidOptions,      ///< zero max_states budget
 };
 
 [[nodiscard]] const char* to_string(ExactFallback fallback);

@@ -25,9 +25,9 @@ namespace flexopt {
 
 /// Single-cluster exact analysis (the AnalysisMode::Exact dispatch target
 /// of analyze_system).  Always attaches an ExactClusterInfo to the result.
-/// With `cache` (and ExactOptions::reuse_base_frontier on), the exploration
-/// goes through the cache's exact-space store, making repeated analyses of
-/// unchanged DYN inputs incremental — bit-identical to cold runs.
+/// With `cache`, the exploration goes through the cache's exact-space store,
+/// making repeated analyses of unchanged DYN inputs incremental —
+/// bit-identical to cold runs.
 Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
                                               const AnalysisOptions& options = {},
                                               AnalysisWorkCounters* counters = nullptr,

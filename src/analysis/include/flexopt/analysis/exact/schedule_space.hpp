@@ -30,19 +30,15 @@
 /// reachable from it is also reachable (no later) from the less progressed
 /// state; the more progressed state is dropped.
 ///
-/// Parallel exploration (ExactOptions::jobs): each cycle fans out over a
-/// sharded state table whose shard count is FIXED (independent of the
-/// worker count) — states are routed to shards by a hash of the
-/// transmitted-count key.  Workers steal source shards from a shared atomic
-/// cursor, write successors into per-(worker, target-shard) buffers
-/// (lock-free handoff — no shared successor structure), and after a barrier
-/// steal target shards to merge: open-addressing dedup, lexicographic key
-/// sort, then a shard-local pointwise-<= dominance sweep over the SoA rows.
-/// Small frontiers get one extra cross-shard sweep (the serial engine's
-/// dominance_sweep_limit regime).  Because shard membership, per-shard
-/// sorted order, the dominance relation and every counter are functions of
-/// the key set alone — never of which worker produced a state — the result
-/// is bit-identical for any worker count.
+/// The walk is single-threaded and its result is a function of the state
+/// *set* of each cycle, never of iteration order: each cycle's successors are
+/// routed to 32 buckets by a hash of the transmitted-count key, each bucket
+/// is deduplicated through an open-addressing table and, when it holds at
+/// most 256 states, swept for dominance on its own; when at most 256 states
+/// survive, the whole frontier is swept once more.  Larger sets skip the
+/// O(n^2) sweep but still merge identical states.  A cycle whose maybe-ready
+/// set exceeds 12 messages aborts with ExactFallback::BudgetExceeded rather
+/// than branch 2^k ways.
 
 #include <cstdint>
 #include <span>
@@ -69,10 +65,10 @@ struct ScheduleSpaceResult {
   std::uint64_t transitions = 0;      ///< successor states generated
 };
 
-/// Explores all DYN jobs released in [0, hyperperiod * options.hyperperiods)
-/// to completion, walking bus cycles up to `horizon` (use analysis_horizon).
-/// `message_jitter` must hold finite converged holistic release jitters for
-/// every DYN message (callers gate on convergence first).
+/// Explores all DYN jobs released in [0, hyperperiod) to completion, walking
+/// bus cycles up to `horizon` (use analysis_horizon).  `message_jitter` must
+/// hold finite converged holistic release jitters for every DYN message
+/// (callers gate on convergence first).
 [[nodiscard]] ScheduleSpaceResult explore_dyn_schedule_space(
     const BusLayout& layout, std::span<const Time> message_jitter, Time horizon,
     const ExactOptions& options);

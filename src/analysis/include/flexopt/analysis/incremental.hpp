@@ -168,7 +168,7 @@ struct TaskStructure {
 /// Cacheable exact-backend component: one cluster's DYN schedule-space
 /// exploration outcome, keyed by every input the exploration reads — the
 /// dyn sub-hash (segment geometry + FrameID assignment), the converged DYN
-/// release jitters, the cycle horizon and the semantic exploration knobs.
+/// release jitters, the cycle horizon and the exploration knobs.
 /// The exploration is a pure function of that key, so serving a stored
 /// component is bit-identical to re-exploring (counters included); this is
 /// what makes exact analysis incremental across neighbour moves.
@@ -176,7 +176,7 @@ struct ExactSpaceComponent {
   // Exploration inputs — the hash-collision / equality guard.
   std::uint64_t dyn_key = 0;
   Time horizon = 0;
-  ExactOptions options;  ///< compared via ExactOptions::same_semantics
+  ExactOptions options;
   std::vector<Time> message_jitter;
 
   ScheduleSpaceResult space;

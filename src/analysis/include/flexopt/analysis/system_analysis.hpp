@@ -36,9 +36,7 @@ struct AnalysisOptions {
   /// Log per-iteration convergence diagnostics (log_debug level).
   bool debug_trace = false;
   /// Which backend produces the ET bounds.  Exact routes through the DYN
-  /// schedule-space exploration (flexopt/analysis/exact/); Simulate is
-  /// analysis-wise identical to Holistic (the simulator lane is a campaign
-  /// concern).
+  /// schedule-space exploration (flexopt/analysis/exact/).
   AnalysisMode mode = AnalysisMode::Holistic;
   /// Exploration knobs, used only when mode == AnalysisMode::Exact.
   ExactOptions exact;

@@ -82,7 +82,7 @@ bool same_exploration(const ExactSpaceComponent& component, std::uint64_t dyn_ke
                       const std::vector<Time>& dyn_jitter, Time horizon,
                       const ExactOptions& options) {
   return component.dyn_key == dyn_key && component.horizon == horizon &&
-         component.options.same_semantics(options) &&
+         component.options == options &&
          component.message_jitter == dyn_jitter;
 }
 
@@ -153,10 +153,7 @@ std::shared_ptr<const ExactSpaceComponent> AnalysisComponentCache::schedule_spac
   fnv.mix(dyn_key);
   fnv.mix(static_cast<std::uint64_t>(horizon));
   fnv.mix(options.max_states);
-  fnv.mix(static_cast<std::uint64_t>(options.max_branch_messages));
   fnv.mix(options.prune_dominated ? 1 : 0);
-  fnv.mix(options.dominance_sweep_limit);
-  fnv.mix(static_cast<std::uint64_t>(options.hyperperiods));
   for (const Time j : dyn_jitter) fnv.mix(static_cast<std::uint64_t>(j));
   const std::uint64_t key = fnv.h;
   {

@@ -54,11 +54,10 @@ struct CampaignSpec {
   /// pre-backend specs' scenario indices (and seeds) unchanged.
   std::vector<BackendMix> backends{BackendMix::Flexray};
   /// Analysis-backend axis: which backend produces every evaluator bound of
-  /// the cell (holistic | exact | simulate; see flexopt/analysis/
-  /// analysis_mode.hpp).  `simulate` solves holistically and forces the
-  /// sim_check lane for its scenarios; `exact` additionally records the
-  /// holistic-vs-exact pessimism of every winner.  The default single value
-  /// keeps pre-axis specs' scenario indices (and seeds) unchanged.
+  /// the cell (holistic | exact; see flexopt/analysis/analysis_mode.hpp).
+  /// `exact` additionally records the holistic-vs-exact pessimism of every
+  /// winner.  The default single value keeps pre-axis specs' scenario
+  /// indices (and seeds) unchanged.
   std::vector<AnalysisMode> analysis_modes{AnalysisMode::Holistic};
   std::vector<TrafficMix> traffic_mixes{TrafficMix::Mixed};
   std::vector<UtilBand> node_util_bands{{0.25, 0.45}};
@@ -98,11 +97,6 @@ struct CampaignSpec {
   /// simulator (flexopt/netsim) for one hyper-period and record the
   /// observed-vs-bound verdict and pessimism gap per run.
   bool sim_check = false;
-  /// Worker threads per exact schedule-space exploration when an `exact`
-  /// analysis-mode cell runs (ExactOptions::jobs; 0 = hardware).  Results
-  /// are bit-identical for any value, so this never perturbs the campaign
-  /// determinism contract.
-  int exact_jobs = 1;
 };
 
 /// One expanded grid cell instance: the fully resolved generator spec plus

@@ -132,13 +132,9 @@ Expected<CampaignResult> CampaignRunner::run(const CampaignOptions& options) {
           EvaluatorOptions evaluator_options;
           evaluator_options.threads = 1;
           // The plan's analysis mode drives every evaluator bound of the
-          // solve (`simulate` analyses holistically — its extra lane is the
-          // forced sim_check below).
+          // solve.
           AnalysisOptions analysis_options;
-          if (plan.analysis_mode == AnalysisMode::Exact) {
-            analysis_options.mode = AnalysisMode::Exact;
-            analysis_options.exact.jobs = spec_.exact_jobs;
-          }
+          analysis_options.mode = plan.analysis_mode;
           CostEvaluator evaluator(model, params_, analysis_options, evaluator_options);
           SolveRequest request;
           request.seed = plan.scenario.base.seed;
@@ -157,24 +153,20 @@ Expected<CampaignResult> CampaignRunner::run(const CampaignOptions& options) {
           run.portfolio_winner = report.winner;
           run.wall_seconds = report.outcome.wall_seconds;
           run.analysis_mode = plan.analysis_mode;
-          // Post-solve winner lanes.  sim_check (or a `simulate` cell):
-          // replay the winner on the network simulator for one
-          // hyper-period.  The simulation is single-threaded and seeded by
-          // nothing but the winning configuration, so it preserves the
-          // thread-count determinism contract.  An `exact` cell re-analyses
-          // the winner with the schedule-space backend and records its
-          // holistic-vs-exact pessimism.  A layout/analysis failure on the
-          // winner leaves the lanes unrun rather than failing the scenario
-          // (the solve itself already succeeded).
-          const bool want_sim =
-              spec_.sim_check || plan.analysis_mode == AnalysisMode::Simulate;
+          // Post-solve winner lanes.  sim_check: replay the winner on the
+          // network simulator for one hyper-period.  The simulation is
+          // single-threaded and seeded by nothing but the winning
+          // configuration, so it preserves the thread-count determinism
+          // contract.  An `exact` cell re-analyses the winner with the
+          // schedule-space backend and records its holistic-vs-exact
+          // pessimism.  A layout/analysis failure on the winner leaves the
+          // lanes unrun rather than failing the scenario (the solve itself
+          // already succeeded).
           const bool want_exact = plan.analysis_mode == AnalysisMode::Exact;
-          if ((want_sim || want_exact) && report.outcome.cost.value < kInvalidConfigCost) {
+          if ((spec_.sim_check || want_exact) &&
+              report.outcome.cost.value < kInvalidConfigCost) {
             AnalysisOptions winner_options;
-            if (want_exact) {
-              winner_options.mode = AnalysisMode::Exact;
-              winner_options.exact.jobs = spec_.exact_jobs;
-            }
+            winner_options.mode = plan.analysis_mode;
             auto layouts = build_system_layouts(model, params_, report.outcome.system);
             auto analysis = layouts.ok()
                                 ? analyze_multicluster(model, layouts.value(), winner_options)
@@ -194,7 +186,7 @@ Expected<CampaignResult> CampaignRunner::run(const CampaignOptions& options) {
               run.exact_gap_mean = pessimism.mean_gap;
               run.exact_gap_max = pessimism.max_gap;
             }
-            if (want_sim) {
+            if (spec_.sim_check) {
               // Exact cells simulate against the refined bounds: the
               // stronger observed <= exact check subsumes the holistic one.
               auto sim = analysis.ok()

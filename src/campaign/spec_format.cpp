@@ -77,7 +77,6 @@ constexpr std::string_view kKeywords[] = {
     "clusters",
     "backend",
     "analysis_mode",
-    "exact_jobs",
     "traffic",
     "node_util",
     "bus_util",
@@ -289,11 +288,6 @@ Expected<CampaignSpec> parse_campaign(std::istream& in) {
       if (!v.ok()) return line_error(line_no, v.error().message);
       if (v.value() < 0.0) return line_error(line_no, "time_limit must be >= 0");
       spec.max_wall_seconds = v.value();
-    } else if (keyword == "exact_jobs") {
-      auto v = parse_int32(first);
-      if (!v.ok()) return line_error(line_no, v.error().message);
-      if (v.value() < 0) return line_error(line_no, "exact_jobs must be >= 0 (0 = auto)");
-      spec.exact_jobs = v.value();
     } else if (keyword == "sim_check") {
       if (first == "on" || first == "true" || first == "1") {
         spec.sim_check = true;

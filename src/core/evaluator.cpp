@@ -231,7 +231,7 @@ CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config) {
   // Debug builds cross-check every cache-served exact analysis against a
   // cold exploration, bit for bit — bounds AND engine counters, so a stale
   // or mis-keyed exact-space entry can never hide behind equal costs.
-  if (options_.mode == AnalysisMode::Exact && options_.exact.reuse_base_frontier) {
+  if (options_.mode == AnalysisMode::Exact) {
     auto cold = analyze_system_exact(s.layout, options_);
     assert(cold.ok());
     if (cold.ok()) {

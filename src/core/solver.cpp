@@ -100,6 +100,13 @@ bool SolveControl::should_stop(const CostEvaluator& evaluator) {
 
 namespace {
 
+/// The incremental-work fields of a report are views of its profile.
+void fill_incremental_from_profile(SolveReport& report) {
+  report.delta_evaluations = report.profile.delta_evaluations;
+  report.components_recomputed = report.profile.analysis.components();
+  report.components_reused = report.profile.components_reused();
+}
+
 /// Deterministic block-coordinate descent over the per-cluster
 /// configuration product: each pass focuses the evaluator on one cluster
 /// and lets the single-bus algorithm optimise that coordinate against the
@@ -120,7 +127,9 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
   const std::size_t C = model.cluster_count();
   // Work accounting aggregates the per-pass reports, not the parent
   // evaluator's counters: a portfolio pass races its members on sibling
-  // evaluators whose analyses the parent never sees.
+  // evaluators whose analyses the parent never sees.  Work the descent runs
+  // on the parent itself (the seed evaluation, TSN passes) is added to the
+  // profile as parent work_stats() deltas.
   long spent_evaluations = 0;
   auto spent = [&] { return spent_evaluations; };
 
@@ -142,11 +151,13 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
     // serves this from the system cache and spends nothing.
     const long evals_before = evaluator.evaluations();
     const EvaluatorCacheStats cache_before = evaluator.cache_stats();
+    const EvaluatorWorkStats work_before = evaluator.work_stats();
     const auto initial = evaluator.evaluate_system(incumbent);
     const EvaluatorCacheStats cache_after = evaluator.cache_stats();
     spent_evaluations += evaluator.evaluations() - evals_before;
     report.cache_hits += cache_after.hits - cache_before.hits;
     report.cache_misses += cache_after.misses - cache_before.misses;
+    report.profile += evaluator.work_stats().since(work_before);
     if (initial.valid) best = initial.cost;
   }
   const long total_budget = request.max_evaluations;
@@ -209,12 +220,14 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
         // through the SystemConfig delta path against the same full
         // cross-cluster cost.
         const EvaluatorCacheStats cache_before = evaluator.cache_stats();
+        const EvaluatorWorkStats work_before = evaluator.work_stats();
         TsnSearchResult tsn =
             tsn_coordinate_descent(evaluator, incumbent, static_cast<int>(c), pass_request);
         const EvaluatorCacheStats cache_after = evaluator.cache_stats();
         spent_evaluations += tsn.evaluations;
         report.cache_hits += cache_after.hits - cache_before.hits;
         report.cache_misses += cache_after.misses - cache_before.misses;
+        report.profile += evaluator.work_stats().since(work_before);
         if (tsn.status == SolveStatus::Cancelled) {
           status = SolveStatus::Cancelled;
         } else if (tsn.status == SolveStatus::TimeLimit && request.max_wall_seconds > 0.0) {
@@ -233,9 +246,7 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
       spent_evaluations += pass.outcome.evaluations;
       report.cache_hits += pass.cache_hits;
       report.cache_misses += pass.cache_misses;
-      report.delta_evaluations += pass.delta_evaluations;
-      report.components_recomputed += pass.components_recomputed;
-      report.components_reused += pass.components_reused;
+      report.profile += pass.profile;
 
       // Built by append rather than operator+ chaining: GCC 12's inliner
       // raises a spurious -Wrestrict on the temporary chain.
@@ -271,6 +282,7 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
   }
 
   report.status = status;
+  fill_incremental_from_profile(report);
   report.outcome.system = incumbent;
   if (incumbent.clusters[0].kind == ClusterBackendKind::FlexRay) {
     report.outcome.config = incumbent.clusters[0].flexray;
@@ -295,6 +307,7 @@ SolveReport solve_single_tsn(CostEvaluator& evaluator, const SolveRequest& reque
   incumbent.clusters.push_back(minimal_start_cluster_config(
       *evaluator.system_model().cluster_app(0), evaluator.params(), ClusterBackendKind::Tsn));
   const EvaluatorCacheStats cache_before = evaluator.cache_stats();
+  const EvaluatorWorkStats work_before = evaluator.work_stats();
   TsnSearchResult tsn = tsn_coordinate_descent(evaluator, incumbent, 0, request);
   const EvaluatorCacheStats cache_after = evaluator.cache_stats();
 
@@ -310,6 +323,8 @@ SolveReport solve_single_tsn(CostEvaluator& evaluator, const SolveRequest& reque
   report.outcome.algorithm = "tsn-descent";
   report.cache_hits = cache_after.hits - cache_before.hits;
   report.cache_misses = cache_after.misses - cache_before.misses;
+  report.profile = evaluator.work_stats().since(work_before);
+  fill_incremental_from_profile(report);
   return report;
 }
 

@@ -260,15 +260,20 @@ Expected<ParsedSystem> parse_system(std::istream& in) {
       } else {
         auto dur = parse_duration(value);
         if (!dur.ok()) return error_at(dur.error().message);
+        Time* field = nullptr;
         if (key == "gd_bit") {
-          out.params.gd_bit = dur.value();
+          field = &out.params.gd_bit;
         } else if (key == "gd_macrotick") {
-          out.params.gd_macrotick = dur.value();
+          field = &out.params.gd_macrotick;
         } else if (key == "gd_minislot") {
-          out.params.gd_minislot = dur.value();
+          field = &out.params.gd_minislot;
         } else {
           return error_at("unknown param '" + key + "'");
         }
+        // A zero duration divides by zero in the bus layout or leaves no
+        // analysable configuration.
+        if (dur.value() <= 0) return error_at("param " + key + " must be a positive duration");
+        *field = dur.value();
       }
     } else {
       return error_at("unknown keyword '" + keyword + "'");

@@ -167,21 +167,15 @@ TEST(ExactAnalysis, ZeroBudgetsRecordInvalidOptions) {
   TinySystem tiny;
   const BusLayout layout = make_layout(tiny.app, tiny.params, tiny.config);
   const AnalysisResult holistic = analyze(layout);
-  for (const bool zero_states : {true, false}) {
-    AnalysisOptions options = exact_options();
-    if (zero_states) {
-      options.exact.max_states = 0;
-    } else {
-      options.exact.max_branch_messages = 0;
-    }
-    const AnalysisResult exact = analyze(layout, options);
-    ASSERT_NE(exact.exact, nullptr);
-    EXPECT_EQ(exact.exact->fallback, ExactFallback::InvalidOptions);
-    EXPECT_EQ(exact.exact->explored_states, 0u);
-    EXPECT_EQ(exact.exact->refined_messages, 0u);
-    EXPECT_EQ(exact.task_completion, holistic.task_completion);
-    EXPECT_EQ(exact.message_completion, holistic.message_completion);
-  }
+  AnalysisOptions options = exact_options();
+  options.exact.max_states = 0;
+  const AnalysisResult exact = analyze(layout, options);
+  ASSERT_NE(exact.exact, nullptr);
+  EXPECT_EQ(exact.exact->fallback, ExactFallback::InvalidOptions);
+  EXPECT_EQ(exact.exact->explored_states, 0u);
+  EXPECT_EQ(exact.exact->refined_messages, 0u);
+  EXPECT_EQ(exact.task_completion, holistic.task_completion);
+  EXPECT_EQ(exact.message_completion, holistic.message_completion);
   EXPECT_STREQ(to_string(ExactFallback::InvalidOptions), "invalid-options");
 }
 
@@ -193,52 +187,9 @@ TEST(ExactAnalysis, InvalidOptionsOutranksNoDynMessages) {
   const BusLayout layout = make_layout(tiny.app, tiny.params, tiny.config);
   AnalysisOptions options = exact_options();
   options.exact.max_states = 0;
-  options.exact.max_branch_messages = 0;
   const AnalysisResult exact = analyze(layout, options);
   ASSERT_NE(exact.exact, nullptr);
   EXPECT_EQ(exact.exact->fallback, ExactFallback::InvalidOptions);
-}
-
-/// Worker count must never leak into results: the full ExactClusterInfo —
-/// bounds, counters, transitions — is bit-identical for any jobs value
-/// (0 = hardware included).
-TEST(ExactAnalysis, WorkerCountPreservesResultsBitIdentically) {
-  BusParams params;
-  params.gd_bit = 100;
-  params.gd_macrotick = timeunits::us(1);
-  params.gd_minislot = timeunits::us(5);
-  SyntheticSpec spec;
-  spec.nodes = 3;
-  spec.deadline_factor = 0.7;
-  spec.seed = 3000;
-  auto app = generate_synthetic(spec, params);
-  ASSERT_TRUE(app.ok()) << app.error().message;
-  const StartConfig start = minimal_start_config(app.value(), params);
-  ASSERT_TRUE(start.bounds.feasible());
-  const BusLayout layout = make_layout(app.value(), params, start.config);
-
-  AnalysisOptions reference_options = exact_options();
-  reference_options.exact.jobs = 1;
-  const AnalysisResult reference = analyze(layout, reference_options);
-  ASSERT_NE(reference.exact, nullptr);
-  ASSERT_EQ(reference.exact->fallback, ExactFallback::None);
-  for (const int jobs : {0, 2, 8}) {
-    AnalysisOptions options = exact_options();
-    options.exact.jobs = jobs;
-    const AnalysisResult parallel = analyze(layout, options);
-    ASSERT_NE(parallel.exact, nullptr) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.exact->fallback, reference.exact->fallback) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.exact->explored_states, reference.exact->explored_states)
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.exact->merged_states, reference.exact->merged_states)
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.exact->transitions, reference.exact->transitions) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.exact->refined_messages, reference.exact->refined_messages)
-        << "jobs=" << jobs;
-    EXPECT_EQ(parallel.task_completion, reference.task_completion) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.message_completion, reference.message_completion) << "jobs=" << jobs;
-    EXPECT_EQ(parallel.cost.value, reference.cost.value) << "jobs=" << jobs;
-  }
 }
 
 /// The exact-space store makes repeat analyses of unchanged DYN inputs
@@ -281,16 +232,6 @@ TEST(ExactAnalysis, ComponentCacheReusesExploration) {
   EXPECT_EQ(second.value().exact->transitions, first.value().exact->transitions);
   EXPECT_EQ(second.value().task_completion, first.value().task_completion);
   EXPECT_EQ(second.value().message_completion, first.value().message_completion);
-
-  // Opting out of reuse bypasses the store even when a cache is supplied.
-  AnalysisOptions no_reuse = exact_options();
-  no_reuse.exact.reuse_base_frontier = false;
-  const AnalysisWorkCounters before_optout = counters;
-  auto third = analyze_system_exact(layout, no_reuse, &counters, {}, &cache);
-  ASSERT_TRUE(third.ok()) << third.error().message;
-  const AnalysisWorkCounters optout = counters.since(before_optout);
-  EXPECT_EQ(optout.exact_frontier_reused, 0u);
-  EXPECT_EQ(optout.exact_states_explored, first.value().exact->explored_states);
 }
 
 TEST(ExactAnalysis, TtOnlySystemRecordsNoDynMessages) {
@@ -375,13 +316,14 @@ TEST(ExactAnalysis, TsnClusterRecordsUnsupportedBackend) {
 }
 
 TEST(ExactAnalysis, ModeStringsRoundTrip) {
-  for (const AnalysisMode mode :
-       {AnalysisMode::Holistic, AnalysisMode::Exact, AnalysisMode::Simulate}) {
+  for (const AnalysisMode mode : {AnalysisMode::Holistic, AnalysisMode::Exact}) {
     const auto parsed = parse_analysis_mode(to_string(mode));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.value(), mode);
   }
   EXPECT_FALSE(parse_analysis_mode("magic").ok());
+  // Winner replay is the --simulate / sim_check switch, not a mode.
+  EXPECT_FALSE(parse_analysis_mode("simulate").ok());
 }
 
 TEST(ExactAnalysis, ModeParseErrorSuggestsNearMiss) {

@@ -142,11 +142,10 @@ TEST(CampaignSpecFormat, ParsesBackendAxis) {
 }
 
 TEST(CampaignSpecFormat, ParsesAnalysisModeAxis) {
-  auto spec = parse_campaign_text("analysis_mode holistic exact simulate\n");
+  auto spec = parse_campaign_text("analysis_mode holistic exact\n");
   ASSERT_TRUE(spec.ok()) << spec.error().message;
   EXPECT_EQ(spec.value().analysis_modes,
-            (std::vector<AnalysisMode>{AnalysisMode::Holistic, AnalysisMode::Exact,
-                                       AnalysisMode::Simulate}));
+            (std::vector<AnalysisMode>{AnalysisMode::Holistic, AnalysisMode::Exact}));
   // Untouched: the axis defaults to the holistic backend only.
   auto plain = parse_campaign_text("nodes 4\n");
   ASSERT_TRUE(plain.ok());
@@ -157,34 +156,11 @@ TEST(CampaignSpecFormat, ParsesAnalysisModeAxis) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.error().message.find("line 2"), std::string::npos);
   EXPECT_NE(bad.error().message.find("holistic"), std::string::npos);
-}
-
-TEST(CampaignSpecFormat, ParsesExactJobsScalar) {
-  auto spec = parse_campaign_text("analysis_mode exact\nexact_jobs 4\n");
-  ASSERT_TRUE(spec.ok()) << spec.error().message;
-  EXPECT_EQ(spec.value().exact_jobs, 4);
-
-  // 0 = auto (hardware concurrency); results stay jobs-independent either way.
-  auto automatic = parse_campaign_text("exact_jobs 0\n");
-  ASSERT_TRUE(automatic.ok());
-  EXPECT_EQ(automatic.value().exact_jobs, 0);
-
-  // Untouched: sequential exploration.
-  auto plain = parse_campaign_text("nodes 4\n");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain.value().exact_jobs, 1);
-
-  // Scalar keyword (not an axis), and negatives are rejected with the line.
-  EXPECT_FALSE(parse_campaign_text("exact_jobs 2 4\n").ok());
-  auto negative = parse_campaign_text("name ok\nexact_jobs -1\n");
-  ASSERT_FALSE(negative.ok());
-  EXPECT_NE(negative.error().message.find("line 2"), std::string::npos);
-  EXPECT_NE(negative.error().message.find(">= 0"), std::string::npos);
-
-  // The did-you-mean hint covers the new keyword too.
-  auto typo = parse_campaign_text("exact_job 2\n");
-  ASSERT_FALSE(typo.ok());
-  EXPECT_NE(typo.error().message.find("did you mean 'exact_jobs'"), std::string::npos);
+  // Winner replay is the sim_check switch, not an analysis mode.
+  auto simulate = parse_campaign_text("analysis_mode simulate\n");
+  ASSERT_FALSE(simulate.ok());
+  EXPECT_NE(simulate.error().message.find("unknown analysis mode 'simulate'"),
+            std::string::npos);
 }
 
 TEST(CampaignSpecFormat, BackendAxisRejectsSingleBusFamilies) {

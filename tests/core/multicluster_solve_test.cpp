@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/solver.hpp"
@@ -142,25 +143,31 @@ TEST(MulticlusterSolve, SingleClusterSolveFillsDegenerateSystemConfig) {
   EXPECT_EQ(report.outcome.system.clusters[0].flexray, report.outcome.config);
 }
 
+/// A generated gateway-chained FlexRay system of `clusters` clusters.
+SystemModel chained_system(int clusters, std::uint64_t seed, const BusParams& params) {
+  ScenarioSpec scenario;
+  scenario.topology = Topology::MultiCluster;
+  scenario.traffic = TrafficMix::DynOnly;
+  scenario.clusters = clusters;
+  scenario.inter_cluster_share = 0.3;
+  scenario.base.nodes = clusters * 2;
+  scenario.base.tasks_per_node = 4;
+  scenario.base.tasks_per_graph = 4;
+  scenario.base.deadline_factor = 2.0;
+  scenario.base.seed = seed;
+  auto app = generate_scenario(scenario, params);
+  if (!app.ok()) throw std::runtime_error(app.error().message);
+  auto model = SystemModel::build(std::make_shared<const Application>(std::move(app).value()));
+  if (!model.ok()) throw std::runtime_error(model.error().message);
+  return std::move(model).value();
+}
+
 TEST(MulticlusterSolve, PortfolioJobsDoNotChangeTheReport) {
   // The acceptance determinism check at solve level: a racing portfolio on
   // a generated multicluster scenario is byte-identical between jobs=1 and
   // a parallel run (the campaign test covers the campaign level).
-  ScenarioSpec scenario;
-  scenario.topology = Topology::MultiCluster;
-  scenario.traffic = TrafficMix::DynOnly;
-  scenario.clusters = 2;
-  scenario.inter_cluster_share = 0.3;
-  scenario.base.nodes = 4;
-  scenario.base.tasks_per_node = 4;
-  scenario.base.tasks_per_graph = 4;
-  scenario.base.deadline_factor = 2.0;
-  scenario.base.seed = 11;
   BusParams params;
-  auto app = generate_scenario(scenario, params);
-  ASSERT_TRUE(app.ok());
-  auto model = SystemModel::build(std::make_shared<const Application>(std::move(app).value()));
-  ASSERT_TRUE(model.ok());
+  const SystemModel model = chained_system(2, 11, params);
 
   auto solve_with_jobs = [&](int jobs) {
     PortfolioSpec spec;
@@ -170,12 +177,12 @@ TEST(MulticlusterSolve, PortfolioJobsDoNotChangeTheReport) {
     if (!optimizer.ok()) throw std::runtime_error(optimizer.error().message);
     EvaluatorOptions options;
     options.threads = 1;
-    CostEvaluator evaluator(model.value(), params, AnalysisOptions{}, options);
+    CostEvaluator evaluator(model, params, AnalysisOptions{}, options);
     SolveRequest request;
     request.seed = 3;
     request.max_evaluations = 160;
     const SolveReport report = optimizer.value()->solve(evaluator, request);
-    return write_solve_json(*model.value().global(), "portfolio", report);
+    return write_solve_json(*model.global(), "portfolio", report);
   };
 
   const std::string serial = solve_with_jobs(1);
@@ -183,6 +190,73 @@ TEST(MulticlusterSolve, PortfolioJobsDoNotChangeTheReport) {
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("cluster_configs"), std::string::npos);
   EXPECT_NE(serial.find("flexopt-solve-report/5"), std::string::npos);
+}
+
+void expect_same_work(const EvaluatorWorkStats& a, const EvaluatorWorkStats& b) {
+  EXPECT_EQ(a.analysis.components(), b.analysis.components());
+  EXPECT_EQ(a.components_reused(), b.components_reused());
+  EXPECT_EQ(a.analysis.holistic_iterations, b.analysis.holistic_iterations);
+  EXPECT_EQ(a.analysis.exact_states_explored, b.analysis.exact_states_explored);
+  EXPECT_EQ(a.analysis.exact_frontier_reused, b.analysis.exact_frontier_reused);
+  EXPECT_EQ(a.full_evaluations, b.full_evaluations);
+  EXPECT_EQ(a.delta_evaluations, b.delta_evaluations);
+}
+
+/// The descent's profile covers all of its work: the seed evaluation and
+/// every pass.  On a 3-cluster exact-mode SA solve — all of it on the
+/// caller's evaluator — it equals that evaluator's work delta, and the
+/// exact-space store's payoff shows as replayed explorations.
+TEST(MulticlusterSolve, ProfileCountsEveryPassAndTheSeed) {
+  BusParams params;
+  params.gd_bit = 100;
+  params.gd_macrotick = timeunits::us(1);
+  params.gd_minislot = timeunits::us(5);
+  const SystemModel model = chained_system(3, 3001, params);
+  AnalysisOptions exact;
+  exact.mode = AnalysisMode::Exact;
+  exact.exact.max_states = 1u << 13;
+  CostEvaluator evaluator(model, params, exact);
+  auto optimizer = OptimizerRegistry::create("sa");
+  ASSERT_TRUE(optimizer.ok());
+  SolveRequest request;
+  request.seed = 5;
+  request.max_evaluations = 60;
+  const EvaluatorWorkStats before = evaluator.work_stats();
+  const SolveReport report = optimizer.value()->solve(evaluator, request);
+  const EvaluatorWorkStats spent = evaluator.work_stats().since(before);
+
+  EXPECT_GT(report.profile.analysis.components(), 0u);
+  EXPECT_GT(report.profile.analysis.exact_states_explored, 0u);
+  EXPECT_GT(report.profile.analysis.exact_frontier_reused, 0u);
+  expect_same_work(report.profile, spent);
+  EXPECT_EQ(report.components_recomputed, report.profile.analysis.components());
+  EXPECT_EQ(report.delta_evaluations, report.profile.delta_evaluations);
+}
+
+/// A portfolio descent races its members on sibling evaluators: its
+/// profile is the members' profiles plus the work the descent ran on the
+/// caller's evaluator itself (the seed evaluation).
+TEST(MulticlusterSolve, PortfolioProfileSumsItsMembers) {
+  BusParams params;
+  const SystemModel model = chained_system(2, 11, params);
+  PortfolioSpec spec;
+  spec.members = {"sa", "obc-cf"};
+  spec.jobs = 1;
+  auto optimizer = OptimizerRegistry::create("portfolio", spec);
+  ASSERT_TRUE(optimizer.ok());
+  CostEvaluator evaluator(model, params, AnalysisOptions{});
+  SolveRequest request;
+  request.seed = 3;
+  request.max_evaluations = 80;
+  const EvaluatorWorkStats before = evaluator.work_stats();
+  const SolveReport report = optimizer.value()->solve(evaluator, request);
+
+  ASSERT_FALSE(report.members.empty());
+  EvaluatorWorkStats sum = evaluator.work_stats().since(before);
+  EXPECT_GT(sum.analysis.components(), 0u);  // the seed evaluation
+  for (const MemberSolveReport& member : report.members) sum += member.profile;
+  EXPECT_GT(report.profile.analysis.components(), 0u);
+  expect_same_work(report.profile, sum);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "flexopt/gen/cruise_control.hpp"
 #include "flexopt/io/system_format.hpp"
 
@@ -59,6 +61,22 @@ TEST(SystemFormat, ErrorsCarryLineNumbers) {
   auto bad = parse_system_text("node a\nbogus keyword here\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.error().message.find("line 2"), std::string::npos);
+}
+
+/// A zero bus duration used to crash the analysis with a division by zero
+/// (gd_minislot, gd_macrotick) or silently leave nothing analysable
+/// (gd_bit); the parser now rejects all three with the line number.
+TEST(SystemFormat, RejectsZeroBusDurations) {
+  for (const char* key : {"gd_bit", "gd_macrotick", "gd_minislot"}) {
+    for (const char* zero : {"0", "0ns", "0us"}) {
+      auto bad = parse_system_text(std::string("param ") + key + "=" + zero + kMinimal);
+      ASSERT_FALSE(bad.ok()) << key << "=" << zero;
+      EXPECT_NE(bad.error().message.find("line 1"), std::string::npos) << bad.error().message;
+      EXPECT_NE(bad.error().message.find(key), std::string::npos) << bad.error().message;
+    }
+    auto positive = parse_system_text(std::string("param ") + key + "=1us" + kMinimal);
+    EXPECT_TRUE(positive.ok()) << key << ": " << positive.error().message;
+  }
 }
 
 TEST(SystemFormat, RejectsUnknownReferences) {

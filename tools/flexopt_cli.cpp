@@ -4,21 +4,19 @@
 //
 //   flexopt_cli solve <system-file> [--algorithm NAME] [--seed N] [--budget N]
 //               [--time-limit S] [--threads N] [--members LIST] [--jobs N]
-//               [--analysis-mode MODE] [--exact-jobs N] [--no-exact-reuse]
-//               [--json FILE] [--progress] [--no-cache] [--simulate] [--dump]
+//               [--analysis-mode MODE] [--json FILE] [--progress] [--no-cache]
+//               [--simulate] [--dump]
 //       Optimise one system described in the flexopt/io/system_format.hpp
 //       plain-text format; prints the chosen configuration and per-activity
 //       worst-case response times; exit code 0 iff schedulable.  With
 //       --algorithm portfolio, --members ("4xsa,obc-ee") composes the
 //       racing pool and --jobs caps its worker threads (results are
-//       independent of --jobs).  --analysis-mode holistic|exact|simulate
-//       selects the analysis backend: `exact` refines every evaluator bound
-//       with the schedule-space backend and reports the winner's pessimism,
-//       `simulate` implies --simulate.  --exact-jobs sets the exploration
-//       worker count (0 = hardware; bounds are bit-identical for any value)
-//       and --no-exact-reuse disables the cross-move exact-space cache —
-//       both exact-mode only.  --json writes the deterministic
-//       machine-readable report of flexopt/io/solve_report_json.hpp.
+//       independent of --jobs).  --analysis-mode holistic|exact selects the
+//       analysis backend: `exact` refines every evaluator bound with the
+//       schedule-space backend and reports the winner's pessimism.
+//       --simulate replays the winner on the network simulator.  --json
+//       writes the deterministic machine-readable report of
+//       flexopt/io/solve_report_json.hpp.
 //
 //   flexopt_cli simulate <system-file> [--algorithm NAME] [--seed N] [--budget N]
 //               [--time-limit S] [--threads N] [--hyperperiods N] [--trace FILE]
@@ -70,8 +68,7 @@ int usage() {
       << "usage: flexopt_cli [solve] <system-file> [--algorithm NAME|list] [--seed N]\n"
          "                   [--budget MAX_EVALUATIONS] [--time-limit SECONDS]\n"
          "                   [--threads N] [--members LIST] [--jobs N]\n"
-         "                   [--analysis-mode holistic|exact|simulate]\n"
-         "                   [--exact-jobs N] [--no-exact-reuse] [--json FILE]\n"
+         "                   [--analysis-mode holistic|exact] [--json FILE]\n"
          "                   [--progress] [--no-cache] [--simulate] [--dump]\n"
          "       flexopt_cli simulate <system-file> [--algorithm NAME] [--seed N]\n"
          "                   [--budget N] [--time-limit S] [--threads N]\n"
@@ -179,10 +176,6 @@ int solve_main(int argc, char** argv) {
   SolveRequest request;
   EvaluatorOptions evaluator_options;
   AnalysisMode analysis_mode = AnalysisMode::Holistic;
-  int exact_jobs = 1;
-  bool exact_jobs_set = false;
-  bool exact_reuse = true;
-  bool exact_reuse_set = false;
   bool show_progress = false;
   bool run_sim = false;
   bool dump = false;
@@ -203,12 +196,6 @@ int solve_main(int argc, char** argv) {
     } else if (arg == "--jobs" && i + 1 < argc) {
       if (!parse_int_arg(argv[++i], jobs)) return numeric_arg_error(arg);
       jobs_set = true;
-    } else if (arg == "--exact-jobs" && i + 1 < argc) {
-      if (!parse_int_arg(argv[++i], exact_jobs)) return numeric_arg_error(arg);
-      exact_jobs_set = true;
-    } else if (arg == "--no-exact-reuse") {
-      exact_reuse = false;
-      exact_reuse_set = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -236,14 +223,8 @@ int solve_main(int argc, char** argv) {
     }
   }
   if (request.max_evaluations < 0 || request.max_wall_seconds < 0.0 ||
-      evaluator_options.threads < 0 || jobs < 0 || exact_jobs < 0) {
+      evaluator_options.threads < 0 || jobs < 0) {
     std::cerr << "--budget, --time-limit, --threads and --jobs must be positive\n";
-    return usage();
-  }
-  // The exact knobs only steer the schedule-space backend; outside exact
-  // mode they would be silently ignored, which must be an error instead.
-  if ((exact_jobs_set || exact_reuse_set) && analysis_mode != AnalysisMode::Exact) {
-    std::cerr << "--exact-jobs and --no-exact-reuse require --analysis-mode exact\n";
     return usage();
   }
   if (algorithm == "list") return list_algorithms();
@@ -328,15 +309,9 @@ int solve_main(int argc, char** argv) {
     };
   }
 
-  // `simulate` analyses holistically and implies the --simulate replay;
   // `exact` routes every evaluator bound through the schedule-space backend.
-  if (analysis_mode == AnalysisMode::Simulate) run_sim = true;
   AnalysisOptions analysis_options;
-  if (analysis_mode == AnalysisMode::Exact) {
-    analysis_options.mode = AnalysisMode::Exact;
-    analysis_options.exact.jobs = exact_jobs;
-    analysis_options.exact.reuse_base_frontier = exact_reuse;
-  }
+  analysis_options.mode = analysis_mode;
   CostEvaluator evaluator(model.value(), params, analysis_options, evaluator_options);
   const SolveReport report = optimizer.value()->solve(evaluator, request);
   const OptimizationOutcome& outcome = report.outcome;
