@@ -129,19 +129,22 @@ void BM_DynResponseTime(benchmark::State& state) {
 }
 BENCHMARK(BM_DynResponseTime);
 
+/// S(w) over `state.range(0)` evenly spread intervals in a 12.8 ms period,
+/// for windows swept up to 4 periods (the FPS horizon).
 void BM_BusyProfileMaxWindow(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  const Time period = timeunits::us(12'800);
+  const Time pitch = period / n;
   std::vector<Interval> intervals;
-  for (int i = 0; i < 64; ++i) {
-    intervals.push_back({timeunits::us(100 * i), timeunits::us(100 * i + 40)});
-  }
-  const BusyProfile profile(std::move(intervals), timeunits::ms(10));
+  for (int i = 0; i < n; ++i) intervals.push_back({pitch * i, pitch * i + pitch * 2 / 5});
+  const BusyProfile profile(std::move(intervals), period);
   Time w = timeunits::us(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(profile.max_busy_in_window(w));
-    w = (w % timeunits::ms(5)) + timeunits::us(97);
+    w = (w % (4 * period)) + timeunits::us(97);
   }
 }
-BENCHMARK(BM_BusyProfileMaxWindow);
+BENCHMARK(BM_BusyProfileMaxWindow)->Arg(4)->Arg(32)->Arg(128);
 
 }  // namespace
 }  // namespace flexopt

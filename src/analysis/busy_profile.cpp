@@ -92,20 +92,33 @@ Time BusyProfile::busy_between(Time from, Time to) const {
 
 Time BusyProfile::max_busy_in_window(Time w) const {
   if (w <= 0 || intervals_.empty()) return 0;
-  // Inlined busy_between(iv.start, iv.start + w): the window always starts
-  // at an interval start, whose prefix is prefix_at_start_[i] — no lookup —
-  // so only the window end needs a binary search.  This is the innermost
-  // loop of the FPS fixed point; halving the upper_bound count matters.
+  // Window i is [start_i, start_i + w): its busy time is U(start_i + w) -
+  // prefix_at_start_[i], with U(t) the busy time of the unrolled profile in
+  // [0, t).  Window ends grow with i and span less than one period, so one
+  // forward cursor over the unrolled interval sequence finds every end —
+  // one division for the first window, then O(n) cursor steps in total (at
+  // most one period wrap).  This is the innermost loop of the FPS fixed
+  // point.
+  const std::size_t n = intervals_.size();
+  const Time first_end = intervals_.front().start + w;
+  Time base = first_end / period_ * period_;  // start of the cursor's period
+  Time base_busy = first_end / period_ * total_busy_;
+  std::size_t next = 0;  // intervals of the cursor's period starting at or before the end
   Time best = 0;
-  for (std::size_t i = 0; i < intervals_.size(); ++i) {
-    const Time to = intervals_[i].start + w;
-    const std::int64_t to_period = to / period_;
-    const Time to_local = to % period_;
-    const Time busy =
-        to_period == 0
-            ? prefix(to_local) - prefix_at_start_[i]
-            : (total_busy_ - prefix_at_start_[i]) + (to_period - 1) * total_busy_ +
-                  prefix(to_local);
+  for (std::size_t i = 0; i < n; ++i) {
+    Time local = intervals_[i].start + w - base;
+    if (local >= period_) {
+      base += period_;
+      base_busy += total_busy_;
+      local -= period_;
+      next = 0;
+    }
+    while (next < n && intervals_[next].start <= local) ++next;
+    Time busy = base_busy - prefix_at_start_[i];
+    if (next > 0) {
+      const Interval& last = intervals_[next - 1];
+      busy += prefix_at_start_[next - 1] + std::min(local, last.end) - last.start;
+    }
     best = std::max(best, busy);
   }
   return best;

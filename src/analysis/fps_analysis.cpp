@@ -43,9 +43,23 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 }
 
 Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
-                           Time horizon, std::span<const Time> seeds) {
+                           Time horizon, std::span<const Time> seeds, Time cutoff,
+                           std::span<Time> responses) {
+  // Lower bound of task i's summand: the candidate profile only adds
+  // interference, so its response is at least jitter + seed, or the
+  // horizon it is charged when unbounded.
+  const auto floor_of = [&](std::size_t i) -> Time {
+    if (seeds.empty()) return 0;
+    if (is_infinite(seeds[i])) return horizon;
+    return std::min(horizon, sat_add(same_node[i].jitter, seeds[i]));
+  };
+  Time remaining = 0;  // summed floors of the tasks not yet analysed
+  for (std::size_t i = 0; i < same_node.size(); ++i) remaining = sat_add(remaining, floor_of(i));
   Time sum = 0;
   for (std::size_t i = 0; i < same_node.size(); ++i) {
+    const Time bound = sat_add(sum, remaining);
+    if (bound >= cutoff) return bound;
+    remaining -= floor_of(i);
     Time r;
     if (!seeds.empty() && is_infinite(seeds[i])) {
       // The seed diverged against a *subset* of this profile's
@@ -55,6 +69,7 @@ Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyP
       r = fps_response_time(same_node[i], same_node, scs, horizon, nullptr,
                             seeds.empty() ? 0 : seeds[i]);
     }
+    if (!responses.empty()) responses[i] = r;
     sum = sat_add(sum, is_infinite(r) ? horizon : r);
   }
   return sum;

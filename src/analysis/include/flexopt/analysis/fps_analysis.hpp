@@ -63,7 +63,17 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 /// the base placement profile; an infinite seed short-circuits that task
 /// to an infinite response (exact: more interference can only grow a
 /// diverged recurrence).  The sum is bit-identical with and without seeds.
+///
+/// `cutoff` prunes the ranking: each seed also bounds its task's summand
+/// from below, so the summation stops as soon as the partial sum plus the
+/// remaining tasks' seed bounds reaches `cutoff`, and returns that bound.
+/// The result therefore equals the full sum whenever the full sum is below
+/// `cutoff`, and is >= `cutoff` otherwise.  `responses` (optional, parallel
+/// to `same_node`) receives each analysed task's response time
+/// (kTimeInfinity when unbounded); it is complete when the result is below
+/// `cutoff`.
 Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
-                           Time horizon, std::span<const Time> seeds = {});
+                           Time horizon, std::span<const Time> seeds = {},
+                           Time cutoff = kTimeInfinity, std::span<Time> responses = {});
 
 }  // namespace flexopt

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "flexopt/analysis/fps_analysis.hpp"
+#include "flexopt/analysis/sat_time.hpp"
 
 namespace flexopt {
 namespace {
@@ -205,9 +206,19 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
   std::vector<Time> starts;
   std::vector<Interval> base_merged;
   std::vector<Interval> cand_merged;
+  std::vector<Interval> best_merged;
   BusyProfile base_profile;
   BusyProfile cand_profile;
-  std::vector<Time> base_seeds;
+  std::vector<Time> cand_responses;
+  std::vector<Time> best_responses;
+  // Per node: the FPS responses against `profile` (a clamped, merged
+  // interval list) — the ranking's base seeds while the node's timeline
+  // still merges to exactly that list.
+  struct NodeSeeds {
+    std::vector<Interval> profile;
+    std::vector<Time> responses;
+  };
+  std::vector<NodeSeeds> node_seeds(app.node_count());
 
   // Clamps `sorted` (busy intervals ordered by start) to [0, H], drops empty
   // intervals, merges overlap/adjacency, and splices in the optional `extra`
@@ -286,29 +297,44 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       // Every candidate profile is the base timeline plus one interval, so
       // each task's converged busy value against the *base* profile is a
       // least-fixed-point lower bound for its candidate recurrence — a safe
-      // seed (see fps_analysis.hpp).  Computing the base responses once per
-      // job lets each candidate's fixed point start near its answer instead
-      // of at zero: bit-identical costs, a fraction of the iterations.
-      // (fps_on_node jitters are all zero here, so the returned response
-      // equals the pre-jitter busy value the seed contract requires.)
+      // seed (see fps_analysis.hpp), and a lower bound on its summand that
+      // lets a candidate's sum stop once it cannot beat the incumbent.
+      // (fps_on_node jitters are all zero here, so a response equals the
+      // pre-jitter busy value the seed contract requires.)  The base
+      // responses are usually the previous ranking's winning responses on
+      // this node: reuse them while the timeline merges to the same list.
       clamp_merge_into(tl.intervals(), base_merged, nullptr);
-      base_profile.assign_normalized(base_merged, H);
-      base_seeds.clear();
-      for (const FpsTaskParams& t : fps) {
-        base_seeds.push_back(fps_response_time(t, fps, base_profile, 4 * H));
+      NodeSeeds& seeds = node_seeds[node];
+      if (seeds.responses.empty() || seeds.profile != base_merged) {
+        base_profile.assign_normalized(base_merged, H);
+        seeds.responses.clear();
+        for (const FpsTaskParams& t : fps) {
+          seeds.responses.push_back(fps_response_time(t, fps, base_profile, 4 * H));
+        }
+        seeds.profile.assign(base_merged.begin(), base_merged.end());
       }
+      cand_responses.resize(fps.size());
       Time best_cost = kTimeInfinity;
       for (const Time s : starts) {
         const Interval extra{s % H, s % H + task.wcet};
         clamp_merge_into(tl.intervals(), cand_merged, &extra);
         cand_profile.assign_normalized(cand_merged, H);
-        const Time cost = fps_response_time_sum(fps, cand_profile, 4 * H, base_seeds);
+        const Time cost = fps_response_time_sum(fps, cand_profile, 4 * H, seeds.responses,
+                                                best_cost, cand_responses);
         // Prefer lower FPS impact; ties go to the earlier start so the
-        // schedule stays as compact as ASAP placement allows.
+        // schedule stays as compact as ASAP placement allows.  A pruned
+        // sum is >= best_cost, so it never wins.
         if (cost < best_cost) {
           best_cost = cost;
           chosen = s;
+          best_merged.swap(cand_merged);
+          best_responses.swap(cand_responses);
+          cand_responses.resize(fps.size());
         }
+      }
+      if (!is_infinite(best_cost)) {
+        seeds.profile.swap(best_merged);
+        seeds.responses.swap(best_responses);
       }
     }
     tl.insert(chosen, task.wcet);

@@ -127,19 +127,41 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
     return &points.emplace(minislots, std::move(data)).first->second;
   };
 
-  // Interpolated cost at `minislots` from per-activity Newton fits.
-  // Curves are rebuilt lazily whenever the point set grows.  Activities
-  // whose completion bound does not vary across the analysed points (the
-  // common case for most tasks) are short-circuited to a constant, which
-  // keeps the per-candidate scan cheap.
+  // Fig. 8 scans a fixed candidate grid; the stride only needs the span.
+  const int span = dyn_max - dyn_min;
+  const int stride = options_.stride_minislots > 0
+                         ? options_.stride_minislots
+                         : auto_stride(span, options_.max_candidates);
+  std::vector<int> grid;
+  for (int x = dyn_min; x <= dyn_max; x += stride) grid.push_back(x);
+
+  // Interpolated Eq. 5 cost of every grid candidate from per-activity
+  // Newton fits, refreshed whenever the point set grows.  Activities whose
+  // completion bound does not vary across the analysed points (the common
+  // case for most tasks) are short-circuited to a constant.  The pass is
+  // transposed — activities outer, candidates inner — so each activity's
+  // curve and deadline are read once per pass; every candidate accumulates in
+  // evaluate_cost's activity order, so its cost is bit-identical to
+  // evaluate_cost over its interpolated completions.
+  std::vector<Time> deadlines;  // tasks then messages, like completions_us
+  deadlines.reserve(n_tasks + n_msgs);
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    deadlines.push_back(app.effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
+  }
+  for (std::size_t m = 0; m < n_msgs; ++m) {
+    deadlines.push_back(app.effective_deadline(ActivityRef::message(static_cast<MessageId>(m))));
+  }
   std::size_t curves_built_from = 0;
   std::vector<ResponseTimeCurve> curves;
   std::vector<bool> is_constant;
   std::vector<double> constant_us;
-  auto rebuild_curves = [&]() {
+  std::vector<CostAccumulator> grid_acc;
+  std::vector<double> grid_cost;
+  auto refresh_interpolation = [&]() {
     if (curves_built_from == points.size()) return;
     const std::size_t n = n_tasks + n_msgs;
-    curves.assign(n, ResponseTimeCurve{});
+    curves.resize(n);
+    for (ResponseTimeCurve& curve : curves) curve.clear();
     is_constant.assign(n, true);
     constant_us.assign(n, 0.0);
     bool first = true;
@@ -161,20 +183,22 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
       }
     }
     curves_built_from = points.size();
-  };
 
-  std::vector<Time> task_c(n_tasks);
-  std::vector<Time> msg_c(n_msgs);
-  auto interpolated_cost = [&](int minislots) -> Cost {
-    rebuild_curves();
-    auto value_at = [&](std::size_t i) {
-      const double us =
-          is_constant[i] ? constant_us[i] : curves[i].evaluate(static_cast<double>(minislots));
-      return static_cast<Time>(std::llround(us * 1e3));
-    };
-    for (std::size_t t = 0; t < n_tasks; ++t) task_c[t] = value_at(t);
-    for (std::size_t m = 0; m < n_msgs; ++m) msg_c[m] = value_at(n_tasks + m);
-    return evaluate_cost(app, task_c, msg_c);
+    const auto to_completion = [](double us) { return static_cast<Time>(std::llround(us * 1e3)); };
+    grid_acc.assign(grid.size(), CostAccumulator{});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (is_constant[i]) {
+        const Time completion = to_completion(constant_us[i]);
+        for (CostAccumulator& acc : grid_acc) acc.add_activity(completion, deadlines[i]);
+      } else {
+        for (std::size_t c = 0; c < grid.size(); ++c) {
+          const double us = curves[i].evaluate(static_cast<double>(grid[c]));
+          grid_acc[c].add_activity(to_completion(us), deadlines[i]);
+        }
+      }
+    }
+    grid_cost.resize(grid.size());
+    for (std::size_t c = 0; c < grid.size(); ++c) grid_cost[c] = grid_acc[c].finish().value;
   };
 
   // Fig. 8 line 1: initial point set including both endpoints.  Spacing is
@@ -182,7 +206,6 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
   // (BusCycles filling) and only linearly at long ones (gdCycle growth), so
   // a log grid resolves the interesting left side — the paper's own Fig. 7
   // samples the x axis with geometrically growing steps.
-  const int span = dyn_max - dyn_min;
   const int k = std::max(2, options_.initial_points);
   const auto stop_requested = [&]() {
     return control != nullptr && control->should_stop(evaluator);
@@ -202,10 +225,6 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
   }
   if (points.empty()) return {};  // every initial candidate invalid
 
-  const int stride = options_.stride_minislots > 0
-                         ? options_.stride_minislots
-                         : auto_stride(span, options_.max_candidates);
-
   DynSearchResult best_exact;
   auto note_exact = [&](int x, const Cost& cost) {
     if (cost.value < best_exact.cost.value) {
@@ -223,13 +242,14 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
 
     // Fig. 8 lines 6-11: scan all candidates, interpolating where needed,
     // and select the minimum-cost one.
+    refresh_interpolation();
     int best_x = dyn_min;
     double best_cost_value = kInvalidConfigCost;
     bool best_is_exact = false;
-    for (int x = dyn_min; x <= dyn_max; x += stride) {
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      const int x = grid[c];
       const auto it = points.find(x);
-      const double value = it != points.end() ? it->second.cost.value
-                                              : interpolated_cost(x).value;
+      const double value = it != points.end() ? it->second.cost.value : grid_cost[c];
       if (value < best_cost_value) {
         best_cost_value = value;
         best_x = x;
@@ -256,14 +276,15 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
       if (data != nullptr) note_exact(best_x, data->cost);
     } else {
       // Lines 18-19: best candidate already analysed and unschedulable;
-      // add the best *interpolated* point instead to gain information.
+      // add the best *interpolated* point instead to gain information (the
+      // point set has not grown since the scan above).
       int next_x = -1;
       double next_cost = kInvalidConfigCost;
-      for (int x = dyn_min; x <= dyn_max; x += stride) {
+      for (std::size_t c = 0; c < grid.size(); ++c) {
+        const int x = grid[c];
         if (points.contains(x)) continue;
-        const double value = interpolated_cost(x).value;
-        if (value < next_cost) {
-          next_cost = value;
+        if (grid_cost[c] < next_cost) {
+          next_cost = grid_cost[c];
           next_x = x;
         }
       }

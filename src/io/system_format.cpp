@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "flexopt/math/hyperperiod.hpp"
+
 namespace flexopt {
 namespace {
 
@@ -45,11 +47,22 @@ Expected<Time> parse_duration(const std::string& text) {
     return make_error("invalid duration '" + text + "'");
   }
   const std::string unit = text.substr(pos);
-  if (unit.empty() || unit == "ns") return timeunits::ns(value);
-  if (unit == "us") return timeunits::us(value);
-  if (unit == "ms") return timeunits::ms(value);
-  if (unit == "s") return timeunits::sec(value);
-  return make_error("unknown duration unit '" + unit + "'");
+  std::int64_t scale = 0;
+  if (unit.empty() || unit == "ns") {
+    scale = timeunits::ns(1);
+  } else if (unit == "us") {
+    scale = timeunits::us(1);
+  } else if (unit == "ms") {
+    scale = timeunits::ms(1);
+  } else if (unit == "s") {
+    scale = timeunits::sec(1);
+  } else {
+    return make_error("unknown duration unit '" + unit + "'");
+  }
+  if (value == 0) return Time{0};
+  auto scaled = checked_mul(value, scale);
+  if (!scaled.ok()) return make_error("duration '" + text + "' overflows int64 nanoseconds");
+  return scaled.value();
 }
 
 Expected<ParsedSystem> parse_system(std::istream& in) {

@@ -22,7 +22,7 @@ namespace flexopt {
 /// Newton divided-difference interpolating polynomial over distinct x values.
 ///
 /// Incremental: `add_point` appends one (x, y) sample and extends the
-/// divided-difference table in O(n).
+/// divided-difference table in O(n), in place (no allocation once warm).
 class NewtonPolynomial {
  public:
   NewtonPolynomial() = default;
@@ -33,6 +33,9 @@ class NewtonPolynomial {
 
   /// Number of samples.
   [[nodiscard]] std::size_t size() const { return xs_.size(); }
+
+  /// Removes every sample, keeping the buffers' capacity.
+  void clear();
 
   /// Evaluate the interpolant at x (Horner on the Newton form).
   /// Requires at least one point.
@@ -80,6 +83,8 @@ class ResponseTimeCurve {
   Expected<bool> add_point(double x, double y);
   [[nodiscard]] double evaluate(double x) const;
   [[nodiscard]] std::size_t size() const { return xs_.size(); }
+  /// Removes every sample, keeping the options and the buffers' capacity.
+  void clear();
 
  private:
   Options options_;

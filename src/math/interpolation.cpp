@@ -11,18 +11,23 @@ Expected<bool> NewtonPolynomial::add_point(double x, double y) {
     if (existing == x) return make_error("NewtonPolynomial: duplicate abscissa");
   }
   xs_.push_back(x);
-  // Extend the divided-difference diagonal: diag_ holds, before this call,
-  // f[x_{i}..x_{n-1}] for i = 0..n-1 evaluated over the previous points.
-  // We rebuild bottom-up so each add_point is O(n).
-  std::vector<double> next_diag(xs_.size());
-  next_diag[xs_.size() - 1] = y;
+  // Extend the divided-difference diagonal in place: before this call
+  // diag_[i] = f[x_i..x_{n-1}] over the previous n points; appending y =
+  // f[x_n] and updating bottom-up turns each entry into f[x_i..x_n], since
+  // entry i + 1 is already new when entry i reads it.  O(n), and no
+  // allocation once the vectors have capacity.
+  diag_.push_back(y);
   for (std::size_t i = xs_.size() - 1; i-- > 0;) {
-    const double denom = xs_.back() - xs_[i];
-    next_diag[i] = (next_diag[i + 1] - diag_[i]) / denom;
+    diag_[i] = (diag_[i + 1] - diag_[i]) / (xs_.back() - xs_[i]);
   }
-  diag_ = std::move(next_diag);
   coef_.push_back(diag_[0]);
   return true;
+}
+
+void NewtonPolynomial::clear() {
+  xs_.clear();
+  coef_.clear();
+  diag_.clear();
 }
 
 double NewtonPolynomial::evaluate(double x) const {
@@ -75,6 +80,13 @@ Expected<bool> ResponseTimeCurve::add_point(double x, double y) {
   ys_.push_back(y);
   fallback_.reset();
   return true;
+}
+
+void ResponseTimeCurve::clear() {
+  newton_.clear();
+  xs_.clear();
+  ys_.clear();
+  fallback_.reset();
 }
 
 double ResponseTimeCurve::evaluate(double x) const {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <span>
+#include <vector>
 
 #include "flexopt/analysis/fps_analysis.hpp"
 
@@ -92,6 +94,58 @@ TEST(FpsAnalysis, SumTreatsInfiniteAsHorizon) {
   };
   const Time sum = fps_response_time_sum(tasks, idle, kHorizon);
   EXPECT_EQ(sum, timeunits::us(10) + kHorizon);
+}
+
+/// The list scheduler's pruned ranking: with base-profile seeds (a subset
+/// of the candidate's interference) and an incumbent cutoff, the sum equals
+/// the full sum whenever that is below the cutoff and is >= the cutoff
+/// otherwise; infinite seeds count their full horizon charge.
+TEST(FpsAnalysis, CutoffSumIsExactBelowTheCutoff) {
+  const Time period = timeunits::us(100);
+  const Interval early{timeunits::us(10), timeunits::us(30)};
+  const Interval late{timeunits::us(60), timeunits::us(75)};
+  const BusyProfile base({early}, period);
+  const BusyProfile candidate({early, late}, period);
+  const std::array<FpsTaskParams, 4> tasks{
+      FpsTaskParams{TaskId{0}, timeunits::us(5), timeunits::us(50), 0, 0},
+      FpsTaskParams{TaskId{1}, timeunits::us(12), timeunits::us(100), 0, 1},
+      // Diverges against the base profile already: an infinite seed.
+      FpsTaskParams{TaskId{2}, timeunits::us(75), timeunits::us(100), 0, 2},
+      FpsTaskParams{TaskId{3}, timeunits::us(3), timeunits::us(200), 0, 0},
+  };
+  std::array<Time, 4> seeds{};
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    seeds[i] = fps_response_time(tasks[i], tasks, base, kHorizon);
+  }
+  ASSERT_EQ(seeds[2], kTimeInfinity);
+  ASSERT_NE(seeds[0], kTimeInfinity);
+
+  const Time full = fps_response_time_sum(tasks, candidate, kHorizon);
+  std::array<Time, 4> responses{};
+  const Time seeded_full =
+      fps_response_time_sum(tasks, candidate, kHorizon, seeds, kTimeInfinity, responses);
+  EXPECT_EQ(seeded_full, full);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(responses[i], fps_response_time(tasks[i], tasks, candidate, kHorizon)) << i;
+  }
+
+  std::vector<Time> cutoffs{0, 1, full / 2, full - 1, full, full + 1, kTimeInfinity};
+  Time partial = 0;
+  for (const Time r : responses) {
+    partial += r == kTimeInfinity ? kHorizon : r;
+    cutoffs.insert(cutoffs.end(), {partial - 1, partial, partial + 1, kHorizon + partial});
+  }
+  for (const Time cutoff : cutoffs) {
+    for (const bool seeded : {true, false}) {
+      const std::span<const Time> used = seeded ? seeds : std::span<const Time>{};
+      const Time sum = fps_response_time_sum(tasks, candidate, kHorizon, used, cutoff);
+      if (full < cutoff) {
+        EXPECT_EQ(sum, full) << "cutoff " << cutoff << " seeded " << seeded;
+      } else {
+        EXPECT_GE(sum, cutoff) << "cutoff " << cutoff << " seeded " << seeded;
+      }
+    }
+  }
 }
 
 }  // namespace

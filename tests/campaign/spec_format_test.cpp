@@ -88,6 +88,12 @@ TEST(CampaignSpecFormat, ErrorsCarryTheLineNumber) {
   ASSERT_FALSE(bad_duration.ok());
   EXPECT_NE(bad_duration.error().message.find("line 3"), std::string::npos);
 
+  // A period whose nanosecond scale overflows int64 is rejected, not wrapped.
+  auto overflowing_period = parse_campaign_text("name ok\nperiods 20ms 9223372036854775807us\n");
+  ASSERT_FALSE(overflowing_period.ok());
+  EXPECT_NE(overflowing_period.error().message.find("line 2"), std::string::npos);
+  EXPECT_NE(overflowing_period.error().message.find("overflow"), std::string::npos);
+
   auto missing_value = parse_campaign_text("replicates\n");
   EXPECT_FALSE(missing_value.ok());
 

@@ -57,6 +57,34 @@ TEST(SystemFormat, DurationLiterals) {
   EXPECT_FALSE(parse_duration("10parsec").ok());
 }
 
+/// Scaling a literal to nanoseconds used to overflow int64 (signed-overflow
+/// UB) for values such as 9223372036854775807us; the scale is now checked
+/// and the literal rejected, with the line number inside a system file.
+TEST(SystemFormat, RejectsDurationsThatOverflow) {
+  EXPECT_EQ(parse_duration("0s").value(), 0);
+  EXPECT_EQ(parse_duration("9223372036854775us").value(), 9'223'372'036'854'775'000);
+  EXPECT_EQ(parse_duration("9223372036s").value(), timeunits::sec(9'223'372'036));
+  const auto expect_overflow = [](const char* text) {
+    auto parsed = parse_duration(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.error().message.find("overflow"), std::string::npos) << parsed.error().message;
+  };
+  expect_overflow("9223372036854775807us");
+  expect_overflow("9223372036854776us");
+  expect_overflow("9223372036855ms");
+  expect_overflow("9223372037s");
+
+  const auto expect_rejected_at = [](const std::string& text, const std::string& line) {
+    auto parsed = parse_system_text(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.error().message.find(line), std::string::npos) << parsed.error().message;
+  };
+  expect_rejected_at("node a\ngraph g tt period=9223372036854775807us\n", "line 2");
+  expect_rejected_at("node a\nparam gd_bit=9223372037s\n", "line 2");
+  const std::string graph = "node a\ngraph g tt period=10ms\n";
+  expect_rejected_at(graph + "task t graph=g node=a wcet=9223372036855ms\n", "line 3");
+}
+
 TEST(SystemFormat, ErrorsCarryLineNumbers) {
   auto bad = parse_system_text("node a\nbogus keyword here\n");
   ASSERT_FALSE(bad.ok());

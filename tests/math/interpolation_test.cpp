@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "flexopt/util/alloc_probe.hpp"
 
 namespace flexopt {
 namespace {
@@ -33,6 +37,59 @@ TEST(NewtonPolynomial, IncrementalExtension) {
   ASSERT_TRUE(p.add_point(3.0, f(3.0)).ok());
   EXPECT_NEAR(p.evaluate(1.5), f(1.5), 1e-9);
   EXPECT_NEAR(p.evaluate(-1.0), f(-1.0), 1e-9);
+}
+
+/// The in-place diagonal update must reproduce the textbook construction
+/// bit for bit: a fresh divided-difference column per added point.
+TEST(NewtonPolynomial, InPlaceUpdateMatchesColumnRebuildBitForBit) {
+  const std::vector<double> xs{40.0, 7.0, 128.0, 19.0, 77.0, 3.0, 55.0, 101.0};
+  const std::vector<double> ys{812.5, 1043.25, 640.0, 977.125, 700.0, 1200.5, 760.75, 655.0};
+  NewtonPolynomial p;
+  std::vector<double> diag;
+  std::vector<double> coef;
+  for (std::size_t n = 0; n < xs.size(); ++n) {
+    ASSERT_TRUE(p.add_point(xs[n], ys[n]).ok());
+    std::vector<double> next(n + 1);
+    next[n] = ys[n];
+    for (std::size_t i = n; i-- > 0;) next[i] = (next[i + 1] - diag[i]) / (xs[n] - xs[i]);
+    diag = next;
+    coef.push_back(diag[0]);
+    for (const double x : {0.0, 5.5, 64.0, 130.0}) {
+      double expected = 0.0;
+      for (std::size_t i = coef.size(); i-- > 0;) expected = expected * (x - xs[i]) + coef[i];
+      EXPECT_EQ(p.evaluate(x), expected) << "points " << n + 1 << " x " << x;
+    }
+  }
+}
+
+/// clear() keeps capacity: refilling a cleared polynomial or curve to its
+/// previous size allocates nothing and reproduces the same values.
+TEST(NewtonPolynomial, WarmRefillDoesNotAllocate) {
+  auto f = [](double x) { return 0.01 * x * x - 2.0 * x + 900.0; };
+  NewtonPolynomial p;
+  ResponseTimeCurve curve;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(p.add_point(i * 16.0, f(i * 16.0)).ok());
+    ASSERT_TRUE(curve.add_point(i * 16.0, f(i * 16.0)).ok());
+  }
+  const double p_before = p.evaluate(37.0);
+  const double curve_before = curve.evaluate(37.0);
+  p.clear();
+  curve.clear();
+  EXPECT_EQ(p.size(), 0u);
+  EXPECT_EQ(curve.size(), 0u);
+  const std::uint64_t a0 = alloc_probe::thread_allocations();
+  bool added = true;
+  for (int i = 0; i < 8; ++i) {
+    added = p.add_point(i * 16.0, f(i * 16.0)).ok() && added;
+    added = curve.add_point(i * 16.0, f(i * 16.0)).ok() && added;
+  }
+  const std::uint64_t allocations = alloc_probe::thread_allocations() - a0;
+  EXPECT_TRUE(added);
+  EXPECT_EQ(p.evaluate(37.0), p_before);
+  EXPECT_EQ(curve.evaluate(37.0), curve_before);
+  if (!alloc_probe::installed()) GTEST_SKIP() << "alloc probe displaced (sanitizer build)";
+  EXPECT_EQ(allocations, 0u);
 }
 
 TEST(NewtonPolynomial, RejectsDuplicateAbscissa) {

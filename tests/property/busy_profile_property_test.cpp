@@ -1,5 +1,6 @@
 // Property tests: BusyProfile's analytic queries must agree with a
-// brute-force reference over randomly generated periodic profiles.
+// brute-force per-tick reference over randomly generated periodic profiles
+// of up to 64 intervals, for windows of up to 4.5 periods.
 
 #include <gtest/gtest.h>
 
@@ -17,45 +18,63 @@ struct RandomProfile {
   Time period;
 };
 
+/// 0-64 random (possibly overlapping) intervals in a period long enough to
+/// keep most of them apart — enough that max_busy_in_window's cursor walks
+/// dozens of intervals and wraps the period.
 RandomProfile make_profile(std::uint64_t seed) {
   Rng rng(seed);
   RandomProfile p;
-  p.period = 50 + rng.uniform_int(0, 150);  // small period => cheap brute force
-  const int n = static_cast<int>(rng.uniform_int(0, 6));
+  const int n = static_cast<int>(rng.uniform_int(0, 64));
+  p.period = 2 * n + 50 + rng.uniform_int(0, 400);  // small period => cheap brute force
   for (int i = 0; i < n; ++i) {
     const Time start = rng.uniform_int(0, p.period - 2);
-    const Time end = start + rng.uniform_int(1, std::max<Time>(1, (p.period - start) / 2));
-    p.intervals.push_back({start, std::min(end, p.period)});
+    const Time longest = std::max<Time>(1, std::min((p.period - start) / 2, p.period / (n + 1)));
+    p.intervals.push_back({start, std::min(start + rng.uniform_int(1, longest), p.period)});
   }
   return p;
 }
 
-/// Reference: busy time of [from, to) by per-tick scan.
-Time brute_busy(const RandomProfile& p, Time from, Time to) {
-  const auto merged = normalize_intervals(p.intervals);
-  Time busy = 0;
-  for (Time t = from; t < to; ++t) {
-    const Time local = t % p.period;
-    for (const Interval& iv : merged) {
-      if (local >= iv.start && local < iv.end) {
-        ++busy;
-        break;
-      }
+/// Reference: per-tick busy flags of one period, straight from the raw
+/// (unmerged) intervals, and their prefix sums over `periods` periods.
+struct BruteProfile {
+  Time period;
+  std::vector<Time> prefix;  // busy ticks in [0, t)
+
+  BruteProfile(const RandomProfile& p, Time periods) : period(p.period) {
+    std::vector<bool> busy(static_cast<std::size_t>(p.period), false);
+    for (const Interval& iv : p.intervals) {
+      for (Time t = iv.start; t < iv.end; ++t) busy[static_cast<std::size_t>(t)] = true;
+    }
+    prefix.assign(static_cast<std::size_t>(periods * p.period) + 1, 0);
+    for (std::size_t t = 1; t < prefix.size(); ++t) {
+      prefix[t] = prefix[t - 1] + (busy[(t - 1) % busy.size()] ? 1 : 0);
     }
   }
-  return busy;
-}
+
+  /// Busy time of [from, to); both within the prefix range.
+  [[nodiscard]] Time busy(Time from, Time to) const {
+    return prefix[static_cast<std::size_t>(to)] - prefix[static_cast<std::size_t>(from)];
+  }
+
+  /// Maximum busy time over every window placement [x, x + w).
+  [[nodiscard]] Time max_window(Time w) const {
+    Time best = 0;
+    for (Time x = 0; x < period; ++x) best = std::max(best, busy(x, x + w));
+    return best;
+  }
+};
 
 class BusyProfileProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BusyProfileProperty, BusyBetweenMatchesBruteForce) {
   const RandomProfile p = make_profile(GetParam());
   const BusyProfile profile(p.intervals, p.period);
+  const BruteProfile brute(p, 8);
   Rng rng(GetParam() ^ 0x1234);
   for (int trial = 0; trial < 20; ++trial) {
     const Time from = rng.uniform_int(0, 3 * p.period);
-    const Time to = from + rng.uniform_int(0, 2 * p.period);
-    EXPECT_EQ(profile.busy_between(from, to), brute_busy(p, from, to))
+    const Time to = from + rng.uniform_int(0, 9 * p.period / 2);
+    EXPECT_EQ(profile.busy_between(from, to), brute.busy(from, to))
         << "window [" << from << ", " << to << ") period " << p.period;
   }
 }
@@ -63,22 +82,38 @@ TEST_P(BusyProfileProperty, BusyBetweenMatchesBruteForce) {
 TEST_P(BusyProfileProperty, MaxBusyWindowDominatesAllPlacements) {
   const RandomProfile p = make_profile(GetParam());
   const BusyProfile profile(p.intervals, p.period);
+  const BruteProfile brute(p, 6);
+  const Time max_w = 9 * p.period / 2;  // the FPS horizon is 4 periods
   Rng rng(GetParam() ^ 0x5678);
-  for (int trial = 0; trial < 8; ++trial) {
-    const Time w = rng.uniform_int(1, 2 * p.period);
-    const Time claimed = profile.max_busy_in_window(w);
-    // No window placement may beat the claimed maximum...
-    Time best = 0;
-    for (Time x = 0; x < p.period; ++x) {
-      best = std::max(best, brute_busy(p, x, x + w));
+  std::vector<Time> windows;
+  for (int trial = 0; trial < 8; ++trial) windows.push_back(rng.uniform_int(1, max_w));
+  // Windows whose end, for a window starting at an interval start, falls
+  // exactly on another interval's start or end or on a period multiple:
+  // the cursor's boundary and wrap cases.
+  const auto& ivs = profile.intervals();
+  const auto pick = [&]() -> const Interval& {
+    const auto last = static_cast<std::int64_t>(ivs.size()) - 1;
+    return ivs[static_cast<std::size_t>(rng.uniform_int(0, last))];
+  };
+  for (int trial = 0; trial < 24 && !ivs.empty(); ++trial) {
+    const Interval& from = pick();
+    const Interval& to = pick();
+    const Time periods = rng.uniform_int(0, 4) * p.period;
+    for (const Time end : {to.start + periods, to.end + periods, periods + p.period}) {
+      const Time w = end - from.start;
+      if (w > 0 && w <= max_w) windows.push_back(w);
     }
-    EXPECT_EQ(claimed, best) << "w=" << w;
+  }
+  for (const Time w : windows) {
+    EXPECT_EQ(profile.max_busy_in_window(w), brute.max_window(w))
+        << "w=" << w << " period " << p.period << " intervals " << ivs.size();
   }
 }
 
 TEST_P(BusyProfileProperty, EarliestGapIsIdleAndEarliest) {
   const RandomProfile p = make_profile(GetParam());
   const BusyProfile profile(p.intervals, p.period);
+  const BruteProfile brute(p, 6);
   Rng rng(GetParam() ^ 0x9abc);
   for (int trial = 0; trial < 10; ++trial) {
     const Time from = rng.uniform_int(0, 2 * p.period);
@@ -87,22 +122,22 @@ TEST_P(BusyProfileProperty, EarliestGapIsIdleAndEarliest) {
     if (found == kTimeInfinity) {
       // Then no window of this length may exist anywhere in two periods.
       for (Time x = from; x < from + 2 * p.period; ++x) {
-        EXPECT_NE(brute_busy(p, x, x + len), 0)
+        EXPECT_NE(brute.busy(x, x + len), 0)
             << "claimed impossible but [" << x << ", " << x + len << ") is idle";
       }
       continue;
     }
     EXPECT_GE(found, from);
-    EXPECT_EQ(brute_busy(p, found, found + len), 0) << "found window not idle";
+    EXPECT_EQ(brute.busy(found, found + len), 0) << "found window not idle";
     // No earlier idle window of the same length.
     for (Time x = from; x < found; ++x) {
-      EXPECT_NE(brute_busy(p, x, x + len), 0)
+      EXPECT_NE(brute.busy(x, x + len), 0)
           << "earlier idle window at " << x << " missed (found " << found << ")";
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BusyProfileProperty, ::testing::Range<std::uint64_t>(1, 13));
+INSTANTIATE_TEST_SUITE_P(Seeds, BusyProfileProperty, ::testing::Range<std::uint64_t>(1, 201));
 
 }  // namespace
 }  // namespace flexopt
