@@ -8,25 +8,24 @@ namespace flexopt {
 
 void CostAccumulator::add(const Application& app, std::span<const Time> task_completions,
                           std::span<const Time> message_completions) {
+  auto account = [&](ActivityRef a, Time completion) {
+    const Time deadline = app.effective_deadline(a);
+    if (is_infinite(completion)) {
+      ++unbounded_activities;
+      overshoot_us += to_us(deadline) * kUnboundedPenaltyFactor;
+      return;
+    }
+    const Time slack = completion - deadline;
+    if (slack > 0) overshoot_us += to_us(slack);
+    laxity_us += to_us(slack);
+  };
+
   for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-    const auto a = ActivityRef::task(static_cast<TaskId>(t));
-    add_activity(task_completions[t], app.effective_deadline(a));
+    account(ActivityRef::task(static_cast<TaskId>(t)), task_completions[t]);
   }
   for (std::uint32_t m = 0; m < app.message_count(); ++m) {
-    const auto a = ActivityRef::message(static_cast<MessageId>(m));
-    add_activity(message_completions[m], app.effective_deadline(a));
+    account(ActivityRef::message(static_cast<MessageId>(m)), message_completions[m]);
   }
-}
-
-void CostAccumulator::add_activity(Time completion, Time deadline) {
-  if (is_infinite(completion)) {
-    ++unbounded_activities;
-    overshoot_us += to_us(deadline) * kUnboundedPenaltyFactor;
-    return;
-  }
-  const Time slack = completion - deadline;
-  if (slack > 0) overshoot_us += to_us(slack);
-  laxity_us += to_us(slack);
 }
 
 Cost CostAccumulator::finish() const {

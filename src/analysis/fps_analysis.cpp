@@ -36,7 +36,7 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
     return total;
   };
 
-  const FixedPointResult fp = iterate_to_fixed_point(body, horizon, 10'000, seed);
+  const FixedPointResult fp = iterate_to_fixed_point(body, horizon, kFpsMaxIterations, seed);
   if (fp_iterations != nullptr) *fp_iterations += fp.iterations;
   if (!fp.converged) return kTimeInfinity;
   return sat_add(task.jitter, fp.value);
@@ -44,7 +44,7 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 
 Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
                            Time horizon, std::span<const Time> seeds, Time cutoff,
-                           std::span<Time> responses) {
+                           std::span<Time> responses, int* fp_iterations) {
   // Lower bound of task i's summand: the candidate profile only adds
   // interference, so its response is at least jitter + seed, or the
   // horizon it is charged when unbounded.
@@ -66,7 +66,7 @@ Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyP
       // interference, so this task's recurrence diverges here too.
       r = kTimeInfinity;
     } else {
-      r = fps_response_time(same_node[i], same_node, scs, horizon, nullptr,
+      r = fps_response_time(same_node[i], same_node, scs, horizon, fp_iterations,
                             seeds.empty() ? 0 : seeds[i]);
     }
     if (!responses.empty()) responses[i] = r;

@@ -44,11 +44,6 @@ struct CostAccumulator {
   /// evaluate_cost, in the same order).
   void add(const Application& app, std::span<const Time> task_completions,
            std::span<const Time> message_completions);
-  /// Accumulates one activity with completion bound `completion`
-  /// (kTimeInfinity for unbounded) and effective deadline `deadline` — the
-  /// per-activity step of add(), which calls it in TaskId-then-MessageId
-  /// order.
-  void add_activity(Time completion, Time deadline);
   [[nodiscard]] Cost finish() const;
 };
 

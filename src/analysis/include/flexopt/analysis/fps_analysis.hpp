@@ -38,19 +38,26 @@ struct FpsTaskParams {
   int priority = 0;
 };
 
+/// Fixed-point evaluations after which fps_response_time gives up on a
+/// recurrence that is still growing and reports it unbounded.
+inline constexpr int kFpsMaxIterations = 10'000;
+
 /// Response time (including the task's own jitter) of `task` when competing
 /// with `same_node` FPS tasks (which may include `task` itself; it is
 /// skipped) in the slack of `scs`.  Tasks with priority <= task.priority
 /// interfere (equal priorities are mutually interfering — conservative
 /// FIFO-agnostic treatment).  Returns kTimeInfinity if the recurrence
-/// exceeds `horizon` or any contributing jitter is infinite.
+/// exceeds `horizon`, is still growing after kFpsMaxIterations evaluations,
+/// or any contributing jitter is infinite.
 /// `fp_iterations` (optional) accumulates the fixed-point iteration count
 /// (the profiling counters' work axis).  `seed` is a pre-jitter seed for
 /// the busy-window iteration (see iterate_to_fixed_point): it must be a
 /// least-fixed-point lower bound, e.g. the converged busy value of the
 /// same task against a subset of the SCS interference.  The returned
-/// response is identical to the unseeded call; only the iteration count
-/// shrinks.
+/// response is identical to the unseeded call whenever the unseeded
+/// iteration ends within kFpsMaxIterations evaluations; only the iteration
+/// count shrinks.  (Where the unseeded iteration hits that cap, a seeded one
+/// may still converge: the seed can skip the slow climb.)
 Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams> same_node,
                        const BusyProfile& scs, Time horizon, int* fp_iterations = nullptr,
                        Time seed = 0);
@@ -62,7 +69,8 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 /// per-task busy-value seeds computed against an interference *subset* —
 /// the base placement profile; an infinite seed short-circuits that task
 /// to an infinite response (exact: more interference can only grow a
-/// diverged recurrence).  The sum is bit-identical with and without seeds.
+/// diverged recurrence).  The sum is bit-identical with and without seeds
+/// under the iteration-cap condition of fps_response_time.
 ///
 /// `cutoff` prunes the ranking: each seed also bounds its task's summand
 /// from below, so the summation stops as soon as the partial sum plus the
@@ -71,9 +79,11 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 /// `cutoff`, and is >= `cutoff` otherwise.  `responses` (optional, parallel
 /// to `same_node`) receives each analysed task's response time
 /// (kTimeInfinity when unbounded); it is complete when the result is below
-/// `cutoff`.
+/// `cutoff`.  `fp_iterations` (optional) accumulates the fixed-point
+/// evaluations of the analysed tasks.
 Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
                            Time horizon, std::span<const Time> seeds = {},
-                           Time cutoff = kTimeInfinity, std::span<Time> responses = {});
+                           Time cutoff = kTimeInfinity, std::span<Time> responses = {},
+                           int* fp_iterations = nullptr);
 
 }  // namespace flexopt

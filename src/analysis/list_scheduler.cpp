@@ -213,10 +213,13 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
   std::vector<Time> best_responses;
   // Per node: the FPS responses against `profile` (a clamped, merged
   // interval list) — the ranking's base seeds while the node's timeline
-  // still merges to exactly that list.
+  // still merges to exactly that list.  `from_zero_bound` bounds the
+  // fixed-point evaluations an unseeded analysis against `profile` needs
+  // for any of the tasks (see the reuse condition below).
   struct NodeSeeds {
     std::vector<Interval> profile;
     std::vector<Time> responses;
+    int from_zero_bound = 0;
   };
   std::vector<NodeSeeds> node_seeds(app.node_count());
 
@@ -300,33 +303,51 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       // seed (see fps_analysis.hpp), and a lower bound on its summand that
       // lets a candidate's sum stop once it cannot beat the incumbent.
       // (fps_on_node jitters are all zero here, so a response equals the
-      // pre-jitter busy value the seed contract requires.)  The base
-      // responses are usually the previous ranking's winning responses on
-      // this node: reuse them while the timeline merges to the same list.
+      // pre-jitter busy value the seed contract requires.)
+      //
+      // The base responses are the unseeded analyses against the base
+      // profile.  When the node's timeline merges to exactly the previous
+      // ranking's winning list, the winner's responses are reused instead;
+      // they equal the unseeded ones unless those would hit the
+      // kFpsMaxIterations cap.  An unseeded iteration against the winner's
+      // profile dominates the one against its base: it passes the base
+      // response (the winner's seed) within the base's evaluations, then
+      // the winner's value within the winner's seeded evaluations.  Summing
+      // those counts along the chain of reuses therefore bounds it, and the
+      // responses are recomputed once the sum reaches the cap.  A capped
+      // analysis adds the whole cap, so every reused infinite response
+      // stems from a load above 1 or a horizon overrun, which more
+      // interference keeps.
       clamp_merge_into(tl.intervals(), base_merged, nullptr);
       NodeSeeds& seeds = node_seeds[node];
-      if (seeds.responses.empty() || seeds.profile != base_merged) {
+      if (seeds.responses.empty() || seeds.profile != base_merged ||
+          seeds.from_zero_bound >= kFpsMaxIterations) {
         base_profile.assign_normalized(base_merged, H);
         seeds.responses.clear();
+        seeds.from_zero_bound = 0;
         for (const FpsTaskParams& t : fps) {
-          seeds.responses.push_back(fps_response_time(t, fps, base_profile, 4 * H));
+          seeds.responses.push_back(
+              fps_response_time(t, fps, base_profile, 4 * H, &seeds.from_zero_bound));
         }
         seeds.profile.assign(base_merged.begin(), base_merged.end());
       }
       cand_responses.resize(fps.size());
       Time best_cost = kTimeInfinity;
+      int best_iterations = 0;
       for (const Time s : starts) {
         const Interval extra{s % H, s % H + task.wcet};
         clamp_merge_into(tl.intervals(), cand_merged, &extra);
         cand_profile.assign_normalized(cand_merged, H);
+        int iterations = 0;
         const Time cost = fps_response_time_sum(fps, cand_profile, 4 * H, seeds.responses,
-                                                best_cost, cand_responses);
+                                                best_cost, cand_responses, &iterations);
         // Prefer lower FPS impact; ties go to the earlier start so the
         // schedule stays as compact as ASAP placement allows.  A pruned
         // sum is >= best_cost, so it never wins.
         if (cost < best_cost) {
           best_cost = cost;
           chosen = s;
+          best_iterations = iterations;
           best_merged.swap(cand_merged);
           best_responses.swap(cand_responses);
           cand_responses.resize(fps.size());
@@ -335,6 +356,7 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       if (!is_infinite(best_cost)) {
         seeds.profile.swap(best_merged);
         seeds.responses.swap(best_responses);
+        seeds.from_zero_bound += best_iterations;
       }
     }
     tl.insert(chosen, task.wcet);

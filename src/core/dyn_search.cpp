@@ -135,27 +135,30 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
   std::vector<int> grid;
   for (int x = dyn_min; x <= dyn_max; x += stride) grid.push_back(x);
 
-  // Interpolated Eq. 5 cost of every grid candidate from per-activity
-  // Newton fits, refreshed whenever the point set grows.  Activities whose
-  // completion bound does not vary across the analysed points (the common
-  // case for most tasks) are short-circuited to a constant.  The pass is
-  // transposed — activities outer, candidates inner — so each activity's
-  // curve and deadline are read once per pass; every candidate accumulates in
-  // evaluate_cost's activity order, so its cost is bit-identical to
-  // evaluate_cost over its interpolated completions.
-  std::vector<Time> deadlines;  // tasks then messages, like completions_us
-  deadlines.reserve(n_tasks + n_msgs);
-  for (std::size_t t = 0; t < n_tasks; ++t) {
-    deadlines.push_back(app.effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
-  }
-  for (std::size_t m = 0; m < n_msgs; ++m) {
-    deadlines.push_back(app.effective_deadline(ActivityRef::message(static_cast<MessageId>(m))));
-  }
+  // Interpolated cost at `minislots` from per-activity Newton fits.
+  // Activities whose completion bound does not vary across the analysed
+  // points (the common case for most tasks) are short-circuited to a
+  // constant, which keeps the per-candidate evaluation cheap.
   std::size_t curves_built_from = 0;
   std::vector<ResponseTimeCurve> curves;
   std::vector<bool> is_constant;
   std::vector<double> constant_us;
-  std::vector<CostAccumulator> grid_acc;
+  std::vector<Time> task_c(n_tasks);
+  std::vector<Time> msg_c(n_msgs);
+  auto interpolated_cost = [&](int minislots) -> Cost {
+    auto value_at = [&](std::size_t i) {
+      const double us =
+          is_constant[i] ? constant_us[i] : curves[i].evaluate(static_cast<double>(minislots));
+      return static_cast<Time>(std::llround(us * 1e3));
+    };
+    for (std::size_t t = 0; t < n_tasks; ++t) task_c[t] = value_at(t);
+    for (std::size_t m = 0; m < n_msgs; ++m) msg_c[m] = value_at(n_tasks + m);
+    return evaluate_cost(app, task_c, msg_c);
+  };
+
+  // grid_cost[c] memoises interpolated_cost(grid[c]) for every un-analysed
+  // candidate; curves and memo are refreshed whenever the point set grows,
+  // so lines 6-11 and 18-19 of one iteration share one evaluation each.
   std::vector<double> grid_cost;
   auto refresh_interpolation = [&]() {
     if (curves_built_from == points.size()) return;
@@ -183,22 +186,10 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
       }
     }
     curves_built_from = points.size();
-
-    const auto to_completion = [](double us) { return static_cast<Time>(std::llround(us * 1e3)); };
-    grid_acc.assign(grid.size(), CostAccumulator{});
-    for (std::size_t i = 0; i < n; ++i) {
-      if (is_constant[i]) {
-        const Time completion = to_completion(constant_us[i]);
-        for (CostAccumulator& acc : grid_acc) acc.add_activity(completion, deadlines[i]);
-      } else {
-        for (std::size_t c = 0; c < grid.size(); ++c) {
-          const double us = curves[i].evaluate(static_cast<double>(grid[c]));
-          grid_acc[c].add_activity(to_completion(us), deadlines[i]);
-        }
-      }
-    }
     grid_cost.resize(grid.size());
-    for (std::size_t c = 0; c < grid.size(); ++c) grid_cost[c] = grid_acc[c].finish().value;
+    for (std::size_t c = 0; c < grid.size(); ++c) {
+      if (!points.contains(grid[c])) grid_cost[c] = interpolated_cost(grid[c]).value;
+    }
   };
 
   // Fig. 8 line 1: initial point set including both endpoints.  Spacing is

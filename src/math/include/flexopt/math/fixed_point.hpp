@@ -32,7 +32,9 @@ struct FixedPointResult {
 /// seed with seed <= lfp(f) and seed <= f(seed), the iteration converges
 /// to the same least fixed point as from 0, and escapes the horizon iff
 /// the from-0 iteration does (f monotone makes the seeded iterates
-/// dominate the unseeded ones pointwise).  The canonical safe seed is the
+/// dominate the unseeded ones pointwise) — provided the from-0 iteration
+/// ends within `max_iterations`; where it hits the cap, the seeded one may
+/// still converge.  The canonical safe seed is the
 /// converged value of the same recurrence against a subset of the
 /// interference — e.g. the base-profile response in the list scheduler's
 /// candidate ranking.  Only `iterations` differs between seeded and

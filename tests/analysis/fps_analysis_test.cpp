@@ -122,12 +122,18 @@ TEST(FpsAnalysis, CutoffSumIsExactBelowTheCutoff) {
 
   const Time full = fps_response_time_sum(tasks, candidate, kHorizon);
   std::array<Time, 4> responses{};
-  const Time seeded_full =
-      fps_response_time_sum(tasks, candidate, kHorizon, seeds, kTimeInfinity, responses);
+  int iterations = 0;
+  const Time seeded_full = fps_response_time_sum(tasks, candidate, kHorizon, seeds,
+                                                 kTimeInfinity, responses, &iterations);
   EXPECT_EQ(seeded_full, full);
+  int task_iterations = 0;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     EXPECT_EQ(responses[i], fps_response_time(tasks[i], tasks, candidate, kHorizon)) << i;
+    if (seeds[i] != kTimeInfinity) {
+      (void)fps_response_time(tasks[i], tasks, candidate, kHorizon, &task_iterations, seeds[i]);
+    }
   }
+  EXPECT_EQ(iterations, task_iterations);  // the infinite seed is not analysed
 
   std::vector<Time> cutoffs{0, 1, full / 2, full - 1, full, full + 1, kTimeInfinity};
   Time partial = 0;
@@ -146,6 +152,24 @@ TEST(FpsAnalysis, CutoffSumIsExactBelowTheCutoff) {
       }
     }
   }
+}
+
+/// The seed contract's exception: a window that crawls through a gap
+/// one nanosecond per evaluation makes the unseeded iteration give up at
+/// kFpsMaxIterations, while a seed past the crawl converges to the least
+/// fixed point.  The list scheduler bounds its reused seeds against this.
+TEST(FpsAnalysis, SeedCanConvergeWhereTheUnseededIterationHitsTheCap) {
+  // Two 40 us blocks 5 us apart: S(w) = w - 5 us for w in [45, 85] us, so
+  // w = C + S(w) steps by C - 5 us = 1 ns there, 40,000 steps to w = 85 us.
+  const BusyProfile scs({Interval{0, timeunits::us(40)},
+                         Interval{timeunits::us(45), timeunits::us(85)}},
+                        timeunits::ms(1));
+  const FpsTaskParams task{TaskId{0}, timeunits::us(5) + 1, timeunits::ms(1), 0, 0};
+  const Time lfp = timeunits::us(85) + 1;
+  int unseeded_iterations = 0;
+  EXPECT_EQ(fps_response_time(task, {}, scs, kHorizon, &unseeded_iterations), kTimeInfinity);
+  EXPECT_EQ(unseeded_iterations, kFpsMaxIterations);
+  EXPECT_EQ(fps_response_time(task, {}, scs, kHorizon, nullptr, timeunits::us(85)), lfp);
 }
 
 }  // namespace
