@@ -36,9 +36,9 @@ constexpr std::size_t kBucketBits = 5;
 constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
 constexpr std::size_t kDominanceSweepLimit = 256;
 
-/// Largest per-cycle "maybe ready" set: each maybe message doubles the
-/// branching factor of a cycle step, so a larger set aborts the exploration
-/// (ExactFallback::BudgetExceeded) instead of a 2^k successor blow-up.
+/// Largest per-state "maybe ready" set: a state with k maybe messages stands
+/// for 2^k readiness subsets, so a larger set aborts the exploration
+/// (ExactFallback::BudgetExceeded).
 constexpr std::size_t kMaxBranchMessages = 12;
 
 constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
@@ -56,13 +56,18 @@ std::uint64_t hash_key(const std::uint32_t* row, std::size_t width) {
 
 std::size_t bucket_of(std::uint64_t hash) { return hash >> (64 - kBucketBits); }
 
-/// A partially walked bus cycle: the next FrameID slot and an index into the
-/// walk pool row holding the counts accumulated on this branch.
+/// Where a pending head job stands at the start of a cycle.
+enum class Readiness : char { Absent, Maybe, Must };
+
+/// A partially walked bus cycle: the next FrameID slot, an index into the
+/// walk pool row holding the counts accumulated on this branch, and the
+/// number of the state's readiness subsets the branch stands for.
 struct Walk {
   int fid = 1;
   std::int64_t counter = 1;
   Time slot_time = 0;
   std::size_t sent_at = 0;
+  std::uint64_t weight = 1;
 };
 
 bool row_all_done(const std::uint32_t* row, const std::vector<DynMsg>& dyn) {
@@ -191,10 +196,7 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
   std::vector<std::uint32_t> slots;  ///< dedup table: row index within a bucket
   std::vector<char> dead;
   std::vector<Time> worst(width, 0);  ///< per DynMsg worst finish - release
-  std::vector<char> must(width, 0);
-  std::vector<char> ready(width, 0);
-  std::vector<std::size_t> maybe;
-  std::vector<std::size_t> tied;
+  std::vector<Readiness> status(width, Readiness::Absent);
   std::vector<Walk> stack;
   std::vector<std::uint32_t> pool;  ///< walk rows, stride = width
 
@@ -207,95 +209,101 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
     const Time cycle_start = cycle * cycle_len;
     const Time seg_start = cycle_start + st_len;
 
-    // Expansion: replay every state's cycle walks and stage the successors
+    // Expansion: walk every state's cycle once and stage the successors
     // with work left in their buckets.  Counters are committed only once
     // the cycle completes, so a branch-cap abort reports whole cycles.
-    std::uint64_t transitions = 0;  ///< terminal walks this cycle
-    std::uint64_t pending = 0;      ///< successors staged (not all-done)
+    std::uint64_t transitions = 0;  ///< (readiness subset, terminal fork) pairs
+    std::uint64_t pending = 0;      ///< the same, for successors not all-done
     for (auto& bucket : buckets) bucket.clear();
     for (std::size_t r = 0; r * width < frontier.size(); ++r) {
       const std::uint32_t* state = frontier.data() + r * width;
 
-      // Classify pending head jobs.  must: certainly in the CHI by the
+      // Classify pending head jobs.  Must: certainly in the CHI by the
       // earliest slot its FrameID can get (all earlier slots advancing by
       // one minislot); maybe: released before the cycle ends, so the
       // adversary chooses whether it arrived in time.
-      maybe.clear();
+      std::size_t maybe_count = 0;
       for (std::size_t i = 0; i < width; ++i) {
-        must[i] = 0;
+        status[i] = Readiness::Absent;
         if (state[i] >= dyn[i].jobs) continue;
         const Time release = static_cast<Time>(state[i]) * dyn[i].period;
         const Time earliest_slot = seg_start + static_cast<Time>(dyn[i].fid - 1) * gd;
         if (release + dyn[i].jitter <= earliest_slot) {
-          must[i] = 1;
+          status[i] = Readiness::Must;
         } else if (release < cycle_start + cycle_len) {
-          maybe.push_back(i);
+          status[i] = Readiness::Maybe;
+          ++maybe_count;
         }
       }
-      if (maybe.size() > kMaxBranchMessages) {
+      if (maybe_count > kMaxBranchMessages) {
         result.fallback = ExactFallback::BudgetExceeded;
         return result;
       }
 
-      for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << maybe.size()); ++mask) {
-        std::copy(must.begin(), must.end(), ready.begin());
-        for (std::size_t b = 0; b < maybe.size(); ++b) {
-          if ((mask >> b) & 1) ready[maybe[b]] = 1;
+      // Replay the DynSlot chain (sim/engine.cpp): one slot per FrameID,
+      // stop when the FrameIDs or the minislots run out.  One walk covers
+      // all 2^k readiness subsets of the maybe set: a branch's weight is the
+      // number of subsets that drive the walk down it.
+      stack.clear();
+      pool.assign(state, state + width);
+      stack.push_back(Walk{1, 1, seg_start, 0, std::uint64_t{1} << maybe_count});
+      while (!stack.empty()) {
+        Walk w = stack.back();
+        stack.pop_back();
+        if (w.fid > max_fid || w.counter > minislot_count) {
+          transitions += w.weight;
+          const std::uint32_t* sent = pool.data() + w.sent_at;
+          if (!row_all_done(sent, dyn)) {
+            pending += w.weight;
+            auto& bucket = buckets[bucket_of(hash_key(sent, width))];
+            bucket.insert(bucket.end(), sent, sent + width);
+          }
+          continue;
         }
-
-        // Replay the DynSlot chain (sim/engine.cpp): one slot per FrameID,
-        // stop when the FrameIDs or the minislots run out.
-        stack.clear();
-        pool.assign(state, state + width);
-        stack.push_back(Walk{1, 1, seg_start, 0});
-        while (!stack.empty()) {
-          Walk w = stack.back();
-          stack.pop_back();
-          if (w.fid > max_fid || w.counter > minislot_count) {
-            ++transitions;
-            const std::uint32_t* sent = pool.data() + w.sent_at;
-            if (!row_all_done(sent, dyn)) {
-              ++pending;
-              auto& bucket = buckets[bucket_of(hash_key(sent, width))];
-              bucket.insert(bucket.end(), sent, sent + width);
+        // Arbitrate one priority level at a time (the engine's CHI multiset
+        // orders by (priority, ready, job)): the first level holding a ready
+        // head transmits, forking over every ready one there, since the
+        // engine breaks ties by CHI arrival order, which the ready intervals
+        // cannot resolve.  `idle` weighs the subsets with no ready head so
+        // far.  A must message transmits under all of them and ends the
+        // arbitration; a maybe one under the half with its bit set, and the
+        // other half passes it over.  A message is visited once per walk, so
+        // its count is still the state's.
+        std::uint64_t idle = w.weight;
+        if (w.counter <= p_latest[static_cast<std::size_t>(w.fid)]) {
+          const auto& group = by_fid[static_cast<std::size_t>(w.fid)];
+          for (std::size_t at = 0; at < group.size() && idle != 0;) {
+            const int priority = dyn[group[at]].priority;
+            std::uint64_t passed = idle;
+            for (; at < group.size() && dyn[group[at]].priority == priority; ++at) {
+              const std::size_t i = group[at];
+              if (status[i] == Readiness::Absent) continue;
+              const bool must = status[i] == Readiness::Must;
+              passed = must ? 0 : passed / 2;
+              const std::size_t fork_at = pool.size();
+              pool.resize(fork_at + width);
+              std::copy_n(pool.data() + w.sent_at, width, pool.data() + fork_at);
+              const Time finish = w.slot_time + dyn[i].occupancy;
+              const Time release = static_cast<Time>(pool[fork_at + i]) * dyn[i].period;
+              worst[i] = std::max(worst[i], finish - release);
+              pool[fork_at + i] += 1;
+              Walk n = w;
+              n.sent_at = fork_at;
+              n.slot_time += static_cast<Time>(dyn[i].minislots) * gd;
+              n.counter += dyn[i].minislots;
+              n.fid += 1;
+              n.weight = must ? idle : idle / 2;
+              stack.push_back(n);
             }
-            continue;
+            idle = passed;
           }
-          tied.clear();
-          if (w.counter <= p_latest[static_cast<std::size_t>(w.fid)]) {
-            int best_priority = 0;
-            for (const std::size_t i : by_fid[static_cast<std::size_t>(w.fid)]) {
-              if (ready[i] == 0 || pool[w.sent_at + i] >= dyn[i].jobs) continue;
-              if (!tied.empty() && dyn[i].priority != best_priority) break;
-              best_priority = dyn[i].priority;
-              tied.push_back(i);
-            }
-          }
-          if (tied.empty()) {
-            w.slot_time += gd;
-            w.counter += 1;
-            w.fid += 1;
-            stack.push_back(w);
-            continue;
-          }
-          // Fork over every tied highest-priority candidate: the engine
-          // breaks the tie by CHI arrival order, which the ready intervals
-          // cannot resolve.
-          for (const std::size_t i : tied) {
-            const std::size_t fork_at = pool.size();
-            pool.resize(fork_at + width);
-            std::copy_n(pool.data() + w.sent_at, width, pool.data() + fork_at);
-            const Time finish = w.slot_time + dyn[i].occupancy;
-            const Time release = static_cast<Time>(pool[fork_at + i]) * dyn[i].period;
-            worst[i] = std::max(worst[i], finish - release);
-            pool[fork_at + i] += 1;
-            Walk n = w;
-            n.sent_at = fork_at;
-            n.slot_time += static_cast<Time>(dyn[i].minislots) * gd;
-            n.counter += dyn[i].minislots;
-            n.fid += 1;
-            stack.push_back(n);
-          }
+        }
+        if (idle != 0) {
+          w.slot_time += gd;
+          w.counter += 1;
+          w.fid += 1;
+          w.weight = idle;
+          stack.push_back(w);
         }
       }
     }
@@ -326,11 +334,11 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
           probe = (probe + 1) & (table_size - 1);
         }
       }
-      if (options.prune_dominated && unique <= kDominanceSweepLimit) {
+      if (unique <= kDominanceSweepLimit) {
         sweep_dominated(next, from, width, dead);
       }
     }
-    if (options.prune_dominated && next.size() / width <= kDominanceSweepLimit) {
+    if (next.size() / width <= kDominanceSweepLimit) {
       sweep_dominated(next, 0, width, dead);
     }
     result.merged_states += pending - next.size() / width;

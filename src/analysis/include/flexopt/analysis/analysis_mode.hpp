@@ -33,19 +33,15 @@ enum class AnalysisMode { Holistic, Exact };
 [[nodiscard]] const char* to_string(AnalysisMode mode);
 [[nodiscard]] Expected<AnalysisMode> parse_analysis_mode(std::string_view text);
 
-/// Knobs of the exact DYN schedule-space exploration.  The pruning policy,
-/// the branch cap and the one-hyper-period release window are fixed by the
-/// engine (schedule_space.hpp).
+/// Knobs of the exact DYN schedule-space exploration.  The pruning policy
+/// (identical-state merging plus dominance sweeps), the branch cap and the
+/// one-hyper-period release window are fixed by the engine
+/// (schedule_space.hpp).
 struct ExactOptions {
   /// Exploration budget: total states expanded per cluster before the
   /// backend gives up and falls back to the holistic bound
   /// (ExactFallback::BudgetExceeded — recorded, never silent).
   std::uint64_t max_states = 1u << 16;
-  /// Pairwise dominance merging: a frontier state whose per-message
-  /// transmitted counts are pointwise >= another's is dropped — the less
-  /// progressed state carries at least as much backlog into every future
-  /// cycle, so its reachable finish times cover the dropped state's.
-  bool prune_dominated = true;
 
   friend bool operator==(const ExactOptions&, const ExactOptions&) = default;
 };

@@ -14,16 +14,25 @@
 /// cycle the walk classifies each pending head job as
 ///  * must-ready  (r + J_m <= earliest possible slot time of its FrameID) —
 ///    certainly in the CHI when its minislot arrives, or
-///  * maybe-ready (released before the cycle ends) — the walk branches over
-///    ready/not-ready,
+///  * maybe-ready (released before the cycle ends) — either arrived in time
+///    or not, so a state with k of them stands for 2^k readiness subsets,
 /// and then replays the minislot arbitration exactly as the discrete-event
 /// engine does (sim/engine.cpp DynSlot): walk FrameIDs from the segment
 /// start, transmit the highest-priority ready head if the slot counter is
 /// within the owner's pLatestTx, advance the counter by the frame's
-/// minislot count (else by one).  Where the engine breaks priority ties by
-/// CHI arrival order — unresolvable from intervals — the walk forks over
-/// every tied candidate.  Supersets on every axis means: max explored
-/// finish >= every finish the simulator can observe.
+/// minislot count (else by one).  A maybe-ready message's readiness is read
+/// only at its own FrameID's arbitration, within pLatestTx, and only if no
+/// better-priority candidate there is ready, so one depth-first walk per
+/// state branches on it there and covers all 2^k subsets at once.  Where
+/// the engine breaks priority ties by CHI arrival order — unresolvable from
+/// intervals — the walk forks over every tied candidate.  Supersets on
+/// every axis means: max explored finish >= every finish the simulator can
+/// observe.
+///
+/// Counting: each walked branch stands for the readiness subsets that drive
+/// the walk down it, and `transitions` and `merged_states` count those
+/// subsets — (subset, terminal fork) pairs — so they do not depend on how
+/// the walk shares work between subsets.
 ///
 /// Dominance: of two states in the same cycle, the one with pointwise >=
 /// transmitted counts has pointwise less backlog, so every future finish
@@ -36,9 +45,9 @@
 /// is deduplicated through an open-addressing table and, when it holds at
 /// most 256 states, swept for dominance on its own; when at most 256 states
 /// survive, the whole frontier is swept once more.  Larger sets skip the
-/// O(n^2) sweep but still merge identical states.  A cycle whose maybe-ready
-/// set exceeds 12 messages aborts with ExactFallback::BudgetExceeded rather
-/// than branch 2^k ways.
+/// O(n^2) sweep but still merge identical states.  A state whose maybe-ready
+/// set exceeds 12 messages aborts the exploration with
+/// ExactFallback::BudgetExceeded.
 
 #include <cstdint>
 #include <span>
@@ -61,8 +70,11 @@ struct ScheduleSpaceResult {
   /// Empty when `fallback` != None.
   std::vector<Time> worst_completion;
   std::uint64_t explored_states = 0;  ///< frontier sizes summed over cycles
-  std::uint64_t merged_states = 0;    ///< identical-key + dominance merges
-  std::uint64_t transitions = 0;      ///< successor states generated
+  /// Successors with work left, counted per readiness subset, minus the
+  /// states kept: identical-key + dominance merges.
+  std::uint64_t merged_states = 0;
+  /// (readiness subset, terminal fork) pairs over all explored states.
+  std::uint64_t transitions = 0;
 };
 
 /// Explores all DYN jobs released in [0, hyperperiod) to completion, walking

@@ -153,7 +153,6 @@ std::shared_ptr<const ExactSpaceComponent> AnalysisComponentCache::schedule_spac
   fnv.mix(dyn_key);
   fnv.mix(static_cast<std::uint64_t>(horizon));
   fnv.mix(options.max_states);
-  fnv.mix(options.prune_dominated ? 1 : 0);
   for (const Time j : dyn_jitter) fnv.mix(static_cast<std::uint64_t>(j));
   const std::uint64_t key = fnv.h;
   {

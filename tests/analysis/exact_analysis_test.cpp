@@ -1,9 +1,10 @@
 // Exact schedule-space backend conformance: the refined bounds must stay
 // under the holistic reference everywhere (the clamp makes exact <=
-// holistic structural, these tests pin it empirically too), dominance
-// pruning must not change published bounds, and every path that cannot
-// refine must record its ExactFallback on the result — never silently
-// return holistic numbers as "exact".
+// holistic structural, these tests pin it empirically too), and every path
+// that cannot refine must record its ExactFallback on the result — never
+// silently return holistic numbers as "exact".  (That dominance pruning
+// keeps the bounds is checked against the reference exploration in
+// ExactProperty.LazyWalkMatchesEagerReference.)
 
 #include <gtest/gtest.h>
 
@@ -96,41 +97,6 @@ TEST(ExactAnalysis, SyntheticSystemsRefineUnderMinimalStart) {
   }
   ASSERT_GT(analysed, 0u);
   EXPECT_GT(refined_total, 0u);
-}
-
-TEST(ExactAnalysis, DominancePruningPreservesBounds) {
-  BusParams params;
-  params.gd_bit = 100;
-  params.gd_macrotick = timeunits::us(1);
-  params.gd_minislot = timeunits::us(5);
-  SyntheticSpec spec;
-  spec.nodes = 3;
-  spec.deadline_factor = 0.7;
-  spec.seed = 3000;
-  auto app = generate_synthetic(spec, params);
-  ASSERT_TRUE(app.ok()) << app.error().message;
-  const StartConfig start = minimal_start_config(app.value(), params);
-  ASSERT_TRUE(start.bounds.feasible());
-  const BusLayout layout = make_layout(app.value(), params, start.config);
-
-  AnalysisOptions pruned = exact_options();
-  pruned.exact.prune_dominated = true;
-  AnalysisOptions unpruned = exact_options();
-  unpruned.exact.prune_dominated = false;
-  const AnalysisResult a = analyze(layout, pruned);
-  const AnalysisResult b = analyze(layout, unpruned);
-  ASSERT_NE(a.exact, nullptr);
-  ASSERT_NE(b.exact, nullptr);
-  EXPECT_EQ(a.exact->fallback, ExactFallback::None);
-  EXPECT_EQ(b.exact->fallback, ExactFallback::None);
-  // Pruning only drops states whose reachable finishes are covered by a
-  // surviving state, so the published bounds are identical.
-  EXPECT_EQ(a.task_completion, b.task_completion);
-  EXPECT_EQ(a.message_completion, b.message_completion);
-  EXPECT_EQ(a.cost.value, b.cost.value);
-  // The knob is alive: pruning merges states and shrinks the exploration.
-  EXPECT_GT(a.exact->merged_states, 0u);
-  EXPECT_LE(a.exact->explored_states, b.exact->explored_states);
 }
 
 TEST(ExactAnalysis, BudgetExceededFallsBackToHolisticAndRecords) {

@@ -12,21 +12,33 @@
 // (jobs 1 vs 8), so campaign results never depend on the thread schedule;
 // and the exploration engine's ExactClusterInfo records — states, merges,
 // transitions, refined bounds — match a recorded digest over the same
-// scenario breadth.
+// scenario breadth; and the engine's walk, which branches on a maybe-ready
+// message only at its own FrameID's arbitration, matches a reference that
+// replays the cycle once per readiness subset, field for field.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "flexopt/analysis/exact/exact_analysis.hpp"
+#include "flexopt/analysis/exact/schedule_space.hpp"
 #include "flexopt/analysis/multicluster.hpp"
+#include "flexopt/analysis/sat_time.hpp"
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/evaluator.hpp"
+#include "flexopt/flexray/bus_layout.hpp"
 #include "flexopt/gen/scenario.hpp"
+#include "flexopt/gen/synthetic.hpp"
 #include "flexopt/netsim/netsim.hpp"
 #include "flexopt/util/rng.hpp"
 
@@ -67,6 +79,280 @@ ScenarioSpec lane_spec(int attempt, Rng& rng) {
   spec.base.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
   return spec;
 }
+
+/// Reference for explore_dyn_schedule_space: the same cycle-by-cycle
+/// reachability walk, hash buckets, merging and pruning, except that every
+/// state replays its whole minislot walk once for each of the 2^k readiness
+/// subsets of its k maybe-ready messages, and the dominance sweeps sit
+/// behind `prune`.
+namespace reference {
+
+struct DynMsg {
+  std::uint32_t message = 0;
+  int fid = 0;
+  int priority = 0;
+  int minislots = 0;
+  Time occupancy = 0;
+  Time period = 0;
+  Time jitter = 0;
+  std::uint32_t jobs = 0;
+};
+
+constexpr std::size_t kBucketBits = 5;
+constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
+constexpr std::size_t kDominanceSweepLimit = 256;
+constexpr std::size_t kMaxBranchMessages = 12;
+constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
+
+std::uint64_t hash_key(const std::uint32_t* row, std::size_t width) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < width; ++i) {
+    h ^= row[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct Walk {
+  int fid = 1;
+  std::int64_t counter = 1;
+  Time slot_time = 0;
+  std::size_t sent_at = 0;
+};
+
+bool row_all_done(const std::uint32_t* row, const std::vector<DynMsg>& dyn) {
+  for (std::size_t i = 0; i < dyn.size(); ++i) {
+    if (row[i] < dyn[i].jobs) return false;
+  }
+  return true;
+}
+
+/// Drops every row from row `from` on that another row of that range
+/// covers (pointwise <=).
+void sweep_dominated(std::vector<std::uint32_t>& rows, std::size_t from, std::size_t width) {
+  const std::size_t n = rows.size() / width - from;
+  if (n < 2) return;
+  std::uint32_t* base = rows.data() + from * width;
+  std::vector<char> dead(n, 0);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n && dead[a] == 0; ++b) {
+      if (a == b) continue;
+      bool covers = true;
+      for (std::size_t i = 0; i < width; ++i) covers &= base[b * width + i] <= base[a * width + i];
+      if (covers) dead[a] = 1;
+    }
+  }
+  std::size_t write = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    if (dead[a] != 0) continue;
+    if (write != a) {
+      std::memmove(base + write * width, base + a * width, width * sizeof(std::uint32_t));
+    }
+    ++write;
+  }
+  rows.resize((from + write) * width);
+}
+
+ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> message_jitter,
+                            Time horizon, std::uint64_t max_states, bool prune) {
+  ScheduleSpaceResult result;
+  const Application& app = layout.application();
+  const auto hp_result = app.hyperperiod();
+  if (!hp_result.ok()) {
+    result.fallback = ExactFallback::NotConverged;
+    return result;
+  }
+  const Time window = hp_result.value();
+
+  std::vector<DynMsg> dyn;
+  for (std::uint32_t m = 0; m < app.message_count(); ++m) {
+    if (app.messages()[m].cls != MessageClass::Dynamic) continue;
+    DynMsg d;
+    d.message = m;
+    const auto id = static_cast<MessageId>(m);
+    d.fid = layout.frame_id(id);
+    d.priority = app.messages()[m].priority;
+    d.minislots = layout.message_minislots(id);
+    d.occupancy = layout.message_occupancy(id);
+    d.period = app.graph(app.messages()[m].graph).period;
+    d.jitter = m < message_jitter.size() ? message_jitter[m] : kTimeInfinity;
+    if (is_infinite(d.jitter)) {
+      result.fallback = ExactFallback::UnboundedJitter;
+      return result;
+    }
+    d.jobs = static_cast<std::uint32_t>(window / d.period);
+    dyn.push_back(d);
+  }
+  if (dyn.empty()) {
+    result.fallback = ExactFallback::NoDynMessages;
+    return result;
+  }
+  const std::size_t width = dyn.size();
+
+  const int max_fid = layout.max_frame_id();
+  std::vector<std::vector<std::size_t>> by_fid(static_cast<std::size_t>(max_fid) + 1);
+  for (std::size_t i = 0; i < width; ++i) by_fid[dyn[i].fid].push_back(i);
+  for (auto& group : by_fid) {
+    std::sort(group.begin(), group.end(), [&](std::size_t a, std::size_t b) {
+      return std::make_pair(dyn[a].priority, dyn[a].message) <
+             std::make_pair(dyn[b].priority, dyn[b].message);
+    });
+  }
+  std::vector<std::int64_t> p_latest(static_cast<std::size_t>(max_fid) + 1, -1);
+  for (int fid = 1; fid <= max_fid; ++fid) {
+    NodeId owner{};
+    if (layout.frame_id_owner(fid, &owner)) p_latest[fid] = layout.p_latest_tx(owner);
+  }
+
+  const Time cycle_len = layout.cycle_len();
+  const Time st_len = layout.st_segment_len();
+  const Time gd = layout.params().gd_minislot;
+  const std::int64_t minislot_count = layout.config().minislot_count;
+  const Time max_cycles = horizon / cycle_len + 1;
+
+  std::vector<std::uint32_t> frontier(width, 0);
+  std::vector<std::uint32_t> next;
+  std::array<std::vector<std::uint32_t>, kBuckets> buckets;
+  std::vector<std::uint32_t> slots;
+  std::vector<Time> worst(width, 0);
+  std::vector<char> must(width, 0);
+  std::vector<char> ready(width, 0);
+  std::vector<std::size_t> maybe;
+  std::vector<std::size_t> tied;
+  std::vector<Walk> stack;
+  std::vector<std::uint32_t> pool;
+
+  for (Time cycle = 0; cycle < max_cycles && !frontier.empty(); ++cycle) {
+    result.explored_states += frontier.size() / width;
+    if (result.explored_states > max_states) {
+      result.fallback = ExactFallback::BudgetExceeded;
+      return result;
+    }
+    const Time cycle_start = cycle * cycle_len;
+    const Time seg_start = cycle_start + st_len;
+
+    std::uint64_t transitions = 0;
+    std::uint64_t pending = 0;
+    for (auto& bucket : buckets) bucket.clear();
+    for (std::size_t r = 0; r * width < frontier.size(); ++r) {
+      const std::uint32_t* state = frontier.data() + r * width;
+      maybe.clear();
+      for (std::size_t i = 0; i < width; ++i) {
+        must[i] = 0;
+        if (state[i] >= dyn[i].jobs) continue;
+        const Time release = static_cast<Time>(state[i]) * dyn[i].period;
+        const Time earliest_slot = seg_start + static_cast<Time>(dyn[i].fid - 1) * gd;
+        if (release + dyn[i].jitter <= earliest_slot) {
+          must[i] = 1;
+        } else if (release < cycle_start + cycle_len) {
+          maybe.push_back(i);
+        }
+      }
+      if (maybe.size() > kMaxBranchMessages) {
+        result.fallback = ExactFallback::BudgetExceeded;
+        return result;
+      }
+
+      for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << maybe.size()); ++mask) {
+        std::copy(must.begin(), must.end(), ready.begin());
+        for (std::size_t b = 0; b < maybe.size(); ++b) {
+          if ((mask >> b) & 1) ready[maybe[b]] = 1;
+        }
+        stack.clear();
+        pool.assign(state, state + width);
+        stack.push_back(Walk{1, 1, seg_start, 0});
+        while (!stack.empty()) {
+          Walk w = stack.back();
+          stack.pop_back();
+          if (w.fid > max_fid || w.counter > minislot_count) {
+            ++transitions;
+            const std::uint32_t* sent = pool.data() + w.sent_at;
+            if (!row_all_done(sent, dyn)) {
+              ++pending;
+              auto& bucket = buckets[hash_key(sent, width) >> (64 - kBucketBits)];
+              bucket.insert(bucket.end(), sent, sent + width);
+            }
+            continue;
+          }
+          tied.clear();
+          if (w.counter <= p_latest[static_cast<std::size_t>(w.fid)]) {
+            int best_priority = 0;
+            for (const std::size_t i : by_fid[static_cast<std::size_t>(w.fid)]) {
+              if (ready[i] == 0 || pool[w.sent_at + i] >= dyn[i].jobs) continue;
+              if (!tied.empty() && dyn[i].priority != best_priority) break;
+              best_priority = dyn[i].priority;
+              tied.push_back(i);
+            }
+          }
+          if (tied.empty()) {
+            w.slot_time += gd;
+            w.counter += 1;
+            w.fid += 1;
+            stack.push_back(w);
+            continue;
+          }
+          for (const std::size_t i : tied) {
+            const std::size_t fork_at = pool.size();
+            pool.resize(fork_at + width);
+            std::copy_n(pool.data() + w.sent_at, width, pool.data() + fork_at);
+            const Time finish = w.slot_time + dyn[i].occupancy;
+            const Time release = static_cast<Time>(pool[fork_at + i]) * dyn[i].period;
+            worst[i] = std::max(worst[i], finish - release);
+            pool[fork_at + i] += 1;
+            Walk n = w;
+            n.sent_at = fork_at;
+            n.slot_time += static_cast<Time>(dyn[i].minislots) * gd;
+            n.counter += dyn[i].minislots;
+            n.fid += 1;
+            stack.push_back(n);
+          }
+        }
+      }
+    }
+    result.transitions += transitions;
+
+    next.clear();
+    for (const auto& bucket : buckets) {
+      const std::size_t candidates = bucket.size() / width;
+      if (candidates == 0) continue;
+      const std::size_t from = next.size() / width;
+      std::size_t table_size = 1;
+      while (table_size < candidates * 2) table_size <<= 1;
+      slots.assign(table_size, kEmptySlot);
+      std::uint32_t unique = 0;
+      for (std::size_t r = 0; r < candidates; ++r) {
+        const std::uint32_t* row = bucket.data() + r * width;
+        std::size_t probe = hash_key(row, width) & (table_size - 1);
+        for (;;) {
+          const std::uint32_t at = slots[probe];
+          if (at == kEmptySlot) {
+            slots[probe] = unique++;
+            next.insert(next.end(), row, row + width);
+            break;
+          }
+          if (std::equal(row, row + width, next.data() + (from + at) * width)) break;
+          probe = (probe + 1) & (table_size - 1);
+        }
+      }
+      if (prune && unique <= kDominanceSweepLimit) sweep_dominated(next, from, width);
+    }
+    if (prune && next.size() / width <= kDominanceSweepLimit) sweep_dominated(next, 0, width);
+    result.merged_states += pending - next.size() / width;
+    frontier.swap(next);
+  }
+
+  result.worst_completion.assign(app.message_count(), kTimeInfinity);
+  for (std::size_t i = 0; i < width; ++i) {
+    bool covered = true;
+    for (std::size_t r = 0; r * width < frontier.size(); ++r) {
+      covered = covered && frontier[r * width + i] >= dyn[i].jobs;
+    }
+    if (covered) result.worst_completion[dyn[i].message] = worst[i];
+  }
+  return result;
+}
+
+}  // namespace reference
 
 /// Entry-wise `lhs <= rhs`; `rhs` may be infinite anywhere.
 void expect_bounded_by(const std::vector<Time>& lhs, const std::vector<Time>& rhs,
@@ -224,6 +510,100 @@ TEST(ExactProperty, ExplorationMatchesRecordedDigest) {
   EXPECT_GT(multicluster_analysed, 0);
   EXPECT_GT(analysed - multicluster_analysed, 0);
   EXPECT_EQ(digest.h, kRecordedDigest) << std::hex << "0x" << digest.h;
+}
+
+/// Whether two DYN messages share a FrameID and a priority, so the minislot
+/// walk may have to fork over both.
+bool has_frame_id_priority_tie(const Application& app, const BusConfig& config) {
+  for (std::uint32_t a = 0; a < app.message_count(); ++a) {
+    for (std::uint32_t b = a + 1; b < app.message_count(); ++b) {
+      if (app.messages()[a].cls == MessageClass::Dynamic &&
+          app.messages()[b].cls == MessageClass::Dynamic &&
+          config.frame_id[a] == config.frame_id[b] &&
+          app.messages()[a].priority == app.messages()[b].priority) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// The engine branches on a maybe-ready message only where the minislot walk
+/// reads it and weighs each branch by the readiness subsets it stands for;
+/// every ScheduleSpaceResult field must equal the per-subset reference's.
+/// The layouts draw FrameIDs by criticality (unique) or one per node (shared,
+/// so equal-priority messages tie on a FrameID, one of them possibly
+/// must-ready and another maybe-ready), minislot counts across the DYN
+/// bounds, and two state budgets, the smaller one aborting explorations.
+/// The reference's own pruning switch checks that the dominance sweeps keep
+/// the bounds, never explore more states, and do merge.
+TEST(ExactProperty, LazyWalkMatchesEagerReference) {
+  constexpr int kLayouts = 48;
+  Rng rng(20261017);
+  const BusParams params = lane_params();
+  int compared = 0;
+  int tied_layouts = 0;
+  int budget_aborts = 0;
+  int pruning_shrank = 0;
+  std::uint64_t pruned_merges = 0;
+  for (int attempt = 0; attempt < 4 * kLayouts && compared < kLayouts; ++attempt) {
+    SyntheticSpec spec;
+    spec.nodes = 2 + static_cast<int>(rng.uniform_int(0, 2));
+    spec.deadline_factor = 0.7 + 0.1 * static_cast<double>(rng.uniform_int(0, 6));
+    spec.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
+    auto app = generate_synthetic(spec, params);
+    if (!app.ok()) continue;
+    const StartConfig start = minimal_start_config(app.value(), params);
+    if (!start.bounds.feasible()) continue;
+    BusConfig config = start.config;
+    if (attempt % 2 == 0) {
+      config.frame_id = assign_frame_ids_by_criticality(app.value(), params);
+    } else {
+      config.frame_id = assign_frame_ids_shared_per_node(app.value());
+    }
+    const DynBounds& b = start.bounds;
+    config.minislot_count = static_cast<int>(rng.uniform_int(b.min_minislots, b.max_minislots));
+    auto layout = BusLayout::build(app.value(), params, config);
+    if (!layout.ok()) continue;
+    tied_layouts += has_frame_id_priority_tie(app.value(), config) ? 1 : 0;
+    auto holistic = analyze_system(layout.value(), AnalysisOptions{});
+    ASSERT_TRUE(holistic.ok()) << holistic.error().message;
+    if (!holistic.value().converged) continue;
+    const auto horizon = analysis_horizon(app.value(), AnalysisOptions{});
+    ASSERT_TRUE(horizon.ok());
+    const std::vector<Time>& jitter = holistic.value().message_jitter;
+
+    for (const std::uint64_t max_states : {std::uint64_t{1} << 16, std::uint64_t{1} << 9}) {
+      ExactOptions options;
+      options.max_states = max_states;
+      const ScheduleSpaceResult lazy =
+          explore_dyn_schedule_space(layout.value(), jitter, horizon.value(), options);
+      const ScheduleSpaceResult eager =
+          reference::explore(layout.value(), jitter, horizon.value(), max_states, true);
+      EXPECT_EQ(lazy.fallback, eager.fallback) << "attempt " << attempt;
+      EXPECT_EQ(lazy.explored_states, eager.explored_states) << "attempt " << attempt;
+      EXPECT_EQ(lazy.merged_states, eager.merged_states) << "attempt " << attempt;
+      EXPECT_EQ(lazy.transitions, eager.transitions) << "attempt " << attempt;
+      EXPECT_EQ(lazy.worst_completion, eager.worst_completion) << "attempt " << attempt;
+      if (eager.fallback == ExactFallback::BudgetExceeded) ++budget_aborts;
+      if (max_states != std::uint64_t{1} << 16) continue;
+
+      const ScheduleSpaceResult unpruned =
+          reference::explore(layout.value(), jitter, horizon.value(), max_states, false);
+      EXPECT_LE(eager.explored_states, unpruned.explored_states) << "attempt " << attempt;
+      if (eager.fallback == ExactFallback::None && unpruned.fallback == ExactFallback::None) {
+        EXPECT_EQ(eager.worst_completion, unpruned.worst_completion) << "attempt " << attempt;
+        if (eager.explored_states < unpruned.explored_states) ++pruning_shrank;
+        pruned_merges += eager.merged_states;
+      }
+    }
+    ++compared;
+  }
+  ASSERT_GE(compared, kLayouts);
+  EXPECT_GT(tied_layouts, 0);
+  EXPECT_GT(budget_aborts, 0);
+  EXPECT_GT(pruning_shrank, 0);
+  EXPECT_GT(pruned_merges, 0u);
 }
 
 TEST(ExactProperty, ExactEvaluationBitDeterministicAcrossWorkerCounts) {
