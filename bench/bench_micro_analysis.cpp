@@ -1,17 +1,24 @@
 // Google-benchmark micro-benchmarks of the analysis kernels that dominate
 // optimisation runtime: BusLayout construction, static schedule building,
-// full holistic analysis, single DYN response-time recurrences and busy-
-// profile queries.  These calibrate the cost model behind the Fig. 9
-// runtime comparison (one "evaluation" = one analyze_system call).
+// full holistic analysis, single DYN response-time recurrences, busy-
+// profile queries and OBC-CF's interpolated candidate scan.  These
+// calibrate the cost model behind the Fig. 9 runtime comparison (one
+// "evaluation" = one analyze_system call).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "flexopt/analysis/dyn_analysis.hpp"
 #include "flexopt/analysis/system_analysis.hpp"
 #include "flexopt/core/config_builder.hpp"
+#include "flexopt/core/detail/curve_fit_scan.hpp"
+#include "flexopt/core/evaluator.hpp"
 #include "flexopt/flexray/bus_layout.hpp"
 #include "flexopt/gen/cruise_control.hpp"
 #include "flexopt/gen/synthetic.hpp"
+#include "flexopt/util/rng.hpp"
 
 namespace flexopt {
 namespace {
@@ -145,6 +152,79 @@ void BM_BusyProfileMaxWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BusyProfileMaxWindow)->Arg(4)->Arg(32)->Arg(128);
+
+/// A fig9-sized OBC-CF search: 65 activities (the fig9 mean is 64.8), a
+/// 128-candidate grid and 17 analysed points in the order a search adds
+/// them — five geometrically spaced initial points, then refinements.
+struct ScanFixture {
+  std::vector<int> grid;
+  std::vector<Time> deadlines;
+  std::vector<int> xs;
+  std::vector<std::vector<double>> completions_us;
+
+  ScanFixture() {
+    Rng rng(3);
+    for (int c = 0; c < 128; ++c) grid.push_back(40 + 6 * c);
+    for (int i = 0; i < 65; ++i) deadlines.push_back(timeunits::us(rng.uniform_int(5, 80) * 1000));
+    for (const int x : {40, 85, 179, 379, 802}) xs.push_back(x);
+    while (xs.size() < 17) {
+      const int x = grid[rng.index(grid.size())];
+      if (std::find(xs.begin(), xs.end(), x) == xs.end()) xs.push_back(x);
+    }
+    for (std::size_t p = 0; p < xs.size(); ++p) {
+      std::vector<double> us;
+      for (const Time d : deadlines) {
+        us.push_back(to_us(static_cast<Time>(static_cast<double>(d) * rng.uniform_real(0.3, 1.4))));
+      }
+      completions_us.push_back(std::move(us));
+    }
+  }
+
+  void fill(detail::CurveFitScan& scan, std::size_t points) const {
+    scan.clear();
+    for (std::size_t p = 0; p < points; ++p) scan.add_point(xs[p], completions_us[p]);
+  }
+};
+
+const ScanFixture& scan_fixture() {
+  static const ScanFixture fixture;
+  return fixture;
+}
+
+/// One refresh of a scan over `state.range(0)` points — fit the family and
+/// cost every un-analysed candidate — plus the Fig. 8 lines 6-11 argmin
+/// over the grid.  5 points are a Newton fit, 9 and 16 piecewise-linear.
+void BM_CurveFitScan(benchmark::State& state) {
+  const ScanFixture& f = scan_fixture();
+  detail::CurveFitScan scan(f.grid, f.deadlines);
+  for (auto _ : state) {
+    f.fill(scan, static_cast<std::size_t>(state.range(0)));
+    scan.refresh();
+    double best = kInvalidConfigCost;
+    for (std::size_t c = 0; c < f.grid.size(); ++c) {
+      if (!scan.analysed(c)) best = std::min(best, scan.grid_cost(c));
+    }
+    benchmark::DoNotOptimize(best);
+  }
+}
+BENCHMARK(BM_CurveFitScan)->Arg(5)->Arg(9)->Arg(16);
+
+/// The refresh after a 16-point piecewise-linear scan grows by one point:
+/// only the candidates between the new point's neighbours are recomputed.
+void BM_CurveFitScanGrowByOne(benchmark::State& state) {
+  const ScanFixture& f = scan_fixture();
+  detail::CurveFitScan scan(f.grid, f.deadlines);
+  for (auto _ : state) {
+    state.PauseTiming();
+    f.fill(scan, 16);
+    scan.refresh();
+    state.ResumeTiming();
+    scan.add_point(f.xs[16], f.completions_us[16]);
+    scan.refresh();
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CurveFitScanGrowByOne);
 
 }  // namespace
 }  // namespace flexopt

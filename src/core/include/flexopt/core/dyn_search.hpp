@@ -45,16 +45,14 @@ struct ExhaustiveDynOptions {
   /// Candidate stride in minislots; 0 = auto from max_sweep_points.
   int stride_minislots = 0;
   int max_sweep_points = 96;
-  /// Sweep sequentially with CostEvaluator::evaluate_delta when the
-  /// evaluator has no worker pool to fan candidates across (results are
-  /// bit-identical either way; the parallel batch wins wall-clock when
-  /// threads are available, the delta path recomputes fewer components).
-  bool use_delta_evaluation = true;
 };
 
 /// Full analysis at every candidate length (OBC-EE).  Candidates are fanned
 /// across the evaluator's worker pool in batches; results are identical to
-/// the serial sweep (in-order, strictly-better comparisons).
+/// the serial sweep (in-order, strictly-better comparisons).  An evaluator
+/// without a pool sweeps sequentially instead, each length a
+/// CostEvaluator::evaluate_delta off the previous one (bit-identical; it
+/// recomputes only the DYN-dependent components).
 class ExhaustiveDynSearch final : public DynSegmentStrategy {
  public:
   explicit ExhaustiveDynSearch(ExhaustiveDynOptions options = {}) : options_(options) {}
@@ -76,11 +74,11 @@ struct CurveFitDynOptions {
   /// Candidate grid stride; 0 = auto from max_candidates.
   int stride_minislots = 0;
   int max_candidates = 128;
-  /// Analyse points through CostEvaluator::evaluate_delta, chaining each
-  /// point off the previously analysed one (bit-identical results).
-  bool use_delta_evaluation = true;
 };
 
+/// Fig. 8's search.  Points are analysed through
+/// CostEvaluator::evaluate_delta, each chained off the previously analysed
+/// one (bit-identical to full evaluations).
 class CurveFitDynSearch final : public DynSegmentStrategy {
  public:
   explicit CurveFitDynSearch(CurveFitDynOptions options = {}) : options_(options) {}

@@ -30,11 +30,6 @@ struct SaOptions {
   /// Keep annealing after the first schedulable solution to minimise f2
   /// (the paper optimises the cost function, not mere feasibility).
   bool stop_at_first_feasible = false;
-  /// Evaluate neighbours through CostEvaluator::evaluate_delta (recompute
-  /// only the analysis components the move invalidated).  Results are
-  /// bit-identical to the full path; false forces full evaluations (the
-  /// bench_delta_eval baseline).
-  bool use_delta_evaluation = true;
 };
 
 /// Mutates `config` in place with one random SA neighbourhood move (+-ST

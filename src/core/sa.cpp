@@ -159,20 +159,12 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
 
       // The move touched one or two decision variables: the delta path
       // reuses every analysis component of `current` it did not invalidate
-      // (bit-identical to the full evaluation either way).  The fast form
+      // (bit-identical to a full evaluation).  The fast form
       // returns a reference into the evaluator's thread slot — valid here
       // because nothing else evaluates on this thread before the next
       // iteration overwrites it.
       DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      CostEvaluator::Evaluation full_eval;
-      const CostEvaluator::Evaluation* eval_ptr;
-      if (options.use_delta_evaluation) {
-        eval_ptr = &evaluator.evaluate_delta_fast(current, move);
-      } else {
-        full_eval = evaluator.evaluate(move.config);
-        eval_ptr = &full_eval;
-      }
-      const CostEvaluator::Evaluation& eval = *eval_ptr;
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate_delta_fast(current, move);
       const double cost = eval.valid ? eval.cost.value : kInvalidConfigCost;
       const double delta = cost - current_cost;
       if (delta <= 0.0 || rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {

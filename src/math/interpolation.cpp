@@ -68,41 +68,79 @@ double PiecewiseLinear::evaluate(double x) const {
   return ys_[lo] + t * (ys_[hi] - ys_[lo]);
 }
 
-Expected<bool> ResponseTimeCurve::add_point(double x, double y) {
-  for (const double existing : xs_) {
-    if (existing == x) return make_error("ResponseTimeCurve: duplicate abscissa");
-  }
-  if (xs_.size() < options_.max_newton_points) {
-    auto r = newton_.add_point(x, y);
-    if (!r.ok()) return r;
-  }
-  xs_.push_back(x);
-  ys_.push_back(y);
-  fallback_.reset();
+Expected<bool> CurveFamily::insert(double x, std::span<const double> ys) {
+  if (ys.size() != curves_) return make_error("CurveFamily: one value per curve expected");
+  const auto at = std::lower_bound(xs_.begin(), xs_.end(), x);
+  if (at != xs_.end() && *at == x) return make_error("CurveFamily: duplicate abscissa");
+  const auto p = static_cast<std::ptrdiff_t>(at - xs_.begin());
+  xs_.insert(at, x);
+  ys_.insert(ys_.begin() + p * static_cast<std::ptrdiff_t>(curves_), ys.begin(), ys.end());
+  if (!piecewise_linear()) fit_newton();
   return true;
 }
 
-void ResponseTimeCurve::clear() {
-  newton_.clear();
+void CurveFamily::clear() {
   xs_.clear();
   ys_.clear();
-  fallback_.reset();
+  coef_.clear();
 }
 
-double ResponseTimeCurve::evaluate(double x) const {
-  double v = 0.0;
-  if (xs_.size() <= options_.max_newton_points && newton_.size() == xs_.size()) {
-    v = newton_.evaluate(x);
-    if (!std::isfinite(v)) v = options_.clamp_hi;
-  } else {
-    if (!fallback_.has_value()) {
-      auto pl = PiecewiseLinear::fit(xs_, ys_);
-      if (!pl.ok()) return options_.clamp_hi;
-      fallback_.emplace(std::move(pl).value());
+void CurveFamily::evaluate(double x, std::span<double> values) const {
+  const std::size_t n = xs_.size();
+  const std::size_t m = curves_;
+  auto clamp = [](double v) { return std::clamp(v, kClampLo, kClampHi); };
+  if (!piecewise_linear()) {
+    // NewtonPolynomial::evaluate's Horner loop, one step for every curve at
+    // a time.
+    std::fill_n(values.data(), m, 0.0);
+    for (std::size_t k = n; k-- > 0;) {
+      const double basis = x - xs_[k];
+      const double* coef = coef_.data() + k * m;
+      for (std::size_t i = 0; i < m; ++i) values[i] = values[i] * basis + coef[i];
     }
-    v = fallback_->evaluate(x);
+    for (std::size_t i = 0; i < m; ++i) {
+      values[i] = std::isfinite(values[i]) ? clamp(values[i]) : kClampHi;
+    }
+    return;
   }
-  return std::clamp(v, options_.clamp_lo, options_.clamp_hi);
+  // PiecewiseLinear::evaluate: constant extrapolation at either end.
+  const double* end_row = nullptr;
+  if (x <= xs_.front()) {
+    end_row = ys_.data();
+  } else if (x >= xs_.back()) {
+    end_row = ys_.data() + (n - 1) * m;
+  }
+  if (end_row != nullptr) {
+    for (std::size_t i = 0; i < m; ++i) values[i] = clamp(end_row[i]);
+    return;
+  }
+  const std::size_t hi = static_cast<std::size_t>(
+      std::upper_bound(xs_.begin(), xs_.end(), x) - xs_.begin());
+  const std::size_t lo = hi - 1;
+  const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
+  const double* lo_row = ys_.data() + lo * m;
+  const double* hi_row = ys_.data() + hi * m;
+  for (std::size_t i = 0; i < m; ++i) values[i] = clamp(lo_row[i] + t * (hi_row[i] - lo_row[i]));
+}
+
+void CurveFamily::fit_newton() {
+  const std::size_t n = xs_.size();
+  const std::size_t m = curves_;
+  coef_.resize(n * m);
+  diag_.resize(n * m);
+  // Row k of diag_ plays NewtonPolynomial::diag_[k] for every curve: adding
+  // sample p appends its values as row p and updates rows p-1..0 bottom-up,
+  // after which row 0 holds f[x_0..x_p], the next coefficient.
+  for (std::size_t p = 0; p < n; ++p) {
+    std::copy_n(ys_.data() + p * m, m, diag_.data() + p * m);
+    for (std::size_t k = p; k-- > 0;) {
+      const double span = xs_[p] - xs_[k];
+      double* row = diag_.data() + k * m;
+      const double* next = row + m;
+      for (std::size_t i = 0; i < m; ++i) row[i] = (next[i] - row[i]) / span;
+    }
+    std::copy_n(diag_.data(), m, coef_.data() + p * m);
+  }
 }
 
 }  // namespace flexopt

@@ -14,9 +14,11 @@
 // exact only with the scheduler's iteration bound.
 //
 // The expected values were recorded before the scheduler's ranking was
-// pruned and its base responses reused, and before the curve-fit scan was
-// memoised; those are pure speed-ups, so any change to placement choice,
-// profile construction, interpolation or solver trajectories moves a digest.
+// pruned and its base responses reused, before the curve-fit scan was
+// memoised, and before that scan became one batched curve family refreshed
+// only between a new point's neighbours; those are pure speed-ups, so any
+// change to placement choice, profile construction, interpolation or solver
+// trajectories moves a digest.
 
 #include <gtest/gtest.h>
 
