@@ -1,30 +1,18 @@
-// Delta-evaluation bench and perf-regression gate, in two phases.
+// Steady-state evaluation bench and perf-regression gate: replays an
+// SA-style neighbour-move workload over the Fig. 9 smoke population
+// through the evaluator's hot path (CostEvaluator::evaluate_in_slot, memo
+// cache off) twice on one evaluator — a recording pass that warms the
+// component cache, binds the arena and grows scratch to capacity, then a
+// measured warm-replay pass over the bit-identical RNG stream.  The replay
+// is the steady state: it reports moves/sec and — when the operator new
+// interposer of src/util/alloc_probe.cpp is linked and active — asserts
+// that steady-state evaluations perform ZERO heap allocations per move.
 //
-// Phase 1 (conformance + component ratio): replays an SA-style
-// neighbour-move workload over the Fig. 9 smoke population twice in
-// lockstep — every proposal evaluated by the full path
-// (CostEvaluator::evaluate) and by the incremental path
-// (CostEvaluator::evaluate_delta) — checks the costs are bit-identical,
-// and counts recomputed analysis components (schedule builds + FPS/DYN
-// response-time recurrences) on each side.
-//
-// Phase 2 (steady-state throughput + allocation contract): replays the
-// same move distribution through the arena-backed hot path
-// (evaluate_delta_fast with an explicit base Evaluation) twice on one
-// evaluator — a recording pass that warms the component cache, binds the
-// arena and grows scratch to capacity, then a measured warm-replay pass
-// over the bit-identical RNG stream.  The replay is the steady state: it
-// reports moves/sec and — when the operator new interposer of
-// src/util/alloc_probe.cpp is linked and active — asserts that
-// steady-state delta evaluations perform ZERO heap allocations per move.
-//
-// The CI perf-smoke job runs this with --check: the run fails unless the
-// delta path recomputes at least --min-ratio (default 3) times fewer
-// components than the full path, steady-state allocations per move are
-// exactly zero (Release builds with the probe installed), and — when
-// --min-moves-per-sec is given — aggregate steady-state throughput
-// clears the floor.  --out writes the machine-readable BENCH_delta.json
-// (schema documented in README.md).
+// The CI perf-smoke job runs this with --check: the run fails unless
+// steady-state allocations per move are exactly zero (Release builds with
+// the probe installed) and — when --min-moves-per-sec is given — aggregate
+// steady-state throughput clears the floor.  --out writes the
+// machine-readable BENCH_delta.json (schema documented in README.md).
 
 #include <chrono>
 #include <cstring>
@@ -49,9 +37,9 @@ namespace {
 #ifdef NDEBUG
 constexpr bool kReleaseBuild = true;
 #else
-// Debug builds cross-check every delta against a full analysis (which
-// allocates); the zero-allocation contract only holds — and is only
-// gated — in Release.
+// Debug builds cross-check every analysis against one on a call-local
+// cache (which allocates); the zero-allocation contract only holds — and
+// is only gated — in Release.
 constexpr bool kReleaseBuild = false;
 #endif
 
@@ -59,46 +47,18 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-struct SystemResult {
-  int nodes = 0;
-  long proposed = 0;
-  long accepted = 0;
-  bool identical = true;
-  EvaluatorWorkStats full;
-  EvaluatorWorkStats delta;
-  double full_wall = 0.0;
-  double delta_wall = 0.0;
-};
-
 struct SteadyResult {
   int nodes = 0;
-  long measured = 0;   ///< valid delta evaluations inside the counted window
+  long measured = 0;   ///< valid evaluations inside the counted window
   long invalid = 0;    ///< error-path evaluations (excluded from the alloc gate)
   long accepted = 0;
-  double eval_wall = 0.0;        ///< wall time inside evaluate_delta_fast only
+  double eval_wall = 0.0;        ///< wall time inside evaluate_in_slot only
   std::uint64_t allocations = 0; ///< heap allocations inside measured evaluations
   EvaluatorWorkStats work;
 };
 
-void write_work(JsonWriter& json, const EvaluatorWorkStats& work, double wall) {
-  json.begin_object()
-      .field("components", work.analysis.components())
-      .field("schedule_builds", work.analysis.schedule_builds)
-      .field("schedule_reuses", work.analysis.schedule_reuses)
-      .field("fps_analyses", work.analysis.fps_analyses)
-      .field("fps_skipped", work.analysis.fps_skipped)
-      .field("dyn_analyses", work.analysis.dyn_analyses)
-      .field("dyn_skipped", work.analysis.dyn_skipped)
-      .field("holistic_iterations", work.analysis.holistic_iterations)
-      .field("delta_evaluations", work.delta_evaluations)
-      .field("delta_seeded", work.delta_seeded)
-      .field("wall_seconds", wall)
-      .end_object();
-}
-
-/// Phase 2 driver: the arena hot path under the SA move distribution, with
-/// the base threaded explicitly as the last accepted Evaluation — the shape
-/// SA itself uses.
+/// The hot path under the SA move distribution, evaluated the way SA's
+/// neighbour loop does.
 ///
 /// The trajectory is replayed twice through the SAME evaluator.  The first
 /// (recording) pass is pure warm-up: every move geometry lands in the
@@ -128,11 +88,11 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
 
   const auto run_pass = [&](bool measured) {
     BusConfig current = start.config;
-    CostEvaluator::Evaluation accepted_eval = evaluator.evaluate(current);
-    double current_cost = accepted_eval.valid ? accepted_eval.cost.value : kInvalidConfigCost;
+    const CostEvaluator::Evaluation start_eval = evaluator.evaluate(current);
+    double current_cost = start_eval.valid ? start_eval.cost.value : kInvalidConfigCost;
 
-    // Same seeds as phase 1 (and as the recording pass) => bit-identical
-    // move distribution and acceptance decisions on every pass.
+    // Same seeds as the recording pass => bit-identical move distribution
+    // and acceptance decisions on every pass.
     Rng move_rng(0x5eedu + static_cast<std::uint64_t>(nodes));
     Rng accept_rng(0xaccu + static_cast<std::uint64_t>(nodes));
     const double temperature = std::max(1.0, std::abs(current_cost) * 0.1);
@@ -145,12 +105,10 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
                                       bounds.min_minislots, SpecLimits::kMaxMinislots);
       }
       if (!moved) continue;
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
 
       const std::uint64_t a0 = alloc_probe::thread_allocations();
       const auto t0 = std::chrono::steady_clock::now();
-      const CostEvaluator::Evaluation& eval =
-          evaluator.evaluate_delta_fast(accepted_eval, move);
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(neighbour);
       const double elapsed = seconds_since(t0);
       const std::uint64_t evaluation_allocs = alloc_probe::thread_allocations() - a0;
 
@@ -168,10 +126,7 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
       const double delta = cost - current_cost;
       if (delta <= 0.0 ||
           accept_rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {
-        // Copies out of the thread slot (outside the measured region, and
-        // capacity-reusing after the first few accepts).
-        accepted_eval = eval;
-        current = std::move(move.config);
+        current = std::move(neighbour);
         current_cost = cost;
         if (measured) ++r.accepted;
       }
@@ -190,7 +145,6 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
 int main(int argc, char** argv) {
   std::string out_path;
   bool check = false;
-  double min_ratio = 3.0;
   double min_moves_per_sec = 0.0;  // 0 = throughput floor disabled
   long moves = full_scale() ? 1200 : 300;
   for (int i = 1; i < argc; ++i) {
@@ -206,119 +160,35 @@ int main(int argc, char** argv) {
       out_path = next();
     } else if (arg == "--check") {
       check = true;
-    } else if (arg == "--min-ratio") {
-      min_ratio = std::stod(next());
     } else if (arg == "--min-moves-per-sec") {
       min_moves_per_sec = std::stod(next());
     } else if (arg == "--moves") {
       moves = std::stol(next());
     } else {
-      std::cerr << "usage: bench_delta_eval [--out FILE] [--check] [--min-ratio R] "
+      std::cerr << "usage: bench_delta_eval [--out FILE] [--check] "
                    "[--min-moves-per-sec M] [--moves N]\n";
       return 2;
     }
   }
 
-  std::cout << "== Incremental (delta) evaluation vs full evaluation ==\n";
   const BusParams params = section7_params();
   const std::vector<int> node_counts{4, 5, 6};
-
-  Table table({"nodes", "proposed", "accepted", "full comps", "delta comps", "ratio",
-               "full (s)", "delta (s)", "identical"});
-  std::vector<SystemResult> results;
   std::vector<SteadyResult> steady_results;
-
   for (const int nodes : node_counts) {
     const auto app_result = section7_system(nodes, 0);
     if (!app_result.ok()) {
       std::cerr << "generator failed: " << app_result.error().message << "\n";
       return 1;
     }
-    const Application& app = app_result.value();
-
-    // The SA seed shape: per-sender minimal ST segment, criticality
-    // FrameIDs, shortest feasible DYN segment.
-    const StartConfig start = minimal_start_config(app, params);
-    if (!start.bounds.feasible()) {
+    if (!minimal_start_config(app_result.value(), params).bounds.feasible()) {
       std::cerr << "no feasible DYN bounds for " << nodes << "-node system\n";
       return 1;
     }
-    const std::vector<NodeId>& senders = start.st_senders;
-    const DynBounds& bounds = start.bounds;
-    BusConfig current = start.config;
-
-    CostEvaluator full_eval(app, params, optimizer_analysis_options());
-    CostEvaluator delta_eval(app, params, optimizer_analysis_options());
-
-    SystemResult r;
-    r.nodes = nodes;
-    const auto f0 = full_eval.evaluate(current);
-    const auto d0 = delta_eval.evaluate(current);
-    double current_cost = f0.valid ? f0.cost.value : kInvalidConfigCost;
-    r.identical = f0.valid == d0.valid && f0.cost.value == d0.cost.value;
-
-    // One move/acceptance stream drives both evaluators in lockstep; the
-    // paths return bit-identical costs, so the trajectories coincide.
-    Rng move_rng(0x5eedu + static_cast<std::uint64_t>(nodes));
-    Rng accept_rng(0xaccu + static_cast<std::uint64_t>(nodes));
-    const double temperature =
-        std::max(1.0, std::abs(current_cost) * 0.1);  // SA's mid-run regime
-
-    double full_wall = 0.0;
-    double delta_wall = 0.0;
-    for (long i = 0; i < moves; ++i) {
-      BusConfig neighbour = current;
-      bool moved = false;
-      for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
-        moved = random_neighbour_move(neighbour, app, params, move_rng, senders,
-                                      bounds.min_minislots, SpecLimits::kMaxMinislots);
-      }
-      if (!moved) continue;
-      ++r.proposed;
-
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      auto t0 = std::chrono::steady_clock::now();
-      const auto ef = full_eval.evaluate(move.config);
-      full_wall += seconds_since(t0);
-      t0 = std::chrono::steady_clock::now();
-      const auto ed = delta_eval.evaluate_delta(current, move);
-      delta_wall += seconds_since(t0);
-
-      if (ef.valid != ed.valid || (ef.valid && ef.cost.value != ed.cost.value)) {
-        r.identical = false;
-      }
-      const double cost = ef.valid ? ef.cost.value : kInvalidConfigCost;
-      const double delta = cost - current_cost;
-      if (delta <= 0.0 ||
-          accept_rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {
-        current = std::move(move.config);
-        current_cost = cost;
-        ++r.accepted;
-      }
-    }
-
-    r.full = full_eval.work_stats();
-    r.delta = delta_eval.work_stats();
-    r.full_wall = full_wall;
-    r.delta_wall = delta_wall;
-    const double ratio =
-        r.delta.analysis.components() > 0
-            ? static_cast<double>(r.full.analysis.components()) /
-                  static_cast<double>(r.delta.analysis.components())
-            : 0.0;
-    table.add_row({std::to_string(nodes), std::to_string(r.proposed),
-                   std::to_string(r.accepted), std::to_string(r.full.analysis.components()),
-                   std::to_string(r.delta.analysis.components()), fmt_double(ratio, 2),
-                   fmt_double(r.full_wall, 3), fmt_double(r.delta_wall, 3),
-                   r.identical ? "yes" : "NO"});
-    results.push_back(std::move(r));
-
-    steady_results.push_back(run_steady_state(app, params, nodes, moves));
+    steady_results.push_back(run_steady_state(app_result.value(), params, nodes, moves));
   }
-  table.print(std::cout);
 
   const bool probe = alloc_probe::installed();
-  std::cout << "\n== Steady-state arena hot path (evaluate_delta_fast, cache off) ==\n";
+  std::cout << "== Steady-state arena hot path (evaluate_in_slot, cache off) ==\n";
   std::cout << "alloc probe: " << (probe ? "installed" : "absent (sanitizer build)")
             << ", build: " << (kReleaseBuild ? "Release" : "Debug") << "\n";
   Table steady_table(
@@ -343,35 +213,14 @@ int main(int argc, char** argv) {
   const double steady_mps =
       steady_wall > 0.0 ? static_cast<double>(steady_moves) / steady_wall : 0.0;
 
-  std::uint64_t full_components = 0;
-  std::uint64_t delta_components = 0;
-  long accepted = 0;
-  long proposed = 0;
-  bool identical = true;
-  for (const SystemResult& r : results) {
-    full_components += r.full.analysis.components();
-    delta_components += r.delta.analysis.components();
-    accepted += r.accepted;
-    proposed += r.proposed;
-    identical = identical && r.identical;
-  }
-  const double ratio = delta_components > 0
-                           ? static_cast<double>(full_components) /
-                                 static_cast<double>(delta_components)
-                           : 0.0;
   // The allocation gate is exact — zero per steady-state move — but only
   // binds when the interposer is linked and active and the hot path is not
   // carrying the Debug cross-check.
   const bool alloc_gate_active = probe && kReleaseBuild;
   const bool alloc_pass = !alloc_gate_active || steady_allocs == 0;
   const bool throughput_pass = min_moves_per_sec <= 0.0 || steady_mps >= min_moves_per_sec;
-  const bool pass = identical && ratio >= min_ratio && alloc_pass && throughput_pass;
+  const bool pass = alloc_pass && throughput_pass;
 
-  std::cout << "\ntotals: " << proposed << " proposed / " << accepted << " accepted moves, "
-            << full_components << " full vs " << delta_components
-            << " delta components (ratio " << fmt_double(ratio, 2) << "x, gate "
-            << fmt_double(min_ratio, 1) << "x, costs "
-            << (identical ? "identical" : "MISMATCH") << ")\n";
   std::cout << "steady state: " << steady_moves << " measured moves in "
             << fmt_double(steady_wall, 3) << " s (" << fmt_double(steady_mps, 0)
             << " moves/s), " << steady_allocs << " allocations"
@@ -384,26 +233,10 @@ int main(int argc, char** argv) {
         .field("workload", "fig9-smoke")
         .field("moves_per_system", moves);
     json.key("systems").begin_array();
-    for (std::size_t s = 0; s < results.size(); ++s) {
-      const SystemResult& r = results[s];
-      json.begin_object()
-          .field("nodes", r.nodes)
-          .field("proposed_moves", r.proposed)
-          .field("accepted_moves", r.accepted)
-          .field("identical", r.identical);
-      json.key("full");
-      write_work(json, r.full, r.full_wall);
-      json.key("delta");
-      write_work(json, r.delta, r.delta_wall);
-      const double system_ratio =
-          r.delta.analysis.components() > 0
-              ? static_cast<double>(r.full.analysis.components()) /
-                    static_cast<double>(r.delta.analysis.components())
-              : 0.0;
-      json.field("component_ratio", system_ratio);
-      const SteadyResult& st = steady_results[s];
+    for (const SteadyResult& st : steady_results) {
       const double mps =
           st.eval_wall > 0.0 ? static_cast<double>(st.measured) / st.eval_wall : 0.0;
+      json.begin_object().field("nodes", st.nodes);
       json.key("steady")
           .begin_object()
           .field("measured_moves", st.measured)
@@ -424,16 +257,6 @@ int main(int argc, char** argv) {
     json.end_array();
     json.key("totals")
         .begin_object()
-        .field("proposed_moves", proposed)
-        .field("accepted_moves", accepted)
-        .field("full_components", full_components)
-        .field("delta_components", delta_components)
-        .field("full_components_per_accepted_move",
-               accepted > 0 ? static_cast<double>(full_components) / accepted : 0.0)
-        .field("delta_components_per_accepted_move",
-               accepted > 0 ? static_cast<double>(delta_components) / accepted : 0.0)
-        .field("component_ratio", ratio)
-        .field("identical", identical)
         .field("steady_measured_moves", steady_moves)
         .field("steady_eval_wall_seconds", steady_wall)
         .field("steady_moves_per_sec", steady_mps)
@@ -445,7 +268,6 @@ int main(int argc, char** argv) {
         .end_object();
     json.key("gate")
         .begin_object()
-        .field("min_ratio", min_ratio)
         .field("min_moves_per_sec", min_moves_per_sec)
         .field("alloc_probe_installed", probe)
         .field("alloc_gate_active", alloc_gate_active)
@@ -463,11 +285,6 @@ int main(int argc, char** argv) {
 
   if (check && !pass) {
     std::cerr << "perf gate FAILED:";
-    if (!identical) std::cerr << " costs diverged between full and delta paths;";
-    if (ratio < min_ratio) {
-      std::cerr << " delta/full component ratio " << fmt_double(ratio, 2) << "x below "
-                << fmt_double(min_ratio, 1) << "x;";
-    }
     if (!alloc_pass) {
       std::cerr << " steady-state hot path allocated " << steady_allocs
                 << " times (contract: 0);";

@@ -15,10 +15,7 @@ void AnalysisArena::bind(std::shared_ptr<const TaskStructure> s) {
   const TaskStructure& ts = *structure;
   completion.assign(ts.n_acts, 0);
   jitter.assign(ts.n_acts, 0);
-  affected.reset(ts.n_acts);
   dirty.reset(ts.n_acts);
-  work.clear();
-  work.reserve(ts.n_acts);
   fps_params = ts.fps_params;  // jitter slots are refreshed before every use
 
   const std::size_t n_dyn = ts.dyn_messages.size();

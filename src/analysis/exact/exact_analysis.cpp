@@ -73,7 +73,7 @@ std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult&
     info.fallback = ExactFallback::UnboundedJitter;
     return {};
   }
-  const auto horizon = analysis_horizon(app, options);
+  const auto horizon = analysis_horizon(app);
   if (!horizon.ok()) {
     info.fallback = ExactFallback::NotConverged;
     return {};
@@ -109,7 +109,8 @@ Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
                                               AnalysisComponentCache* cache) {
   AnalysisOptions holistic_options = options;
   holistic_options.mode = AnalysisMode::Holistic;
-  auto holistic = analyze_system(layout, holistic_options, counters, external_task_jitter);
+  auto holistic =
+      analyze_system(layout, holistic_options, counters, external_task_jitter, {}, cache);
   if (!holistic.ok()) return holistic;
   AnalysisResult base = std::move(holistic).value();
 
@@ -123,7 +124,8 @@ Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
     return base;
   }
 
-  auto capped = analyze_system(layout, holistic_options, counters, external_task_jitter, caps);
+  auto capped =
+      analyze_system(layout, holistic_options, counters, external_task_jitter, caps, cache);
   if (!capped.ok()) return capped;
   AnalysisResult refined = std::move(capped).value();
   if (!refined.converged) {
@@ -140,12 +142,11 @@ Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
 
 Expected<MulticlusterResult> analyze_multicluster_exact(
     const SystemModel& model, std::span<const ClusterLayout> layouts,
-    const AnalysisOptions& options, const MulticlusterOptions& mc_options,
-    std::span<AnalysisComponentCache* const> caches, AnalysisWorkCounters* counters) {
+    const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches,
+    AnalysisWorkCounters* counters) {
   AnalysisOptions holistic_options = options;
   holistic_options.mode = AnalysisMode::Holistic;
-  auto holistic =
-      analyze_multicluster(model, layouts, holistic_options, mc_options, caches, counters);
+  auto holistic = analyze_multicluster(model, layouts, holistic_options, caches, counters);
   if (!holistic.ok()) return holistic;
   MulticlusterResult base = std::move(holistic).value();
 
@@ -180,8 +181,7 @@ Expected<MulticlusterResult> analyze_multicluster_exact(
     return base;
   }
 
-  auto capped = analyze_multicluster(model, layouts, holistic_options, mc_options, caches,
-                                     counters, caps);
+  auto capped = analyze_multicluster(model, layouts, holistic_options, caches, counters, caps);
   if (!capped.ok()) return capped;
   MulticlusterResult refined = std::move(capped).value();
   if (!refined.converged) {

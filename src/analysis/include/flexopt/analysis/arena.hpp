@@ -1,14 +1,14 @@
 #pragma once
 
 /// \file arena.hpp
-/// Preallocated structure-of-arrays state for the incremental analysis hot
+/// Preallocated structure-of-arrays state for the holistic analysis hot
 /// path.  One AnalysisArena belongs to one evaluator worker thread and is
 /// reused across evaluations: every per-task / per-message quantity the
 /// holistic fixed point touches lives in a flat array indexed by the dense
 /// activity index (aid = task index for tasks, n_tasks + message index for
 /// messages), and re-binding to the same TaskStructure only clears —
-/// never reallocates — so a steady-state delta evaluation performs zero
-/// heap allocations (asserted by the alloc-probe test and gated by
+/// never reallocates — so a steady-state evaluation performs zero heap
+/// allocations (asserted by the alloc-probe test and gated by
 /// bench_delta_eval).
 
 #include <cstdint>
@@ -40,11 +40,9 @@ struct AnalysisArena {
   std::shared_ptr<const TaskStructure> structure;
 
   // ---- fixed-point state over the aid space --------------------------------
-  std::vector<Time> completion;     ///< per aid
-  std::vector<Time> jitter;         ///< per aid
-  IndexBitset affected;             ///< invalidation closure result, per aid
-  IndexBitset dirty;                ///< "a read jitter moved" per component, per aid
-  std::vector<std::uint32_t> work;  ///< closure worklist (aids)
+  std::vector<Time> completion;  ///< per aid
+  std::vector<Time> jitter;      ///< per aid
+  IndexBitset dirty;             ///< "a read jitter moved" per component, per aid
 
   /// Mutable copy of TaskStructure::fps_params (jitter slots are refreshed
   /// in place before each FPS recomputation).

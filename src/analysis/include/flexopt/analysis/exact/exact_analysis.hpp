@@ -25,9 +25,10 @@ namespace flexopt {
 
 /// Single-cluster exact analysis (the AnalysisMode::Exact dispatch target
 /// of analyze_system).  Always attaches an ExactClusterInfo to the result.
-/// With `cache`, the exploration goes through the cache's exact-space store,
-/// making repeated analyses of unchanged DYN inputs incremental —
-/// bit-identical to cold runs.
+/// With `cache`, both holistic passes read the cache's schedule components
+/// and the exploration goes through its exact-space store, making repeated
+/// analyses of unchanged DYN inputs incremental — bit-identical to cold
+/// runs.
 Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
                                               const AnalysisOptions& options = {},
                                               AnalysisWorkCounters* counters = nullptr,
@@ -41,8 +42,7 @@ Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
 /// back with ExactFallback::UnsupportedBackend).
 Expected<MulticlusterResult> analyze_multicluster_exact(
     const SystemModel& model, std::span<const ClusterLayout> layouts,
-    const AnalysisOptions& options, const MulticlusterOptions& mc_options = {},
-    std::span<AnalysisComponentCache* const> caches = {},
+    const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches = {},
     AnalysisWorkCounters* counters = nullptr);
 
 /// One ET activity's holistic-vs-exact bound pair.

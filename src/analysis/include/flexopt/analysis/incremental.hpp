@@ -1,43 +1,43 @@
 #pragma once
 
 /// \file incremental.hpp
-/// Incremental ("delta") system analysis: splits analyze_system into
-/// separately cacheable components keyed by sub-hashes of the BusConfig
-/// decision variables, so a neighbour move recomputes only what it
-/// invalidated.  Three component classes exist:
+/// The holistic analysis engine (Section 5) and its component cache.  The
+/// analysis splits into separately cacheable components keyed by
+/// sub-hashes of the BusConfig decision variables, so neighbouring
+/// configurations share whatever their decision variables leave intact:
 ///
 ///  * the static-segment schedule table (+ the TT completions it fixes),
 ///    keyed by the schedule's inputs: ST slot count / length / ownership
 ///    and the DYN segment length (the cycle length shifts every later bus
 ///    cycle of the table);
-///  * the DYN response-time recurrences, whose non-jitter inputs are the
-///    segment geometry (ST length, cycle length, pLatestTx) and the
-///    FrameID assignment — ST slot ownership is deliberately absent;
+///  * the exact backend's DYN schedule-space explorations, keyed by the
+///    DYN recurrences' non-jitter inputs — segment geometry (ST length,
+///    cycle length, pLatestTx) and FrameID assignment, ST slot ownership
+///    deliberately absent — plus the DYN release jitters;
 ///  * the FPS/task-level structure (FPS task groups per node, response
 ///    horizon), which depends on the mapping only and is built once per
 ///    application.
 ///
-/// analyze_system_incremental reuses every component the move left intact
-/// and, inside the holistic fixed point, recomputes a response-time
-/// recurrence only when one of its inputs actually changed.  The fixed
-/// point is run as a chaotic (Gauss-Seidel-style) relaxation — sound
-/// because the iteration is monotone from below, so every fair update
-/// order reaches the same least fixed point analyze_system's Jacobi
-/// schedule reaches — with analyze_system's exact schedule as the
-/// fallback whenever the sweep cap is hit (the relaxation dominates the
-/// Jacobi sweeps pointwise, so a cap hit here implies the full path would
-/// have hit its cap and pinned too).  The result is therefore
-/// bit-identical to analyze_system whenever the holistic iteration
-/// converges — asserted in Debug builds by CostEvaluator::evaluate_delta
-/// and covered by the delta property tests.  The single tolerated
-/// asymmetry is a system whose Jacobi schedule would need more than
-/// AnalysisOptions::max_holistic_iterations sweeps to converge while the
-/// relaxation converges within them: the delta path then returns the
-/// exact fixed point the cap would have pinned to all-infinite — a
-/// strictly tighter sound bound (never observed in the test populations).
+/// analyze_system_into runs the holistic fixed point as a chaotic
+/// (Gauss-Seidel-style) relaxation: one merged jitter + response pass per
+/// sweep in topological order, so a completion updated early in a sweep
+/// feeds the jitters computed later in the same sweep, and a recurrence is
+/// recomputed only when a jitter it reads moved since its last
+/// recomputation.  The iteration is monotone from below, so every fair
+/// update order reaches the same least fixed point; a Jacobi schedule
+/// (every jitter from the previous sweep's completions) gets there too, but
+/// needs one sweep per dependency hop.  Every run starts cold: TT
+/// completions from the table, ET completions and all jitters at 0.  A run
+/// still moving after AnalysisOptions::max_holistic_iterations sweeps pins
+/// every ET completion to infinity — a non-stabilised monotone value is
+/// not a safe bound.  Where a Jacobi schedule would stop at that cap, the
+/// relaxation may still converge and then returns the least fixed point.
+/// The per-recurrence caps (kFpsMaxIterations for FPS) depend on the order
+/// too: the jitters an FPS recurrence sees on its way up decide whether it
+/// crawls into its cap, so the relaxation and a Jacobi schedule can each
+/// report unbounded a task the other bounds.
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -64,43 +64,6 @@ struct ConfigSubHashes {
 
 [[nodiscard]] ConfigSubHashes config_subhashes(const BusConfig& config);
 
-/// Which decision variables a neighbour move touched, in analysis terms.
-/// Produced from core's DeltaMove; consumed by the seeded fixed point to
-/// bound the transitively invalidated component set.
-struct AnalysisInvalidation {
-  bool st_slot_count_changed = false;
-  bool st_slot_len_changed = false;
-  bool st_owner_changed = false;
-  bool minislot_count_changed = false;
-  /// Number of messages whose FrameID changed.  The invalidation closure
-  /// only needs the FrameID *window* below, so the struct stays scalar —
-  /// producing one per candidate move is allocation-free.
-  std::uint32_t changed_message_count = 0;
-  /// FrameID window [min, max] spanned by the changed messages' base and
-  /// new FrameIDs.  Only DYN messages with a FrameID inside the window can
-  /// see a different lf()/hp() interference set: a message above it keeps
-  /// every changed message in lf() (both FrameIDs below its own, weights
-  /// and periods untouched), one below it never saw them.  [INT_MAX,
-  /// INT_MIN] when no FrameID changed.
-  int frame_id_window_min = std::numeric_limits<int>::max();
-  int frame_id_window_max = std::numeric_limits<int>::min();
-
-  [[nodiscard]] bool any_change() const {
-    return st_slot_count_changed || st_slot_len_changed || st_owner_changed ||
-           minislot_count_changed || changed_message_count != 0;
-  }
-  /// The static-segment table must be rebuilt (or fetched by a new key).
-  [[nodiscard]] bool schedule_invalidated() const {
-    return st_slot_count_changed || st_slot_len_changed || st_owner_changed ||
-           minislot_count_changed;
-  }
-  /// Every DYN recurrence is structurally invalidated (sigma, gdCycle,
-  /// pLatestTx or the ST segment length changed).
-  [[nodiscard]] bool dyn_geometry_invalidated() const {
-    return st_slot_count_changed || st_slot_len_changed || minislot_count_changed;
-  }
-};
-
 /// Cacheable static-segment component: the schedule table plus the TT
 /// completions it fixes.  Construction failures are cached too (negative
 /// caching), so a sweep over an unschedulable geometry pays once.
@@ -114,7 +77,7 @@ struct ScheduleComponent {
   bool valid = false;
   std::string error;
   /// Immutable table shared into every AnalysisResult that reuses this
-  /// component (no deep copy on the delta-evaluation hot path).
+  /// component (no deep copy on the evaluation hot path).
   std::shared_ptr<const StaticSchedule> schedule;
   /// Indexed by TaskId / MessageId: table WCRT for TT activities, 0 for ET
   /// (the fixed point's monotone-from-below seed).
@@ -154,12 +117,10 @@ struct TaskStructure {
 
   /// ET activities (FPS tasks + DYN messages) in topological order, as aids.
   std::vector<std::uint32_t> et_topo;
-  /// Graph edges as CSR over the aid space, preserving Application's
-  /// adjacency order.
+  /// Predecessor edges as CSR over the aid space, preserving
+  /// Application's adjacency order.
   std::vector<std::uint32_t> pred_begin;  ///< size n_acts + 1
   std::vector<std::uint32_t> pred;
-  std::vector<std::uint32_t> succ_begin;  ///< size n_acts + 1
-  std::vector<std::uint32_t> succ;
   std::vector<Time> release_offset;     ///< per aid (messages: 0)
   std::vector<std::uint8_t> act_is_et;  ///< per aid (FPS task / DYN message)
   std::vector<std::uint32_t> task_node;  ///< per task
@@ -197,8 +158,7 @@ class AnalysisComponentCache {
 
   /// Task-level structure of `app`; built on the first call.  Every call
   /// must pass the same application.
-  std::shared_ptr<const TaskStructure> task_structure(const Application& app,
-                                                      const AnalysisOptions& options);
+  std::shared_ptr<const TaskStructure> task_structure(const Application& app);
 
   /// Exact schedule-space exploration for the layout's DYN inputs under
   /// `message_jitter` (the converged holistic release jitters): explored on
@@ -230,35 +190,18 @@ class AnalysisComponentCache {
       exact_spaces_;
 };
 
-/// Incremental analyze_system.  Without `base`, the result (values,
-/// iteration count, convergence) is bit-identical to analyze_system: the
-/// ET fixed point merely skips recomputing recurrences whose inputs did
-/// not change between iterations.  With `base` and `invalidation` — a
-/// *converged* previous result whose configuration differs from `layout`'s
-/// exactly by `invalidation` — only the transitively invalidated
-/// components are recomputed and everything else is seeded from `base`.
-/// Seeding falls back internally to the from-scratch path whenever it
-/// cannot be proven safe (non-converged base, iteration cap reached).
-/// `external_task_jitter` mirrors analyze_system's parameter (the
-/// cross-cluster jitter hook); a non-empty span disables base seeding —
-/// a base computed under different external jitter is not a valid seed.
-Expected<AnalysisResult> analyze_system_incremental(
-    const BusLayout& layout, const AnalysisOptions& options, AnalysisComponentCache& cache,
-    AnalysisWorkCounters* counters = nullptr, const AnalysisResult* base = nullptr,
-    const AnalysisInvalidation* invalidation = nullptr,
-    std::span<const Time> external_task_jitter = {});
-
-/// Arena-based analyze_system_incremental: identical semantics and
-/// bit-identical results, but all fixed-point state lives in `arena`
-/// (reused across calls) and the outcome is written into `out` (whose
-/// vectors are reused too), so a steady-state call performs zero heap
-/// allocations.  This is the hot entry CostEvaluator's worker threads
-/// drive; the wrapper above allocates a one-shot arena for cold callers.
-/// On error, `out` is left unspecified and must not be read.
-Expected<bool> analyze_system_incremental_into(
-    const BusLayout& layout, const AnalysisOptions& options, AnalysisComponentCache& cache,
-    AnalysisArena& arena, AnalysisResult& out, AnalysisWorkCounters* counters = nullptr,
-    const AnalysisResult* base = nullptr, const AnalysisInvalidation* invalidation = nullptr,
-    std::span<const Time> external_task_jitter = {});
+/// The holistic analysis of `layout` (see the file comment), with all
+/// fixed-point state in `arena` (reused across calls) and the outcome
+/// written into `out` (whose vectors are reused too), so a steady-state call
+/// performs zero heap allocations.  This is the form CostEvaluator's worker
+/// threads drive; analyze_system wraps it with a one-shot arena.
+/// `external_task_jitter` and `dyn_message_caps` are analyze_system's
+/// cross-cluster and exact-backend hooks.  On error, `out` is left
+/// unspecified and must not be read.
+Expected<bool> analyze_system_into(const BusLayout& layout, const AnalysisOptions& options,
+                                   AnalysisComponentCache& cache, AnalysisArena& arena,
+                                   AnalysisResult& out, AnalysisWorkCounters* counters = nullptr,
+                                   std::span<const Time> external_task_jitter = {},
+                                   std::span<const Time> dyn_message_caps = {});
 
 }  // namespace flexopt

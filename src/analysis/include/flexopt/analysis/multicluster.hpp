@@ -14,11 +14,13 @@
 /// external jitter and the injected jitters are monotone in the per-cluster
 /// completions, so the cross iteration is monotone from below — it either
 /// stabilises at the least fixed point or crosses the horizon (pinned to
-/// infinity).  Hitting `max_cross_iterations` pins every event-triggered
+/// infinity).  Hitting kMaxCrossIterations pins every event-triggered
 /// activity to infinity, exactly like analyze_system's own iteration cap.
 ///
-/// The degenerate single-cluster case runs exactly one per-cluster analysis
-/// with no injected jitter and is bit-identical to analyze_system.
+/// Every FlexRay cluster is analysed by analyze_system's engine
+/// (flexopt/analysis/incremental.hpp).  The degenerate single-cluster case
+/// runs exactly one per-cluster analysis with no injected jitter and is
+/// bit-identical to analyze_system.
 
 #include <memory>
 #include <span>
@@ -32,12 +34,10 @@
 
 namespace flexopt {
 
-struct MulticlusterOptions {
-  /// Cross-cluster sweeps before declaring divergence.  Each sweep runs
-  /// every cluster's holistic analysis once (Jacobi across clusters, so the
-  /// result is independent of cluster order).
-  int max_cross_iterations = 16;
-};
+/// Cross-cluster sweeps before declaring divergence.  Each sweep runs every
+/// cluster's holistic analysis once (Jacobi across clusters, so the result
+/// is independent of cluster order).
+inline constexpr int kMaxCrossIterations = 16;
 
 struct MulticlusterResult {
   /// One holistic result per cluster (indexed by cluster).  Per-cluster
@@ -61,20 +61,19 @@ Expected<std::vector<ClusterLayout>> build_system_layouts(const SystemModel& mod
                                                           const SystemConfig& config);
 
 /// Runs the cross-cluster fixed point.  `caches` (optional) supplies one
-/// AnalysisComponentCache per cluster — static-schedule components are
-/// jitter-independent, so every cross iteration after the first reuses all
-/// of them; pass an empty span to analyse cache-free.  `counters`
-/// accumulates work across every per-cluster analysis of every sweep.
-/// `dyn_message_caps` (optional, one vector per cluster; an empty inner
-/// vector caps nothing) forwards per-message response caps into each
-/// FlexRay cluster's fixed point — the exact backend's re-run hook (see
-/// analyze_system).  A cluster with caps bypasses its incremental cache for
-/// that call.  When options.mode == AnalysisMode::Exact and no caps are
-/// given, the call dispatches to analyze_multicluster_exact.
+/// AnalysisComponentCache per cluster, shared across calls; an empty span
+/// analyses on call-local caches.  Either way static-schedule components
+/// are jitter-independent, so every cross iteration after the first reuses
+/// all of them.  `counters` accumulates work across every per-cluster
+/// analysis of every sweep.  `dyn_message_caps` (optional, one vector per
+/// cluster; an empty inner vector caps nothing) forwards per-message
+/// response caps into each FlexRay cluster's fixed point — the exact
+/// backend's re-run hook (see analyze_system).  When options.mode ==
+/// AnalysisMode::Exact and no caps are given, the call dispatches to
+/// analyze_multicluster_exact.
 Expected<MulticlusterResult> analyze_multicluster(
     const SystemModel& model, std::span<const ClusterLayout> layouts,
-    const AnalysisOptions& options, const MulticlusterOptions& mc_options = {},
-    std::span<AnalysisComponentCache* const> caches = {},
+    const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches = {},
     AnalysisWorkCounters* counters = nullptr,
     std::span<const std::vector<Time>> dyn_message_caps = {});
 

@@ -4,7 +4,8 @@
 /// Holistic scheduling + schedulability analysis of a complete FlexRay
 /// system (Section 5): builds the static schedule table, then iterates
 /// response-time analysis for FPS tasks and DYN messages with jitter
-/// propagation along the task graphs until a global fixed point.
+/// propagation along the task graphs until a global fixed point.  The
+/// fixed point itself is the engine in flexopt/analysis/incremental.hpp.
 
 #include <cstdint>
 #include <memory>
@@ -21,6 +22,11 @@
 namespace flexopt {
 
 class BusLayout;  // flexopt/flexray/bus_layout.hpp (kept out of cluster-generic includes)
+class AnalysisComponentCache;  // flexopt/analysis/incremental.hpp
+
+/// Response-time horizon as a multiple of max(hyper-period, max deadline);
+/// any recurrence exceeding it is reported unbounded.
+inline constexpr Time kHorizonFactor = 4;
 
 struct AnalysisOptions {
   SchedulerOptions scheduler;
@@ -28,13 +34,9 @@ struct AnalysisOptions {
   /// is tighter and only marginally slower (binary search per fixed-point
   /// step).
   DynCyclesBound dyn_bound = DynCyclesBound::MultiplicityCapped;
-  /// Global holistic iterations before declaring divergence.
+  /// Holistic sweeps before declaring divergence (every ET completion is
+  /// then pinned to infinity).
   int max_holistic_iterations = 32;
-  /// Response-time horizon as a multiple of max(hyper-period, max deadline);
-  /// any recurrence exceeding it is reported unbounded.
-  int horizon_factor = 4;
-  /// Log per-iteration convergence diagnostics (log_debug level).
-  bool debug_trace = false;
   /// Which backend produces the ET bounds.  Exact routes through the DYN
   /// schedule-space exploration (flexopt/analysis/exact/).
   AnalysisMode mode = AnalysisMode::Holistic;
@@ -45,8 +47,7 @@ struct AnalysisOptions {
 /// Recompute accounting of the evaluation pipeline.  One "analysis
 /// component" is one unit of real work: a static-schedule table build, one
 /// FPS response-time recurrence, or one DYN message WCRT recurrence.  The
-/// Fig. 9 runtime argument is about how many of these a search performs;
-/// bench_delta_eval gates the full-vs-delta ratio on components().
+/// Fig. 9 runtime argument is about how many of these a search performs.
 struct AnalysisWorkCounters {
   std::uint64_t schedule_builds = 0;  ///< static-segment tables built
   std::uint64_t schedule_reuses = 0;  ///< tables served from the component cache
@@ -67,7 +68,7 @@ struct AnalysisWorkCounters {
   std::uint64_t exact_states_deduped = 0;
   std::uint64_t exact_frontier_reused = 0;
 
-  /// Total recomputed components (the delta-vs-full gate metric).
+  /// Total recomputed components.
   [[nodiscard]] std::uint64_t components() const {
     return schedule_builds + fps_analyses + dyn_analyses;
   }
@@ -117,12 +118,11 @@ struct AnalysisResult {
   /// The static-segment schedule table, shared with (not copied from) the
   /// component cache: every analysis whose configuration maps to the same
   /// table geometry holds a reference to one immutable instance, so
-  /// delta evaluation never deep-copies slot tables in its hot path.
+  /// evaluation never deep-copies slot tables in its hot path.
   std::shared_ptr<const StaticSchedule> schedule_ptr;
   Cost cost;
   /// False when the holistic iteration hit max_holistic_iterations and the
-  /// ET completions were pinned to infinity.  Incremental re-evaluation
-  /// (analyze_system_incremental) only seeds from converged results.
+  /// ET completions were pinned to infinity.
   bool converged = true;
   /// Set only by the exact backend (AnalysisMode::Exact): refinement
   /// statistics plus the holistic reference bounds.  Shared, immutable,
@@ -136,10 +136,9 @@ struct AnalysisResult {
   }
 };
 
-/// Response-time horizon shared by the full and incremental analyses:
-/// max(hyper-period, max effective deadline) * options.horizon_factor.
-/// Fails when the hyper-period overflows.
-Expected<Time> analysis_horizon(const Application& app, const AnalysisOptions& options);
+/// Response-time horizon: max(hyper-period, max effective deadline) *
+/// kHorizonFactor.  Fails when the hyper-period overflows.
+Expected<Time> analysis_horizon(const Application& app);
 
 /// Runs GlobalSchedulingAlgorithm (Fig. 2) + holistic response-time
 /// analysis.  Fails only on structural errors (e.g. no ST slot placement
@@ -147,11 +146,10 @@ Expected<Time> analysis_horizon(const Application& app, const AnalysisOptions& o
 /// positive cost.
 ///
 /// Reentrancy guarantee: the analysis reads `layout` and `options` only and
-/// keeps all state on the stack — concurrent calls (the CostEvaluator
-/// worker pool fans candidate configurations across threads) are safe as
-/// long as each call gets its own BusLayout.
-/// `counters` (optional) accumulates the work performed — the baseline the
-/// incremental engine is measured against.
+/// keeps its fixed-point state on the stack — concurrent calls (the
+/// CostEvaluator worker pool fans candidate configurations across threads)
+/// are safe as long as each call gets its own BusLayout.
+/// `counters` (optional) accumulates the work performed.
 /// `external_task_jitter` (optional, indexed by TaskId; empty = none) adds
 /// a release-jitter floor per task on top of precedence-induced jitter —
 /// the hook the cross-cluster fixed point (flexopt/analysis/
@@ -165,6 +163,9 @@ Expected<Time> analysis_horizon(const Application& app, const AnalysisOptions& o
 /// minimum of two sound monotone bounds is sound and monotone, so the
 /// capped fixed point converges and every completion (tasks included,
 /// through the tightened jitters) is <= its uncapped counterpart.
+/// `cache` (optional) serves the schedule table and the task structure
+/// (thread-safe, shared by concurrent calls on one application); without
+/// one the call builds both into a call-local cache.
 /// When options.mode == AnalysisMode::Exact and no caps are given, the call
 /// dispatches to the exact backend (analyze_system_exact), which runs the
 /// holistic analysis, explores the DYN schedule space, and re-runs the
@@ -173,6 +174,7 @@ Expected<AnalysisResult> analyze_system(const BusLayout& layout,
                                         const AnalysisOptions& options = {},
                                         AnalysisWorkCounters* counters = nullptr,
                                         std::span<const Time> external_task_jitter = {},
-                                        std::span<const Time> dyn_message_caps = {});
+                                        std::span<const Time> dyn_message_caps = {},
+                                        AnalysisComponentCache* cache = nullptr);
 
 }  // namespace flexopt

@@ -60,10 +60,6 @@ ScheduleComponent build_schedule_component(const BusLayout& layout,
   return component;
 }
 
-bool same_profile(const BusyProfile& a, const BusyProfile& b) {
-  return a.period() == b.period() && a.intervals() == b.intervals();
-}
-
 /// The jitter slice the exploration actually reads: DYN messages only, in
 /// ascending MessageId order (ST jitters must not perturb the key — an
 /// ST-side move that leaves the DYN inputs untouched is exactly the reuse
@@ -197,12 +193,12 @@ std::shared_ptr<const ExactSpaceComponent> AnalysisComponentCache::schedule_spac
 }
 
 std::shared_ptr<const TaskStructure> AnalysisComponentCache::task_structure(
-    const Application& app, const AnalysisOptions& options) {
+    const Application& app) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (task_structure_) return task_structure_;
 
   auto structure = std::make_shared<TaskStructure>();
-  const auto horizon = analysis_horizon(app, options);
+  const auto horizon = analysis_horizon(app);
   if (!horizon.ok()) {
     structure->error = horizon.error().message;
   } else {
@@ -268,15 +264,12 @@ std::shared_ptr<const TaskStructure> AnalysisComponentCache::task_structure(
       if (ts.act_is_et[aid_of(a)]) ts.et_topo.push_back(aid_of(a));
     }
     ts.pred_begin.assign(ts.n_acts + 1, 0);
-    ts.succ_begin.assign(ts.n_acts + 1, 0);
     for (std::uint32_t aid = 0; aid < ts.n_acts; ++aid) {
       const ActivityRef ref = aid < ts.n_tasks
                                   ? ActivityRef::task(static_cast<TaskId>(aid))
                                   : ActivityRef::message(static_cast<MessageId>(aid - ts.n_tasks));
       for (const ActivityRef p : app.predecessors(ref)) ts.pred.push_back(aid_of(p));
       ts.pred_begin[aid + 1] = static_cast<std::uint32_t>(ts.pred.size());
-      for (const ActivityRef s : app.successors(ref)) ts.succ.push_back(aid_of(s));
-      ts.succ_begin[aid + 1] = static_cast<std::uint32_t>(ts.succ.size());
     }
   }
   task_structure_ = std::move(structure);
@@ -302,16 +295,13 @@ std::size_t AnalysisComponentCache::exact_space_entries() const {
   return exact_entry_count_;
 }
 
-Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
-                                               const AnalysisOptions& options,
-                                               AnalysisComponentCache& cache,
-                                               AnalysisArena& arena, AnalysisResult& out,
-                                               AnalysisWorkCounters* counters,
-                                               const AnalysisResult* base,
-                                               const AnalysisInvalidation* invalidation,
-                                               std::span<const Time> external_task_jitter) {
+Expected<bool> analyze_system_into(const BusLayout& layout, const AnalysisOptions& options,
+                                   AnalysisComponentCache& cache, AnalysisArena& arena,
+                                   AnalysisResult& out, AnalysisWorkCounters* counters,
+                                   std::span<const Time> external_task_jitter,
+                                   std::span<const Time> dyn_message_caps) {
   const Application& app = layout.application();
-  const auto structure = cache.task_structure(app, options);
+  const auto structure = cache.task_structure(app);
   if (!structure->valid) return make_error(structure->error);
   const Time horizon = structure->horizon;
 
@@ -333,6 +323,10 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
 
   // Unified per-aid state: completions seeded from the component's table
   // values (ET entries are 0, the monotone-from-below seed), jitters 0.
+  // Seeding ET completions with infinity instead would create
+  // self-sustaining "mutually unbounded" groups whenever a message is
+  // interfered by its own downstream successors (lower FrameIDs), the
+  // common case under criticality-ordered IDs.
   std::vector<Time>& comp = arena.completion;
   std::vector<Time>& jit = arena.jitter;
   std::copy(schedule_component->tt_task_completion.begin(),
@@ -343,145 +337,8 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
 
   const std::span<const Time> msg_jitter{jit.data() + n_tasks, ts.n_msgs};
 
-  // ---- affected component set ----------------------------------------------
-  // Default (no usable base): everything is affected — the fixed point then
-  // reproduces analyze_system's trajectory exactly, skipping only
-  // recomputations whose inputs are unchanged between iterations.
-  IndexBitset& affected = arena.affected;
-  const bool seed_from_base = base != nullptr && invalidation != nullptr && base->converged &&
-                              external_task_jitter.empty() &&
-                              base->task_completion.size() == n_tasks &&
-                              base->message_completion.size() == ts.n_msgs &&
-                              base->task_jitter.size() == n_tasks &&
-                              base->message_jitter.size() == ts.n_msgs;
-  if (seed_from_base) {
-    affected.clear();
-
-    // Closure over the dependency edges of the holistic fixed point:
-    //  completion(a) -> jitter(s) for every ET graph successor s;
-    //  jitter(t), t FPS      -> completions of every FPS task on node(t);
-    //  jitter(x), x DYN      -> completions of every DYN m, fid(m) >= fid(x)
-    //                           (x is in lf(m) / hp(m) / is m itself).
-    std::vector<std::uint32_t>& work = arena.work;
-    work.clear();
-    auto mark = [&](std::uint32_t aid) {
-      if (arena.affected.test_set(aid)) return;
-      work.push_back(aid);
-    };
-    auto mark_node_fps = [&](std::uint32_t node) {
-      for (std::uint32_t i = ts.fps_node_begin[node]; i < ts.fps_node_begin[node + 1]; ++i) {
-        mark(static_cast<std::uint32_t>(index_of(ts.fps_params[i].id)));
-      }
-    };
-    // "Every DYN message with a FrameID >= fid" — lazily lowered threshold
-    // so the marking stays O(|DYN|) overall.
-    int dyn_marked_from = std::numeric_limits<int>::max();
-    auto mark_dyn_from_fid = [&](int fid) {
-      if (fid >= dyn_marked_from) return;
-      for (std::size_t d = 0; d < n_dyn; ++d) {
-        const int f = arena.dyn_prepared[d].fid;
-        if (f >= fid && f < dyn_marked_from) mark(n_tasks + ts.dyn_messages[d]);
-      }
-      dyn_marked_from = fid;
-    };
-    // Jitter of ET activity `s` may change: mark the components whose read
-    // set contains s's jitter.  FPS readers are exact (priority filter);
-    // DYN readers with higher FrameIDs must all be marked — a single-
-    // minislot lf member contributes through its jitter's infinity status,
-    // which cannot be bounded statically here.
-    auto mark_jitter_consumers = [&](std::uint32_t s) {
-      if (s < n_tasks) {
-        const std::int32_t slot = ts.fps_slot_of_task[s];
-        if (slot < 0) return;
-        const int s_priority = ts.fps_params[static_cast<std::uint32_t>(slot)].priority;
-        const std::uint32_t node = ts.task_node[s];
-        for (std::uint32_t i = ts.fps_node_begin[node]; i < ts.fps_node_begin[node + 1]; ++i) {
-          const FpsTaskParams& u = ts.fps_params[i];
-          if (s_priority <= u.priority || index_of(u.id) == s) {
-            mark(static_cast<std::uint32_t>(index_of(u.id)));
-          }
-        }
-      } else {
-        const std::uint32_t sm = s - n_tasks;
-        const std::int32_t sd = ts.dyn_slot_of_msg[sm];
-        if (sd < 0) return;
-        const int s_fid = arena.dyn_prepared[static_cast<std::uint32_t>(sd)].fid;
-        mark(s);
-        for (std::size_t d = 0; d < n_dyn; ++d) {
-          const std::uint32_t m = ts.dyn_messages[d];
-          if (arena.dyn_prepared[d].fid == s_fid &&
-              ts.msg_priority[sm] < ts.msg_priority[m]) {
-            mark(n_tasks + m);
-          }
-        }
-        mark_dyn_from_fid(s_fid + 1);
-      }
-    };
-
-    // Roots: components whose response function itself changed.  FrameID
-    // changes only restructure the interference sets of messages whose
-    // FrameID falls inside the window the move touched (messages above it
-    // keep every changed message in lf() with identical weight/period;
-    // messages below never saw them).
-    if (invalidation->dyn_geometry_invalidated()) {
-      mark_dyn_from_fid(1);
-    } else if (invalidation->changed_message_count != 0) {
-      for (std::size_t d = 0; d < n_dyn; ++d) {
-        const int f = arena.dyn_prepared[d].fid;
-        if (f >= invalidation->frame_id_window_min && f <= invalidation->frame_id_window_max) {
-          mark(n_tasks + ts.dyn_messages[d]);
-        }
-      }
-    }
-    if (invalidation->schedule_invalidated()) {
-      // The table was rebuilt: FPS groups whose busy profile moved, and ET
-      // successors of TT activities whose table completion moved.
-      for (std::uint32_t n = 0; n < ts.n_nodes; ++n) {
-        if (ts.fps_node_begin[n] == ts.fps_node_begin[n + 1]) continue;
-        if (base->schedule_ptr != out.schedule_ptr &&
-            !same_profile(base->schedule().node_profile(n), schedule.node_profile(n))) {
-          mark_node_fps(n);
-        }
-      }
-      for (std::uint32_t aid = 0; aid < n_acts; ++aid) {
-        if (ts.act_is_et[aid]) continue;  // roots are the TT activities
-        const Time base_completion = aid < n_tasks
-                                         ? base->task_completion[aid]
-                                         : base->message_completion[aid - n_tasks];
-        if (base_completion == comp[aid]) continue;
-        for (std::uint32_t i = ts.succ_begin[aid]; i < ts.succ_begin[aid + 1]; ++i) {
-          mark_jitter_consumers(ts.succ[i]);
-        }
-      }
-    }
-    while (!work.empty()) {
-      const std::uint32_t aid = work.back();
-      work.pop_back();
-      for (std::uint32_t i = ts.succ_begin[aid]; i < ts.succ_begin[aid + 1]; ++i) {
-        mark_jitter_consumers(ts.succ[i]);
-      }
-    }
-
-    // Seed everything unaffected with the base's converged values; they are
-    // already at the (unique) least fixed point and are never recomputed.
-    for (std::uint32_t t = 0; t < n_tasks; ++t) {
-      if (ts.act_is_et[t] != 0 && !affected.test(t)) {
-        comp[t] = base->task_completion[t];
-        jit[t] = base->task_jitter[t];
-      }
-    }
-    for (std::uint32_t m = 0; m < ts.n_msgs; ++m) {
-      if (ts.act_is_et[n_tasks + m] != 0 && !affected.test(n_tasks + m)) {
-        comp[n_tasks + m] = base->message_completion[m];
-        jit[n_tasks + m] = base->message_jitter[m];
-      }
-    }
-  } else {
-    affected.fill();
-  }
-
-  // ---- holistic fixed point over the affected components -------------------
-  // Dirty tracking is per *component* with its exact jitter read set:
+  // ---- dirty tracking -------------------------------------------------------
+  // Per *component*, with its exact jitter read set:
   //  * FPS task u reads the jitters of same-node tasks j with
   //    j.priority <= u.priority, plus its own;
   //  * DYN message m reads its own jitter, the jitters of hp(m) (same
@@ -490,18 +347,11 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
   //    its jitter's *infinity status* only (zero excess otherwise).
   // A recomputation is skipped exactly when none of the component's read
   // jitters moved since its last recomputation, so a skip can never change
-  // a value.
+  // a value.  Every component starts dirty.
   IndexBitset& dirty = arena.dirty;
-  auto reset_dirty = [&]() {
-    dirty.clear();
-    for (const FpsTaskParams& p : ts.fps_params) {
-      const auto t = static_cast<std::uint32_t>(index_of(p.id));
-      if (affected.test(t)) dirty.set(t);
-    }
-    for (const std::uint32_t m : ts.dyn_messages) {
-      if (affected.test(n_tasks + m)) dirty.set(n_tasks + m);
-    }
-  };
+  dirty.clear();
+  for (const FpsTaskParams& p : ts.fps_params) dirty.set(index_of(p.id));
+  for (const std::uint32_t m : ts.dyn_messages) dirty.set(n_tasks + m);
 
   // Reverse read sets, applied on the fly (|DYN| and node groups are small).
   auto dirty_dyn_readers = [&](std::uint32_t x, bool infinity_flipped) {
@@ -511,7 +361,7 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
     for (std::size_t d = 0; d < n_dyn; ++d) {
       const std::uint32_t m = ts.dyn_messages[d];
       const std::uint32_t aid = n_tasks + m;
-      if (!affected.test(aid) || dirty.test(aid)) continue;
+      if (dirty.test(aid)) continue;
       const int m_fid = arena.dyn_prepared[d].fid;
       const bool reads = m == x ||
                          (m_fid == x_fid && ts.msg_priority[x] < ts.msg_priority[m]) ||
@@ -581,95 +431,35 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
     const DynResponse r =
         dyn_response_time_prepared(arena.dyn_prepared[d], hp, lf, msg_jitter, jit[n_tasks + m],
                                    horizon, options.dyn_bound, arena.scratch, fp_out);
-    if (comp[n_tasks + m] == r.response) return false;
-    comp[n_tasks + m] = r.response;
+    // The minimum of two sound monotone bounds is sound and monotone.
+    const Time response =
+        m < dyn_message_caps.size() ? std::min(r.response, dyn_message_caps[m]) : r.response;
+    if (comp[n_tasks + m] == response) return false;
+    comp[n_tasks + m] = response;
     return true;
   };
 
-  // ---- stage 1: chaotic relaxation ----------------------------------------
-  // One merged jitter+component pass per sweep, in topological order: a
-  // completion updated early in a sweep feeds the jitters computed later in
-  // the same sweep, so a dependency chain collapses into one sweep instead
-  // of one sweep per hop.  The iteration is monotone from below under any
-  // update order, so it converges to the same least fixed point the
-  // analyze_system (Jacobi) schedule reaches — only *faster*, which is the
-  // point.  When the sweep cap is hit, stage 2 below replays
-  // analyze_system's exact schedule, reproducing its cap pinning bit for
-  // bit (a sweep here dominates a Jacobi sweep pointwise, so hitting the
-  // cap here implies the full path would not have converged either).
+  // ---- the relaxation ------------------------------------------------------
   bool converged = false;
-  reset_dirty();
   for (int iter = 0; iter < options.max_holistic_iterations && !converged; ++iter) {
     if (counters != nullptr) ++counters->holistic_iterations;
     bool active = false;
     for (const std::uint32_t aid : ts.et_topo) {
-      if (!affected.test(aid)) continue;
       active |= update_jitter(aid);
-      if (aid < n_tasks) {
-        if (!dirty.test(aid)) {
-          if (counters != nullptr) ++counters->fps_skipped;
-        } else {
-          dirty.reset_bit(aid);
-          active |= recompute_fps(aid);
-        }
-      } else {
-        if (!dirty.test(aid)) {
-          if (counters != nullptr) ++counters->dyn_skipped;
-        } else {
-          dirty.reset_bit(aid);
-          active |= recompute_dyn(aid - n_tasks);
-        }
+      if (!dirty.test(aid)) {
+        if (counters != nullptr) ++(aid < n_tasks ? counters->fps_skipped : counters->dyn_skipped);
+        continue;
       }
+      dirty.reset_bit(aid);
+      active |= aid < n_tasks ? recompute_fps(aid) : recompute_dyn(aid - n_tasks);
     }
     converged = !active;
   }
-
-  // ---- stage 2: trajectory-exact fallback ----------------------------------
-  // Replays analyze_system's Jacobi schedule from scratch (every component
-  // affected), skipping only recomputations whose inputs are unchanged
-  // between sweeps — value- and iteration-trajectory preserving, including
-  // the iteration-cap pinning.
   if (!converged) {
-    std::copy(schedule_component->tt_task_completion.begin(),
-              schedule_component->tt_task_completion.end(), comp.begin());
-    std::copy(schedule_component->tt_message_completion.begin(),
-              schedule_component->tt_message_completion.end(), comp.begin() + n_tasks);
-    std::fill(jit.begin(), jit.end(), 0);
-    affected.fill();
-    reset_dirty();
-    for (int iter = 0; iter < options.max_holistic_iterations && !converged; ++iter) {
-      if (counters != nullptr) ++counters->holistic_iterations;
-      bool changed = false;
-      // 1. Jitters of every ET activity from last sweep's completions.
-      for (const std::uint32_t aid : ts.et_topo) changed |= update_jitter(aid);
-      // 2. FPS response times where a read jitter moved (per node, in
-      //    group order — the Jacobi sweep order).
-      for (const FpsTaskParams& p : ts.fps_params) {
-        const auto t = static_cast<std::uint32_t>(index_of(p.id));
-        if (!dirty.test(t)) {
-          if (counters != nullptr) ++counters->fps_skipped;
-          continue;
-        }
-        dirty.reset_bit(t);
-        changed |= recompute_fps(t);
-      }
-      // 3. DYN response times where a read jitter moved.
-      for (const std::uint32_t m : ts.dyn_messages) {
-        if (!dirty.test(n_tasks + m)) {
-          if (counters != nullptr) ++counters->dyn_skipped;
-          continue;
-        }
-        dirty.reset_bit(n_tasks + m);
-        changed |= recompute_dyn(m);
-      }
-      converged = !changed;
-    }
-    if (!converged) {
-      // Pin every ET completion to "unbounded" (analyze_system's cap
-      // behaviour): a non-stabilised monotone value is not a safe bound.
-      for (std::uint32_t aid = 0; aid < n_acts; ++aid) {
-        if (ts.act_is_et[aid]) comp[aid] = kTimeInfinity;
-      }
+    // A non-stabilised monotone value is not a safe bound: pin every ET
+    // completion to "unbounded".
+    for (std::uint32_t aid = 0; aid < n_acts; ++aid) {
+      if (ts.act_is_et[aid]) comp[aid] = kTimeInfinity;
     }
   }
 
@@ -678,27 +468,12 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
   out.message_completion.assign(comp.begin() + n_tasks, comp.end());
   out.task_jitter.assign(jit.begin(), jit.begin() + n_tasks);
   out.message_jitter.assign(jit.begin() + n_tasks, jit.end());
+  out.exact.reset();
   out.cost = evaluate_cost(app, out.task_completion, out.message_completion);
   if (counters != nullptr) {
     counters->fixed_point_iterations += static_cast<std::uint64_t>(fp_iterations);
   }
   return true;
-}
-
-Expected<AnalysisResult> analyze_system_incremental(const BusLayout& layout,
-                                                    const AnalysisOptions& options,
-                                                    AnalysisComponentCache& cache,
-                                                    AnalysisWorkCounters* counters,
-                                                    const AnalysisResult* base,
-                                                    const AnalysisInvalidation* invalidation,
-                                                    std::span<const Time> external_task_jitter) {
-  AnalysisArena arena;
-  AnalysisResult out;
-  const auto status = analyze_system_incremental_into(layout, options, cache, arena, out,
-                                                      counters, base, invalidation,
-                                                      external_task_jitter);
-  if (!status.ok()) return status.error();
-  return out;
 }
 
 }  // namespace flexopt

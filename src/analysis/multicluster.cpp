@@ -15,18 +15,14 @@ Expected<AnalysisResult> analyze_one(const ClusterLayout& layout, const Analysis
                                      std::span<const Time> external_task_jitter,
                                      std::span<const Time> dyn_message_caps) {
   if (layout.kind() == ClusterBackendKind::Tsn) {
-    // The TSN backend has no incremental path yet; its schedule build is a
+    // The TSN backend has no component cache; its schedule build is a
     // plain topological sweep, cheap enough to recompute per evaluation.
     // Response caps never target TSN clusters (the exact backend records
     // ExactFallback::UnsupportedBackend instead of producing any).
     return analyze_tsn_cluster(layout.tsn(), options, counters, external_task_jitter);
   }
-  if (cache != nullptr && dyn_message_caps.empty()) {
-    return analyze_system_incremental(layout.flexray(), options, *cache, counters, nullptr,
-                                      nullptr, external_task_jitter);
-  }
   return analyze_system(layout.flexray(), options, counters, external_task_jitter,
-                        dyn_message_caps);
+                        dyn_message_caps, cache);
 }
 
 }  // namespace
@@ -61,16 +57,22 @@ Expected<std::vector<ClusterLayout>> build_system_layouts(const SystemModel& mod
 
 Expected<MulticlusterResult> analyze_multicluster(
     const SystemModel& model, std::span<const ClusterLayout> layouts,
-    const AnalysisOptions& options, const MulticlusterOptions& mc_options,
-    std::span<AnalysisComponentCache* const> caches, AnalysisWorkCounters* counters,
-    std::span<const std::vector<Time>> dyn_message_caps) {
+    const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches,
+    AnalysisWorkCounters* counters, std::span<const std::vector<Time>> dyn_message_caps) {
+  const std::size_t C = model.cluster_count();
+  if (caches.empty() && C > 0) {
+    std::vector<AnalysisComponentCache> call_local(C);
+    std::vector<AnalysisComponentCache*> call_local_ptrs(C);
+    for (std::size_t c = 0; c < C; ++c) call_local_ptrs[c] = &call_local[c];
+    return analyze_multicluster(model, layouts, options, call_local_ptrs, counters,
+                                dyn_message_caps);
+  }
   // Exact mode dispatches to the schedule-space backend, which re-enters
   // this function with mode == Holistic (and, on the second pass, with the
   // explored caps) — the caps.empty() guard keeps the re-entry direct.
   if (options.mode == AnalysisMode::Exact && dyn_message_caps.empty()) {
-    return analyze_multicluster_exact(model, layouts, options, mc_options, caches, counters);
+    return analyze_multicluster_exact(model, layouts, options, caches, counters);
   }
-  const std::size_t C = model.cluster_count();
   if (layouts.size() != C) {
     return make_error("analyze_multicluster: layout count does not match cluster count");
   }
@@ -103,10 +105,7 @@ Expected<MulticlusterResult> analyze_multicluster(
   }
 
   bool stable = false;
-  // At least one sweep always runs: a non-positive cap would leave the
-  // per-cluster results empty and the pinning below out of bounds.
-  const int max_cross = std::max(1, mc_options.max_cross_iterations);
-  for (int iter = 0; iter < max_cross && !stable; ++iter) {
+  for (int iter = 0; iter < kMaxCrossIterations && !stable; ++iter) {
     ++result.cross_iterations;
     for (std::size_t c = 0; c < C; ++c) {
       auto analysis = analyze_one(layouts[c], options, cache_of(c), counters, external[c],

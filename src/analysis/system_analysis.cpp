@@ -1,18 +1,14 @@
 #include "flexopt/analysis/system_analysis.hpp"
 
-#include "flexopt/flexray/bus_layout.hpp"
-
 #include <algorithm>
 
-#include "flexopt/analysis/dyn_analysis.hpp"
+#include "flexopt/analysis/arena.hpp"
 #include "flexopt/analysis/exact/exact_analysis.hpp"
-#include "flexopt/analysis/fps_analysis.hpp"
-#include "flexopt/analysis/sat_time.hpp"
-#include "flexopt/util/log.hpp"
+#include "flexopt/analysis/incremental.hpp"
 
 namespace flexopt {
 
-Expected<Time> analysis_horizon(const Application& app, const AnalysisOptions& options) {
+Expected<Time> analysis_horizon(const Application& app) {
   const auto hp_result = app.hyperperiod();
   if (!hp_result.ok()) return hp_result.error();
   const Time H = hp_result.value();
@@ -23,168 +19,30 @@ Expected<Time> analysis_horizon(const Application& app, const AnalysisOptions& o
     max_deadline = std::max(max_deadline,
                             app.effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
   }
-  return std::max(H, max_deadline) * options.horizon_factor;
+  return std::max(H, max_deadline) * kHorizonFactor;
 }
 
 Expected<AnalysisResult> analyze_system(const BusLayout& layout, const AnalysisOptions& options,
                                         AnalysisWorkCounters* counters,
                                         std::span<const Time> external_task_jitter,
-                                        std::span<const Time> dyn_message_caps) {
+                                        std::span<const Time> dyn_message_caps,
+                                        AnalysisComponentCache* cache) {
+  if (cache == nullptr) {
+    AnalysisComponentCache call_local;
+    return analyze_system(layout, options, counters, external_task_jitter, dyn_message_caps,
+                          &call_local);
+  }
   // Exact mode dispatches to the schedule-space backend, which re-enters
   // this function twice with mode == Holistic (once uncapped, once with the
   // explored caps) — the caps.empty() guard keeps that re-entry direct.
   if (options.mode == AnalysisMode::Exact && dyn_message_caps.empty()) {
-    return analyze_system_exact(layout, options, counters, external_task_jitter);
+    return analyze_system_exact(layout, options, counters, external_task_jitter, cache);
   }
-  const Application& app = layout.application();
-  const auto horizon_result = analysis_horizon(app, options);
-  if (!horizon_result.ok()) return horizon_result.error();
-  const Time horizon = horizon_result.value();
-
-  if (counters != nullptr) ++counters->schedule_builds;
-  auto schedule_result = build_static_schedule(layout, options.scheduler);
-  if (!schedule_result.ok()) return schedule_result.error();
-
+  AnalysisArena arena;
   AnalysisResult result;
-  result.schedule_ptr = std::make_shared<const StaticSchedule>(std::move(schedule_result).value());
-  const StaticSchedule& schedule = *result.schedule_ptr;
-  // ET completions start at 0: the holistic iteration is monotone from
-  // below and converges to the least fixed point.  Seeding with infinity
-  // would create self-sustaining "mutually unbounded" groups whenever a
-  // message is interfered by its own downstream successors (lower
-  // FrameIDs), which is the common case under criticality-ordered IDs.
-  result.task_completion.assign(app.task_count(), 0);
-  result.message_completion.assign(app.message_count(), 0);
-  result.task_jitter.assign(app.task_count(), 0);
-  result.message_jitter.assign(app.message_count(), 0);
-
-  // TT activities: completions come straight from the table and never move.
-  for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-    if (app.tasks()[t].policy == TaskPolicy::Scs) {
-      result.task_completion[t] = schedule.task_wcrt(static_cast<TaskId>(t));
-    }
-  }
-  for (std::uint32_t m = 0; m < app.message_count(); ++m) {
-    if (app.messages()[m].cls == MessageClass::Static) {
-      result.message_completion[m] = schedule.message_wcrt(static_cast<MessageId>(m));
-    }
-  }
-
-  auto completion_of = [&](ActivityRef a) {
-    return a.is_task() ? result.task_completion[a.index] : result.message_completion[a.index];
-  };
-
-  // FPS task parameter sets per node, updated each iteration with fresh
-  // jitters.
-  std::vector<std::vector<FpsTaskParams>> fps_on_node(app.node_count());
-  for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-    const Task& task = app.tasks()[t];
-    if (task.policy != TaskPolicy::Fps) continue;
-    fps_on_node[index_of(task.node)].push_back(FpsTaskParams{
-        static_cast<TaskId>(t), task.wcet, app.graph(task.graph).period, 0, task.priority});
-  }
-
-  // Holistic fixed point: jitters derive from predecessor completions,
-  // response times from jitters.  Completions grow monotonically, so the
-  // loop either stabilises or some completion crosses the horizon (then it
-  // is pinned to infinity and the loop stabilises anyway).
-  bool converged = false;
-  int fp_iterations = 0;
-  int* const fp_out = counters != nullptr ? &fp_iterations : nullptr;
-  for (int iter = 0; iter < options.max_holistic_iterations && !converged; ++iter) {
-    if (counters != nullptr) ++counters->holistic_iterations;
-    bool changed = false;
-
-    // 1. Jitters of ET activities from predecessor completions.
-    for (const ActivityRef a : app.topological_order()) {
-      const bool is_et = a.is_task() ? app.task(a.as_task()).policy == TaskPolicy::Fps
-                                     : app.message(a.as_message()).cls == MessageClass::Dynamic;
-      if (!is_et) continue;
-      Time jitter = a.is_task() ? app.task(a.as_task()).release_offset : 0;
-      if (a.is_task() && a.index < external_task_jitter.size()) {
-        const Time ext = external_task_jitter[a.index];
-        jitter = is_infinite(ext) || is_infinite(jitter) ? kTimeInfinity : std::max(jitter, ext);
-      }
-      for (const ActivityRef p : app.predecessors(a)) {
-        const Time pc = completion_of(p);
-        jitter = is_infinite(pc) || is_infinite(jitter) ? kTimeInfinity : std::max(jitter, pc);
-      }
-      auto& slot = a.is_task() ? result.task_jitter[a.index] : result.message_jitter[a.index];
-      if (slot != jitter) {
-        slot = jitter;
-        changed = true;
-      }
-    }
-
-    // 2. FPS task response times per node.
-    for (std::size_t n = 0; n < app.node_count(); ++n) {
-      auto& params = fps_on_node[n];
-      for (auto& p : params) p.jitter = result.task_jitter[index_of(p.id)];
-      const BusyProfile& profile = schedule.node_profile(n);
-      for (const auto& p : params) {
-        if (counters != nullptr) ++counters->fps_analyses;
-        const Time r = fps_response_time(p, params, profile, horizon, fp_out);
-        if (result.task_completion[index_of(p.id)] != r) {
-          result.task_completion[index_of(p.id)] = r;
-          changed = true;
-        }
-      }
-    }
-
-    // 3. DYN message response times on the bus.
-    for (std::uint32_t m = 0; m < app.message_count(); ++m) {
-      if (app.messages()[m].cls != MessageClass::Dynamic) continue;
-      if (counters != nullptr) ++counters->dyn_analyses;
-      const DynResponse r = dyn_response_time(layout, static_cast<MessageId>(m),
-                                              result.message_jitter, horizon,
-                                              options.dyn_bound, fp_out);
-      Time response = r.response;
-      if (m < dyn_message_caps.size()) response = std::min(response, dyn_message_caps[m]);
-      if (result.message_completion[m] != response) {
-        result.message_completion[m] = response;
-        changed = true;
-      }
-    }
-
-    if (options.debug_trace) {
-      Time max_finite = 0;
-      int infinite = 0;
-      auto scan = [&](const std::vector<Time>& v) {
-        for (const Time c : v) {
-          if (is_infinite(c)) {
-            ++infinite;
-          } else {
-            max_finite = std::max(max_finite, c);
-          }
-        }
-      };
-      scan(result.task_completion);
-      scan(result.message_completion);
-      log_debug("holistic iter ", iter, ": changed=", changed,
-                " max_finite=", format_time(max_finite), " infinite=", infinite);
-    }
-    converged = !changed;
-  }
-
-  result.converged = converged;
-  if (counters != nullptr) {
-    counters->fixed_point_iterations += static_cast<std::uint64_t>(fp_iterations);
-  }
-  if (!converged) {
-    // The completions are monotone non-decreasing across iterations, so a
-    // non-stabilised value is not a safe upper bound: pin every ET
-    // completion to "unbounded" rather than report an optimistic number.
-    for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-      if (app.tasks()[t].policy == TaskPolicy::Fps) result.task_completion[t] = kTimeInfinity;
-    }
-    for (std::uint32_t m = 0; m < app.message_count(); ++m) {
-      if (app.messages()[m].cls == MessageClass::Dynamic) {
-        result.message_completion[m] = kTimeInfinity;
-      }
-    }
-  }
-
-  result.cost = evaluate_cost(app, result.task_completion, result.message_completion);
+  const auto status = analyze_system_into(layout, options, *cache, arena, result, counters,
+                                          external_task_jitter, dyn_message_caps);
+  if (!status.ok()) return status.error();
   return result;
 }
 

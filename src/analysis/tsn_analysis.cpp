@@ -5,7 +5,7 @@
 
 #include "flexopt/analysis/fps_analysis.hpp"
 #include "flexopt/analysis/sat_time.hpp"
-#include "flexopt/util/log.hpp"
+#include "flexopt/util/time.hpp"
 
 namespace flexopt {
 
@@ -250,7 +250,7 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
                                              AnalysisWorkCounters* counters,
                                              std::span<const Time> external_task_jitter) {
   const Application& app = layout.application();
-  const auto horizon_result = analysis_horizon(app, options);
+  const auto horizon_result = analysis_horizon(app);
   if (!horizon_result.ok()) return horizon_result.error();
   const Time horizon = horizon_result.value();
 
@@ -258,11 +258,12 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
   auto schedule_result = build_tsn_schedule(layout, options.scheduler);
   if (!schedule_result.ok()) return schedule_result.error();
 
-  // The holistic iteration below mirrors analyze_system (system_analysis.cpp)
-  // step for step — same seeding, same jitter propagation, same divergence
-  // pinning — with the DYN-segment step replaced by the per-egress-port
-  // strict-priority bound.  Keeping the structure identical is what makes
-  // the cross-cluster Jacobi iteration backend-agnostic.
+  // The holistic iteration below has analyze_system's semantics (see
+  // incremental.hpp) in plain Jacobi form — same cold start, same jitter
+  // propagation, same divergence pinning — with the DYN-segment step
+  // replaced by the per-egress-port strict-priority bound.  Keeping the
+  // semantics identical is what makes the cross-cluster Jacobi iteration
+  // backend-agnostic.
   AnalysisResult result;
   result.schedule_ptr = std::make_shared<const StaticSchedule>(std::move(schedule_result).value());
   const StaticSchedule& schedule = *result.schedule_ptr;
@@ -368,23 +369,6 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
       }
     }
 
-    if (options.debug_trace) {
-      Time max_finite = 0;
-      int infinite = 0;
-      auto scan = [&](const std::vector<Time>& v) {
-        for (const Time c : v) {
-          if (is_infinite(c)) {
-            ++infinite;
-          } else {
-            max_finite = std::max(max_finite, c);
-          }
-        }
-      };
-      scan(result.task_completion);
-      scan(result.message_completion);
-      log_debug("tsn holistic iter ", iter, ": changed=", changed,
-                " max_finite=", format_time(max_finite), " infinite=", infinite);
-    }
     converged = !changed;
   }
 

@@ -27,7 +27,6 @@ SolveReport run_with_control(CostEvaluator& evaluator, const SolveRequest& reque
   report.cache_hits = after.hits - before.hits;
   report.cache_misses = after.misses - before.misses;
   const EvaluatorWorkStats work_after = evaluator.work_stats();
-  report.delta_evaluations = work_after.delta_evaluations - work_before.delta_evaluations;
   report.components_recomputed =
       work_after.analysis.components() - work_before.analysis.components();
   report.components_reused = work_after.components_reused() - work_before.components_reused();

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "flexopt/analysis/sat_time.hpp"
-#include "flexopt/core/delta_move.hpp"
 #include "flexopt/core/detail/batch_sweep.hpp"
 #include "flexopt/core/detail/curve_fit_scan.hpp"
 #include "flexopt/core/solve_types.hpp"
@@ -19,27 +17,10 @@ int auto_stride(int span, int max_points) {
   return std::max(1, span / std::max(1, max_points - 1));
 }
 
-/// Evaluates `candidate` as a DeltaMove off the previously analysed
-/// configuration, advancing the chain on success.  The shared inner-sweep
-/// primitive of both DYN strategies' delta paths.
-CostEvaluator::Evaluation evaluate_chained(CostEvaluator& evaluator,
-                                           std::optional<BusConfig>& chain_base,
-                                           const BusConfig& candidate) {
-  CostEvaluator::Evaluation eval;
-  if (chain_base.has_value()) {
-    eval = evaluator.evaluate_delta(*chain_base, DeltaMove::between(*chain_base, candidate));
-  } else {
-    eval = evaluator.evaluate(candidate);
-  }
-  if (eval.valid) chain_base = candidate;
-  return eval;
-}
-
 }  // namespace
 
 DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const BusConfig& base,
-                                            int dyn_min, int dyn_max, SolveControl* control,
-                                            const BusConfig* warm_base) {
+                                            int dyn_min, int dyn_max, SolveControl* control) {
   DynSearchResult best;
   const int stride = options_.stride_minislots > 0
                          ? options_.stride_minislots
@@ -55,16 +36,13 @@ DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const BusC
   };
 
   if (evaluator.worker_threads() <= 1) {
-    // No pool to fan candidates across: sweep sequentially, each point a
-    // DeltaMove off the previous one (only the DYN-dependent components
-    // are recomputed; results match the batched sweep bit for bit).
-    std::optional<BusConfig> chain_base;
-    if (warm_base != nullptr) chain_base = *warm_base;
+    // No pool to fan candidates across: sweep sequentially (results match
+    // the batched sweep bit for bit).
     for (int minislots = dyn_min; minislots <= dyn_max; minislots += stride) {
       if (control != nullptr && control->should_stop(evaluator)) break;
       BusConfig candidate = base;
       candidate.minislot_count = minislots;
-      note(minislots, evaluate_chained(evaluator, chain_base, candidate));
+      note(minislots, evaluator.evaluate_in_slot(candidate));
     }
     return best;
   }
@@ -77,8 +55,7 @@ DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const BusC
 }
 
 DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusConfig& base,
-                                          int dyn_min, int dyn_max, SolveControl* control,
-                                          const BusConfig* warm_base) {
+                                          int dyn_min, int dyn_max, SolveControl* control) {
   const Application& app = evaluator.application();
   const std::size_t n_tasks = app.task_count();
   const std::size_t n_msgs = app.message_count();
@@ -117,16 +94,11 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
     return to_us(deadlines[activity]) * kUnboundedPenaltyFactor;
   };
 
-  // Fig. 8's points are analysed one at a time: chain each off the
-  // previous one so only the DYN-dependent components are recomputed.
-  std::optional<BusConfig> chain_base;
-  if (warm_base != nullptr) chain_base = *warm_base;
-
   auto analyse_point = [&](int minislots) -> const Cost* {
     if (const auto it = points.find(minislots); it != points.end()) return &it->second;
     BusConfig candidate = base;
     candidate.minislot_count = minislots;
-    const auto eval = evaluate_chained(evaluator, chain_base, candidate);
+    const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(candidate);
     if (!eval.valid) return nullptr;
     for (std::size_t t = 0; t < n_tasks; ++t) {
       completions_us[t] = completion_to_us(t, eval.analysis.task_completion[t]);

@@ -18,11 +18,10 @@ namespace flexopt {
 /// Everything else is touched by the owning thread exclusively.
 struct CostEvaluator::ThreadSlot {
   std::mutex mutex;
-  EvaluatorWorkStats stats;       // guarded by mutex
-  AnalysisArena arena;            ///< fixed-point state, reused per evaluation
-  BusLayout layout;               ///< rebuilt in place per candidate
-  Evaluation eval;                ///< evaluate_delta_fast's return storage
-  AnalysisResult base_scratch;    ///< staging for an aliased base
+  EvaluatorWorkStats stats;  // guarded by mutex
+  AnalysisArena arena;       ///< fixed-point state, reused per evaluation
+  BusLayout layout;          ///< rebuilt in place per candidate
+  Evaluation eval;           ///< evaluate_in_slot's return storage
 };
 
 namespace {
@@ -108,19 +107,13 @@ CostEvaluator::CostEvaluator(SystemModel model, const BusParams& params,
       params_(params),
       options_(options),
       evaluator_options_(evaluator_options),
+      components_(model_.cluster_count()),
+      cluster_caches_(model_.cluster_count()),
       id_(g_next_evaluator_id.fetch_add(1, std::memory_order_relaxed)) {
-  // Cluster 0 shares the long-standing components_ member (the whole
-  // single-cluster pipeline keys off it); the other clusters get their own
-  // cache so geometry components never alias across buses.  The pointer
-  // table is built once — the evaluator is immovable, so the addresses
-  // hold — keeping the per-candidate hot path allocation-free.
-  extra_components_.resize(model_.cluster_count());
-  cluster_caches_.resize(model_.cluster_count());
-  cluster_caches_[0] = &components_;
-  for (std::size_t c = 1; c < model_.cluster_count(); ++c) {
-    extra_components_[c] = std::make_unique<AnalysisComponentCache>();
-    cluster_caches_[c] = extra_components_[c].get();
-  }
+  // One cache per cluster, so geometry components never alias across buses.
+  // The pointer table is built once — the evaluator is immovable, so the
+  // addresses hold — keeping the per-candidate hot path allocation-free.
+  for (std::size_t c = 0; c < components_.size(); ++c) cluster_caches_[c] = &components_[c];
 }
 
 namespace {
@@ -200,57 +193,6 @@ CostEvaluator::Evaluation CostEvaluator::focused_view(const Evaluation& full) co
   return out;
 }
 
-CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config) {
-  Evaluation out;
-  ThreadSlot& s = slot();
-  auto layout = s.layout.assign(*app_, params_, config);
-  if (!layout.ok()) {
-    out.error = layout.error().message;
-    return out;
-  }
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  AnalysisWorkCounters counters;
-  // Exact mode routes through the component cache's exact-space store, so
-  // repeat analyses of configurations whose DYN inputs are unchanged replay
-  // the explored frontier instead of re-exploring (bit-identical either
-  // way; asserted below).
-  auto analysis = options_.mode == AnalysisMode::Exact
-                      ? analyze_system_exact(s.layout, options_, &counters, {}, &components_)
-                      : analyze_system(s.layout, options_, &counters);
-  add_work(counters);
-  count_evaluation(/*delta=*/false, /*seeded=*/false);
-  if (!analysis.ok()) {
-    out.error = analysis.error().message;
-    return out;
-  }
-  out.valid = true;
-  out.analysis = std::move(analysis).value();
-  out.cost = out.analysis.cost;
-
-#ifndef NDEBUG
-  // Debug builds cross-check every cache-served exact analysis against a
-  // cold exploration, bit for bit — bounds AND engine counters, so a stale
-  // or mis-keyed exact-space entry can never hide behind equal costs.
-  if (options_.mode == AnalysisMode::Exact) {
-    auto cold = analyze_system_exact(s.layout, options_);
-    assert(cold.ok());
-    if (cold.ok()) {
-      const AnalysisResult& ref = cold.value();
-      assert(out.analysis.task_completion == ref.task_completion);
-      assert(out.analysis.message_completion == ref.message_completion);
-      assert(out.analysis.cost.value == ref.cost.value);
-      assert(out.analysis.exact != nullptr && ref.exact != nullptr);
-      assert(out.analysis.exact->fallback == ref.exact->fallback);
-      assert(out.analysis.exact->explored_states == ref.exact->explored_states);
-      assert(out.analysis.exact->merged_states == ref.exact->merged_states);
-      assert(out.analysis.exact->transitions == ref.exact->transitions);
-      assert(out.analysis.exact->refined_messages == ref.exact->refined_messages);
-    }
-  }
-#endif
-  return out;
-}
-
 std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::cached(
     const BusConfig& config) {
   if (!evaluator_options_.cache_enabled) return nullptr;
@@ -285,21 +227,16 @@ void CostEvaluator::insert_system_cache(const SystemConfig& config,
   }
 }
 
-void CostEvaluator::add_work(const AnalysisWorkCounters& counters) {
+void CostEvaluator::record_analysis(const AnalysisWorkCounters& counters) {
   ThreadSlot& s = slot();
   std::lock_guard<std::mutex> lock(s.mutex);
   s.stats.analysis += counters;
-}
-
-void CostEvaluator::count_evaluation(bool delta, bool seeded) {
-  ThreadSlot& s = slot();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  if (delta) {
-    ++s.stats.delta_evaluations;
-    if (seeded) ++s.stats.delta_seeded;
-  } else {
-    ++s.stats.full_evaluations;
-  }
+  ++s.stats.full_evaluations;
+  // The arena tracks its own lifetime totals; mirroring them (assignment,
+  // not accumulation) keeps the sum over slots exact.
+  s.stats.arena_binds = s.arena.binds;
+  s.stats.arena_reuses = s.arena.reuses;
+  s.stats.components_per_evaluation.record(counters.components());
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
@@ -307,46 +244,42 @@ CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
     SystemConfig candidate = focus_context_;
     candidate.clusters[static_cast<std::size_t>(focus_cluster_)] =
         ClusterConfig::flexray_bus(config);
-    return evaluate_system_impl(candidate, /*count_as_delta=*/false, /*focused_view=*/true);
+    return evaluate_system_impl(candidate, /*focused_result=*/true);
   }
   if (model_.cluster_count() > 1) {
     Evaluation out;
     out.error = "multi-cluster evaluator: use evaluate_system() or set_focus()";
     return out;
   }
-  if (!evaluator_options_.cache_enabled) return analyze(config);
-
   if (const auto hit = cached(config)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     return *hit;
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  return analyze_into_slot(config);  // copies out of the thread slot
+}
+
+const CostEvaluator::Evaluation& CostEvaluator::evaluate_in_slot(const BusConfig& config) {
+  ThreadSlot& s = slot();
+  if (focused() || model_.cluster_count() > 1) {
+    // Cross-cluster paths allocate; park their result in the slot so the
+    // reference contract still holds.
+    s.eval = evaluate(config);
+    return s.eval;
+  }
+  if (const auto hit = cached(config)) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    s.eval = *hit;  // vector assignments reuse the slot's capacity
+    return s.eval;
+  }
+  return analyze_into_slot(config);
+}
+
+const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfig& config) {
+  ThreadSlot& s = slot();
+  Evaluation& out = s.eval;
   // Concurrent misses of the same configuration analyse redundantly but
   // converge on identical values (the analysis is deterministic), so no
   // per-key coordination is needed.
-  auto entry = std::make_shared<const Evaluation>(analyze(config));
-  insert_cache(config, entry);
-  return *entry;
-}
-
-const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(
-    const AnalysisResult* base_analysis, const DeltaMove& move) {
-  ThreadSlot& s = slot();
-  if (options_.mode == AnalysisMode::Exact) {
-    // The incremental engine is holistic-only: exact-mode deltas pay the
-    // full holistic pipeline, but the schedule-space exploration inside it
-    // is incremental — analyze() serves it from the component cache's
-    // exact-space store, so a move that leaves the DYN geometry and message
-    // set untouched replays the base frontier instead of re-exploring.
-    s.eval = evaluate(move.config);
-    return s.eval;
-  }
-  Evaluation& out = s.eval;
-  if (const auto hit = cached(move.config)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    out = *hit;  // vector assignments reuse the slot's capacity
-    return out;
-  }
   if (evaluator_options_.cache_enabled) {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -356,190 +289,101 @@ const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(
   out.cluster_analysis.clear();
   out.multicluster_converged = true;
 
-  auto layout = s.layout.assign(*app_, params_, move.config);
-  if (!layout.ok()) {
+  auto layout = s.layout.assign(*app_, params_, config);
+  if (layout.ok()) {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    AnalysisWorkCounters counters;
+    Expected<bool> analysis = true;
+    if (options_.mode == AnalysisMode::Exact) {
+      // The exact backend keeps its result off the arena.  Its exploration
+      // goes through the component cache's exact-space store, so repeat
+      // analyses whose DYN inputs are unchanged replay the explored
+      // frontier instead of re-exploring (bit-identical either way;
+      // asserted below).
+      auto exact = analyze_system_exact(s.layout, options_, &counters, {}, &components_[0]);
+      if (exact.ok()) {
+        out.analysis = std::move(exact).value();
+      } else {
+        analysis = exact.error();
+      }
+    } else {
+      analysis = analyze_system_into(s.layout, options_, components_[0], s.arena, out.analysis,
+                                     &counters);
+    }
+    record_analysis(counters);
+    if (analysis.ok()) {
+      out.valid = true;
+      out.cost = out.analysis.cost;
+    } else {
+      out.error = analysis.error().message;
+    }
+  } else {
     out.error = layout.error().message;
-    if (evaluator_options_.cache_enabled) {
-      insert_cache(move.config, std::make_shared<const Evaluation>(out));
-    }
-    return out;
   }
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  const AnalysisInvalidation invalidation = move.invalidation();
-  AnalysisWorkCounters counters;
-  auto analysis =
-      analyze_system_incremental_into(s.layout, options_, components_, s.arena, out.analysis,
-                                      &counters, base_analysis, &invalidation);
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.stats.analysis += counters;
-    ++s.stats.delta_evaluations;
-    if (base_analysis != nullptr) ++s.stats.delta_seeded;
-    // The arena tracks its own lifetime totals; mirroring them (assignment,
-    // not accumulation) keeps the sum over slots exact.
-    s.stats.arena_binds = s.arena.binds;
-    s.stats.arena_reuses = s.arena.reuses;
-    s.stats.components_per_delta.record(counters.fps_analyses + counters.dyn_analyses +
-                                        counters.schedule_builds);
+  if (!out.valid) {
+    // An invalid result carries no bounds, not the slot's previous ones.
+    // clear() keeps the capacity, so the slot form stays allocation-free.
+    AnalysisResult& a = out.analysis;
+    a.task_completion.clear();
+    a.message_completion.clear();
+    a.task_jitter.clear();
+    a.message_jitter.clear();
+    a.schedule_ptr.reset();
+    a.exact.reset();
+    a.cost = Cost{};
+    a.converged = true;
   }
-  if (!analysis.ok()) {
-    out.error = analysis.error().message;
-    if (evaluator_options_.cache_enabled) {
-      insert_cache(move.config, std::make_shared<const Evaluation>(out));
-    }
-    return out;
-  }
-  out.valid = true;
-  out.cost = out.analysis.cost;
 
 #ifndef NDEBUG
-  // Debug builds cross-check the delta result against the always-correct
-  // full path, bit for bit.  (analyze_system is called directly so the
-  // verification does not perturb the evaluator's counters.)  The one
-  // tolerated asymmetry: when the full path's holistic iteration cap
-  // truncates a convergent system (never observed in the test
-  // populations), the delta schedule may reach the exact fixed point the
-  // cap pinned away — a strictly tighter sound bound (see incremental.hpp).
-  auto full = analyze_system(s.layout, options_);
-  assert(full.ok() == out.valid);
-  if (full.ok() && !(out.analysis.converged && !full.value().converged)) {
-    const AnalysisResult& reference = full.value();
-    assert(out.analysis.converged == reference.converged);
-    assert(out.analysis.task_completion == reference.task_completion);
-    assert(out.analysis.message_completion == reference.message_completion);
-    assert(out.analysis.task_jitter == reference.task_jitter);
-    assert(out.analysis.message_jitter == reference.message_jitter);
-    assert(out.cost.value == reference.cost.value);
-    assert(out.cost.schedulable == reference.cost.schedulable);
-    assert(out.cost.unbounded_activities == reference.cost.unbounded_activities);
+  // Debug builds re-analyse every configuration on a call-local component
+  // cache and compare bit for bit: a stale or mis-keyed cached component
+  // can never hide.  Exact mode compares the engine counters too, so a
+  // stale exact-space entry cannot hide behind equal costs either.
+  if (layout.ok()) {
+    auto reference = analyze_system(s.layout, options_);
+    assert(reference.ok() == out.valid);
+    if (reference.ok()) {
+      const AnalysisResult& ref = reference.value();
+      assert(out.analysis.converged == ref.converged);
+      assert(out.analysis.task_completion == ref.task_completion);
+      assert(out.analysis.message_completion == ref.message_completion);
+      assert(out.analysis.task_jitter == ref.task_jitter);
+      assert(out.analysis.message_jitter == ref.message_jitter);
+      assert(out.cost.value == ref.cost.value);
+      assert(out.cost.schedulable == ref.cost.schedulable);
+      assert(out.cost.unbounded_activities == ref.cost.unbounded_activities);
+      if (options_.mode == AnalysisMode::Exact) {
+        assert(out.analysis.exact != nullptr && ref.exact != nullptr);
+        assert(out.analysis.exact->fallback == ref.exact->fallback);
+        assert(out.analysis.exact->explored_states == ref.exact->explored_states);
+        assert(out.analysis.exact->merged_states == ref.exact->merged_states);
+        assert(out.analysis.exact->transitions == ref.exact->transitions);
+        assert(out.analysis.exact->refined_messages == ref.exact->refined_messages);
+      }
+    }
   }
 #endif
   if (evaluator_options_.cache_enabled) {
-    insert_cache(move.config, std::make_shared<const Evaluation>(out));
+    insert_cache(config, std::make_shared<const Evaluation>(out));
   }
   return out;
-}
-
-const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(const BusConfig& base,
-                                                                    const DeltaMove& move) {
-  if (focused() || model_.cluster_count() > 1) {
-    // Cross-cluster paths allocate; route through the by-value overload and
-    // park the result in the slot so the reference contract still holds.
-    ThreadSlot& s = slot();
-    s.eval = evaluate_delta(base, move);
-    return s.eval;
-  }
-  if (move.backend != ClusterBackendKind::FlexRay) {
-    ThreadSlot& s = slot();
-    s.eval = Evaluation{};
-    s.eval.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
-    return s.eval;
-  }
-  // Seed from the base's fixed point only when it is a converged analysis
-  // of the configuration the move diffs against.
-  const auto base_eval = cached(base);
-  const AnalysisResult* base_analysis = nullptr;
-  if (base_eval && base_eval->valid && base_eval->analysis.converged) {
-    base_analysis = &base_eval->analysis;
-  }
-  return delta_fast_impl(base_analysis, move);
-}
-
-const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(const Evaluation& base_eval,
-                                                                    const DeltaMove& move) {
-  if (focused() || model_.cluster_count() > 1) {
-    // The base is implicit on these paths (focus context / system config);
-    // the BusConfig argument of the sibling overload is unused there.
-    ThreadSlot& s = slot();
-    s.eval = evaluate_delta(BusConfig{}, move);
-    return s.eval;
-  }
-  ThreadSlot& s = slot();
-  if (move.backend != ClusterBackendKind::FlexRay) {
-    s.eval = Evaluation{};
-    s.eval.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
-    return s.eval;
-  }
-  const AnalysisResult* base_analysis = nullptr;
-  if (base_eval.valid && base_eval.analysis.converged) {
-    if (&base_eval == &s.eval) {
-      // The caller handed back the slot's own evaluation: stage the base
-      // out before the analysis overwrites it (capacity-reusing copy).
-      s.base_scratch = base_eval.analysis;
-      base_analysis = &s.base_scratch;
-    } else {
-      base_analysis = &base_eval.analysis;
-    }
-  }
-  return delta_fast_impl(base_analysis, move);
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate_delta(const BusConfig& base,
-                                                        const DeltaMove& move) {
-  if (focused()) {
-    // The base is implicit (the focus context); deltas are not seeded
-    // across clusters, so only the substituted candidate matters.  Focused
-    // clusters are FlexRay by the set_focus guard, so the move's FlexRay
-    // payload is the one that applies.
-    SystemConfig next = focus_context_;
-    next.clusters[static_cast<std::size_t>(focus_cluster_)] =
-        ClusterConfig::flexray_bus(move.config);
-    return evaluate_system_impl(next, /*count_as_delta=*/true, /*focused_view=*/true);
-  }
-  if (model_.cluster_count() > 1) {
-    Evaluation out;
-    out.error = "multi-cluster evaluator: use the SystemConfig evaluate_delta overload";
-    return out;
-  }
-  if (move.backend != ClusterBackendKind::FlexRay) {
-    Evaluation out;
-    out.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
-    return out;
-  }
-  return evaluate_delta_fast(base, move);  // copies out of the thread slot
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate_system(const SystemConfig& config) {
   if (model_.single_cluster() && config.cluster_count() == 1 && !focused() &&
       config.clusters[0].kind == ClusterBackendKind::FlexRay) {
-    // Degenerate case: exactly the pre-cluster pipeline (and its cache).
+    // Degenerate case: exactly the single-bus pipeline (and its cache).
     // Single-cluster TSN systems go through the system path — the TSN
     // analysis has no BusLayout to speak of.
     return evaluate(config.clusters[0].flexray);
   }
-  return evaluate_system_impl(config, /*count_as_delta=*/false);
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate_delta(const SystemConfig& base,
-                                                        const DeltaMove& move) {
-  if (model_.single_cluster() && base.cluster_count() == 1 && !focused() &&
-      base.clusters[0].kind == ClusterBackendKind::FlexRay &&
-      move.backend == ClusterBackendKind::FlexRay) {
-    return evaluate_delta(base.clusters[0].flexray, move);
-  }
-  if (move.cluster < 0 || static_cast<std::size_t>(move.cluster) >= base.cluster_count() ||
-      base.cluster_count() != model_.cluster_count()) {
-    Evaluation out;
-    out.error = "evaluate_delta: move cluster index or base config out of range";
-    return out;
-  }
-  if (base.clusters[static_cast<std::size_t>(move.cluster)].kind != move.backend) {
-    Evaluation out;
-    out.error = "evaluate_delta: move backend does not match the cluster's backend";
-    return out;
-  }
-  SystemConfig next = base;
-  next.clusters[static_cast<std::size_t>(move.cluster)] =
-      move.backend == ClusterBackendKind::Tsn ? ClusterConfig::tsn_switch(move.tsn)
-                                              : ClusterConfig::flexray_bus(move.config);
-  return evaluate_system_impl(next, /*count_as_delta=*/true);
+  return evaluate_system_impl(config);
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate_system_impl(const SystemConfig& config,
-                                                              bool count_as_delta,
                                                               bool focused_result) {
   if (!evaluator_options_.cache_enabled) {
-    Evaluation out = analyze_system_config(config, count_as_delta);
+    Evaluation out = analyze_system_config(config);
     return focused_result ? focused_view(out) : out;
   }
   if (const auto hit = cached_system(config)) {
@@ -547,14 +391,12 @@ CostEvaluator::Evaluation CostEvaluator::evaluate_system_impl(const SystemConfig
     return focused_result ? focused_view(*hit) : *hit;
   }
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto entry =
-      std::make_shared<const Evaluation>(analyze_system_config(config, count_as_delta));
+  auto entry = std::make_shared<const Evaluation>(analyze_system_config(config));
   insert_system_cache(config, entry);
   return focused_result ? focused_view(*entry) : *entry;
 }
 
-CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfig& config,
-                                                               bool count_as_delta) {
+CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfig& config) {
   Evaluation out;
   auto layouts = build_system_layouts(model_, params_, config);
   if (!layouts.ok()) {
@@ -563,10 +405,9 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   AnalysisWorkCounters counters;
-  auto analysis = analyze_multicluster(model_, layouts.value(), options_, MulticlusterOptions{},
-                                       cluster_caches_, &counters);
-  add_work(counters);
-  count_evaluation(count_as_delta, /*seeded=*/false);
+  auto analysis =
+      analyze_multicluster(model_, layouts.value(), options_, cluster_caches_, &counters);
+  record_analysis(counters);
   if (!analysis.ok()) {
     out.error = analysis.error().message;
     return out;
@@ -578,12 +419,9 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   out.cluster_analysis = std::move(result.clusters);
 
 #ifndef NDEBUG
-  // Debug builds cross-check delta evaluations against a cache-free run of
-  // the same fixed point, bit for bit — the multi-cluster analogue of the
-  // single-cluster delta assertion.  Like there, the full path is not
-  // re-verified per call (it IS the reference construction), which keeps
-  // the sanitize lane's multicluster cost at ~2x instead of ~4x.
-  if (!count_as_delta) return out;
+  // Debug builds cross-check every evaluation against the same fixed point
+  // on call-local caches, bit for bit — the multi-cluster analogue of the
+  // single-cluster assertion.
   auto reference = analyze_multicluster(model_, layouts.value(), options_);
   assert(reference.ok());
   if (reference.ok()) {
@@ -709,10 +547,7 @@ void CostEvaluator::clear_cache() {
     cache_.clear();
     system_cache_.clear();
   }
-  components_.clear();
-  for (const auto& cache : extra_components_) {
-    if (cache) cache->clear();
-  }
+  for (AnalysisComponentCache& cache : components_) cache.clear();
 }
 
 }  // namespace flexopt

@@ -57,7 +57,7 @@ struct DynBounds {
 DynBounds dyn_segment_bounds(const Application& app, const BusParams& params, Time st_len);
 
 /// The per-sender minimal starting point every neighbourhood walk seeds
-/// from (SA's annealer, bench_delta_eval, the delta property tests):
+/// from (SA's annealer, bench_delta_eval, the move-chain property tests):
 /// criticality FrameIDs, one minimal-length ST slot per ST sender, and
 /// `bounds.min_minislots` as the DYN length when the bounds are feasible
 /// (minislot_count is left 0 otherwise; check `bounds.feasible()`).

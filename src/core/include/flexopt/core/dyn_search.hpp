@@ -29,15 +29,11 @@ struct DynSearchResult {
 /// for `base` (a BusConfig with the ST segment and FrameIDs already fixed;
 /// minislot_count is overwritten by the search).  `control` (nullable)
 /// enforces SolveRequest budgets at the strategy's cancellation points.
-/// `warm_base` (nullable) is a configuration the evaluator has already
-/// analysed — typically the previous ST point of the OBC outer loop — that
-/// delta-capable strategies use as the base of their first DeltaMove.
 class DynSegmentStrategy {
  public:
   virtual ~DynSegmentStrategy() = default;
   virtual DynSearchResult search(CostEvaluator& evaluator, const BusConfig& base, int dyn_min,
-                                 int dyn_max, SolveControl* control = nullptr,
-                                 const BusConfig* warm_base = nullptr) = 0;
+                                 int dyn_max, SolveControl* control = nullptr) = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
@@ -50,15 +46,12 @@ struct ExhaustiveDynOptions {
 /// Full analysis at every candidate length (OBC-EE).  Candidates are fanned
 /// across the evaluator's worker pool in batches; results are identical to
 /// the serial sweep (in-order, strictly-better comparisons).  An evaluator
-/// without a pool sweeps sequentially instead, each length a
-/// CostEvaluator::evaluate_delta off the previous one (bit-identical; it
-/// recomputes only the DYN-dependent components).
+/// without a pool sweeps sequentially instead.
 class ExhaustiveDynSearch final : public DynSegmentStrategy {
  public:
   explicit ExhaustiveDynSearch(ExhaustiveDynOptions options = {}) : options_(options) {}
   DynSearchResult search(CostEvaluator& evaluator, const BusConfig& base, int dyn_min,
-                         int dyn_max, SolveControl* control = nullptr,
-                         const BusConfig* warm_base = nullptr) override;
+                         int dyn_max, SolveControl* control = nullptr) override;
   [[nodiscard]] const char* name() const override { return "exhaustive"; }
 
  private:
@@ -76,15 +69,12 @@ struct CurveFitDynOptions {
   int max_candidates = 128;
 };
 
-/// Fig. 8's search.  Points are analysed through
-/// CostEvaluator::evaluate_delta, each chained off the previously analysed
-/// one (bit-identical to full evaluations).
+/// Fig. 8's search.  Points are analysed one at a time.
 class CurveFitDynSearch final : public DynSegmentStrategy {
  public:
   explicit CurveFitDynSearch(CurveFitDynOptions options = {}) : options_(options) {}
   DynSearchResult search(CostEvaluator& evaluator, const BusConfig& base, int dyn_min,
-                         int dyn_max, SolveControl* control = nullptr,
-                         const BusConfig* warm_base = nullptr) override;
+                         int dyn_max, SolveControl* control = nullptr) override;
   [[nodiscard]] const char* name() const override { return "curve-fit"; }
 
  private:

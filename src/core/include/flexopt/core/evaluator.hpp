@@ -10,6 +10,14 @@
 /// shared_ptr (evaluations stay valid after the caller's copy goes away),
 /// `evaluate()` may be called concurrently from any number of threads, and
 /// `evaluate_many()` fans a batch of candidates across a worker pool.
+///
+/// Four evaluation entry points: `evaluate` (one BusConfig, by value),
+/// `evaluate_in_slot` (the same, returned by reference from this thread's
+/// slot with zero heap allocations at steady state), `evaluate_system`
+/// (a per-cluster configuration product) and `evaluate_many`.  Every
+/// analysis runs the one holistic engine (flexopt/analysis/incremental.hpp)
+/// cold, on the evaluator's component caches, so a configuration's result
+/// does not depend on which entry point or which thread analysed it first.
 
 #include <atomic>
 #include <condition_variable>
@@ -24,7 +32,6 @@
 
 #include "flexopt/analysis/incremental.hpp"
 #include "flexopt/analysis/system_analysis.hpp"
-#include "flexopt/core/delta_move.hpp"
 #include "flexopt/flexray/bus_config.hpp"
 #include "flexopt/flexray/params.hpp"
 #include "flexopt/flexray/system_config.hpp"
@@ -67,20 +74,19 @@ struct EvaluatorCacheStats {
   std::size_t entries = 0;
 };
 
-/// Work accounting across full and delta evaluations (monotonic over the
-/// evaluator's lifetime).  `analysis.components()` is the recomputed-work
-/// metric the perf-smoke CI gate compares between the two paths.
+/// Work accounting (monotonic over the evaluator's lifetime).
+/// `analysis.components()` is the recomputed-work metric.
 struct EvaluatorWorkStats {
   AnalysisWorkCounters analysis;
-  std::uint64_t full_evaluations = 0;   ///< evaluate() analyses (cache misses)
-  std::uint64_t delta_evaluations = 0;  ///< evaluate_delta() analyses
-  std::uint64_t delta_seeded = 0;       ///< delta analyses seeded from a converged base
-  std::uint64_t arena_binds = 0;        ///< analysis arenas (re)allocated
-  std::uint64_t arena_reuses = 0;       ///< steady-state arena rebinds (no allocation)
-  /// Response-time recurrences actually recomputed per delta evaluation
-  /// (fps_analyses + dyn_analyses + schedule_builds of that evaluation) —
-  /// the work-per-move distribution the profile report surfaces.
-  Histogram components_per_delta;
+  std::uint64_t full_evaluations = 0;  ///< analyses run (cache hits excluded)
+  /// Always 0: every analysis is a full one.  Kept for existing readers.
+  std::uint64_t delta_evaluations = 0;
+  std::uint64_t arena_binds = 0;   ///< analysis arenas (re)allocated
+  std::uint64_t arena_reuses = 0;  ///< steady-state arena rebinds (no allocation)
+  /// Analysis components recomputed per analysis (components() of that
+  /// analysis) — the work-per-evaluation distribution the profile report
+  /// surfaces.
+  Histogram components_per_evaluation;
   std::uint64_t components_reused() const {
     return analysis.schedule_reuses + analysis.fps_skipped + analysis.dyn_skipped;
   }
@@ -88,10 +94,9 @@ struct EvaluatorWorkStats {
     analysis += other.analysis;
     full_evaluations += other.full_evaluations;
     delta_evaluations += other.delta_evaluations;
-    delta_seeded += other.delta_seeded;
     arena_binds += other.arena_binds;
     arena_reuses += other.arena_reuses;
-    components_per_delta += other.components_per_delta;
+    components_per_evaluation += other.components_per_evaluation;
     return *this;
   }
   /// Field-wise delta against an earlier snapshot — the per-solve profile
@@ -101,10 +106,10 @@ struct EvaluatorWorkStats {
     d.analysis = analysis.since(before.analysis);
     d.full_evaluations = full_evaluations - before.full_evaluations;
     d.delta_evaluations = delta_evaluations - before.delta_evaluations;
-    d.delta_seeded = delta_seeded - before.delta_seeded;
     d.arena_binds = arena_binds - before.arena_binds;
     d.arena_reuses = arena_reuses - before.arena_reuses;
-    d.components_per_delta = components_per_delta.since(before.components_per_delta);
+    d.components_per_evaluation =
+        components_per_evaluation.since(before.components_per_evaluation);
     return d;
   }
 };
@@ -137,7 +142,8 @@ class CostEvaluator {
     Cost cost{kInvalidConfigCost, false, 0};
     /// Single-cluster analyses, or — under set_focus — the focused
     /// cluster's holistic result; default-constructed for unfocused
-    /// multi-cluster evaluations (use `cluster_analysis` there).
+    /// multi-cluster evaluations (use `cluster_analysis` there).  Empty
+    /// (no completions, no schedule) when `valid` is false.
     AnalysisResult analysis;
     /// Unfocused multi-cluster evaluations only: one holistic result per
     /// cluster.  Focused returns carry only `cost` plus the focused
@@ -156,46 +162,23 @@ class CostEvaluator {
   /// focus reports an invalid Evaluation (use evaluate_system).
   Evaluation evaluate(const BusConfig& config);
 
+  /// evaluate(), returned by reference into this thread's slot: the hot
+  /// path of SA's neighbour loop.  The reference is valid until the next
+  /// evaluator call on the same thread — copy it to keep it.  At steady
+  /// state (same application, memo cache disabled, single-cluster
+  /// holistic analysis) a call performs zero heap allocations; with the
+  /// memo cache enabled, cache insertion still allocates on a miss, and
+  /// focused or exact-mode evaluations allocate as evaluate() does.
+  const Evaluation& evaluate_in_slot(const BusConfig& config);
+
   /// Full system evaluation of one per-cluster configuration product
   /// candidate (cross-cluster fixed point; cached on the SystemConfig
   /// hash).  Thread-safe.  For single-cluster FlexRay systems this is
-  /// exactly evaluate(config.clusters[0].flexray).
+  /// exactly evaluate(config.clusters[0].flexray).  Neighbour moves on a
+  /// multi-cluster or TSN system substitute one cluster's configuration and
+  /// call this; the per-cluster component caches serve every cluster the
+  /// move left intact.
   Evaluation evaluate_system(const SystemConfig& config);
-
-  /// Incremental analysis of a neighbour: evaluates `move.config`
-  /// recomputing only the analysis components the move invalidated,
-  /// reusing the rest from the component caches and (when `base` is a
-  /// cached, converged evaluation) from the base's fixed point.  The
-  /// result is bit-identical to evaluate(move.config) — asserted against
-  /// the full path in Debug builds — and is entered into the same
-  /// configuration cache.  Thread-safe.
-  Evaluation evaluate_delta(const BusConfig& base, const DeltaMove& move);
-
-  /// Allocation-free evaluate_delta: the single-cluster delta-analysis hot
-  /// path run entirely in this thread's preallocated slot (arena, layout,
-  /// result).  Semantics and results are identical to evaluate_delta; the
-  /// returned reference points into thread-local storage and is valid until
-  /// the next evaluator call on the same thread — copy it to keep it.  At
-  /// steady state (same application, memo cache disabled) a call performs
-  /// zero heap allocations; with the memo cache enabled, cache insertion
-  /// still allocates on a miss.  Focused / multi-cluster evaluators fall
-  /// back to the allocating evaluate_delta path internally.
-  const Evaluation& evaluate_delta_fast(const BusConfig& base, const DeltaMove& move);
-
-  /// Same, with the base supplied directly instead of being looked up in
-  /// the memo cache — the form callers with a disabled cache use (SA, the
-  /// delta benchmark).  `base_eval` must stay alive for the duration of the
-  /// call; passing the reference returned by a previous evaluate_delta_fast
-  /// on this thread is allowed (the base is staged out of the slot first).
-  const Evaluation& evaluate_delta_fast(const Evaluation& base_eval, const DeltaMove& move);
-
-  /// Multi-cluster delta: `move.cluster` names the cluster whose BusConfig
-  /// the move replaces within `base`.  Cross-cluster coupling invalidates
-  /// the seeded fast path, so the result is recomputed through the
-  /// per-cluster component caches (geometry components of untouched
-  /// clusters are reused) and is bit-identical to
-  /// evaluate_system(substituted) — asserted in Debug builds.
-  Evaluation evaluate_delta(const SystemConfig& base, const DeltaMove& move);
 
   /// Evaluates a batch of candidates on the worker pool; results are in
   /// input order and identical to calling evaluate() serially.  The pool
@@ -215,13 +198,13 @@ class CostEvaluator {
   [[nodiscard]] const SystemModel& system_model() const { return model_; }
   [[nodiscard]] std::size_t cluster_count() const { return model_.cluster_count(); }
   /// Focuses the evaluator on one cluster of a multi-cluster system:
-  /// subsequent evaluate(BusConfig)/evaluate_delta calls substitute the
+  /// subsequent evaluate/evaluate_in_slot/evaluate_many calls substitute the
   /// candidate into `context` at `cluster` and evaluate the full system,
   /// and application() returns that cluster's projection — which is what
   /// lets every single-bus search algorithm optimise one coordinate of the
   /// per-cluster configuration product unchanged.  Focus is a FlexRay
   /// concept — the focused cluster's ClusterConfig must be a FlexRay bus
-  /// (TSN clusters are searched through the SystemConfig overloads; see
+  /// (TSN clusters are searched through evaluate_system; see
   /// flexopt/core/tsn_search.hpp).  Invalid requests (single-cluster
   /// system, cluster out of range, wrong context width, non-FlexRay
   /// cluster) degrade to clear_focus().  Not thread-safe: set it between
@@ -254,7 +237,7 @@ class CostEvaluator {
 
  private:
   /// Per-thread evaluation state: the analysis arena, a reusable BusLayout,
-  /// the Evaluation evaluate_delta_fast returns by reference, and this
+  /// the Evaluation evaluate_in_slot returns by reference, and this
   /// thread's share of the work statistics.  One slot per (evaluator,
   /// thread) pair, owned by the evaluator, found through a thread-local
   /// cache keyed by the evaluator's id — replacing the old mutex-guarded
@@ -262,16 +245,13 @@ class CostEvaluator {
   struct ThreadSlot;
   ThreadSlot& slot();
 
-  /// The uncached path: in-place layout assign + analyze_system + Eq. 5.
-  Evaluation analyze(const BusConfig& config);
-  /// The delta hot path shared by evaluate_delta and evaluate_delta_fast:
-  /// memo-cache check, in-place layout assign, arena-based incremental
-  /// analysis into the slot's Evaluation.
-  const Evaluation& delta_fast_impl(const AnalysisResult* base_analysis, const DeltaMove& move);
-  /// The uncached multi-cluster paths (full + delta-accounted).
-  Evaluation analyze_system_config(const SystemConfig& config, bool count_as_delta);
-  Evaluation evaluate_system_impl(const SystemConfig& config, bool count_as_delta,
-                                  bool focused_result = false);
+  /// The single-cluster analysis behind evaluate and evaluate_in_slot on a
+  /// memo miss: in-place layout assign + analysis into the slot's
+  /// Evaluation, entered into the memo cache.
+  const Evaluation& analyze_into_slot(const BusConfig& config);
+  /// The uncached multi-cluster path.
+  Evaluation analyze_system_config(const SystemConfig& config);
+  Evaluation evaluate_system_impl(const SystemConfig& config, bool focused_result = false);
   /// Cost + the focused cluster's result only (the focused-search return
   /// shape; avoids copying every cluster's analysis out of the cache).
   [[nodiscard]] Evaluation focused_view(const Evaluation& full) const;
@@ -280,8 +260,8 @@ class CostEvaluator {
   void insert_cache(const BusConfig& config, std::shared_ptr<const Evaluation> entry);
   std::shared_ptr<const Evaluation> cached_system(const SystemConfig& config);
   void insert_system_cache(const SystemConfig& config, std::shared_ptr<const Evaluation> entry);
-  void add_work(const AnalysisWorkCounters& counters);
-  void count_evaluation(bool delta, bool seeded);
+  /// Books one analysis' work into the calling thread's slot.
+  void record_analysis(const AnalysisWorkCounters& counters);
   [[nodiscard]] const std::shared_ptr<const Application>& search_app() const {
     return focused() ? model_.cluster_app(static_cast<std::size_t>(focus_cluster_)) : app_;
   }
@@ -327,12 +307,10 @@ class CostEvaluator {
   std::unordered_map<SystemConfig, std::shared_ptr<const Evaluation>, SystemConfigHash>
       system_cache_;
 
-  AnalysisComponentCache components_;  ///< cluster 0 / single-cluster
-  /// Clusters 1..C-1 of a multi-cluster system (index 0 unused; the shared
-  /// components_ serves cluster 0 so the single-cluster path stays as-is).
-  std::vector<std::unique_ptr<AnalysisComponentCache>> extra_components_;
-  /// Per-cluster cache pointer table ({&components_, extra...}), built once
-  /// at construction (the evaluator is immovable, so the addresses hold).
+  /// One component cache per cluster (never reallocated: the evaluator is
+  /// immovable and the vector is sized once at construction).
+  std::vector<AnalysisComponentCache> components_;
+  /// Per-cluster cache pointer table, built once at construction.
   std::vector<AnalysisComponentCache*> cluster_caches_;
   /// Monotonic id keying the thread-local slot cache: ids are never reused,
   /// so a stale cache entry for a destroyed evaluator can never match.

@@ -35,8 +35,8 @@ struct SaOptions {
 /// Mutates `config` in place with one random SA neighbourhood move (+-ST
 /// slot, +-slot length, +-DYN length, slot reassignment, FrameID swap/move);
 /// returns false when the drawn move is inapplicable (caller re-rolls).
-/// Exposed for bench_delta_eval and the delta property tests, which replay
-/// SA's exact move distribution.
+/// Exposed for bench_delta_eval and the move-chain property tests, which
+/// replay SA's exact move distribution.
 bool random_neighbour_move(BusConfig& config, const Application& app, const BusParams& params,
                            Rng& rng, const std::vector<NodeId>& st_senders, int dyn_min,
                            int dyn_max);

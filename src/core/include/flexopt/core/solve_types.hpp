@@ -125,7 +125,6 @@ struct MemberSolveReport {
   SolveStatus status = SolveStatus::Complete;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t delta_evaluations = 0;
   std::uint64_t components_recomputed = 0;
   std::uint64_t components_reused = 0;
   /// Observational only — excluded from deterministic reports.
@@ -145,16 +144,15 @@ struct SolveReport {
   /// Cache hits/misses incurred by this solve (deltas, not totals).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Incremental-evaluation accounting for this solve (deltas, not
-  /// totals): analyses served by evaluate_delta, and how many analysis
-  /// components (schedule builds + FPS/DYN recurrences) were recomputed
-  /// vs reused from the component caches / skipped as unchanged.
-  std::uint64_t delta_evaluations = 0;
+  /// Component accounting for this solve (deltas, not totals): how many
+  /// analysis components (schedule builds + FPS/DYN recurrences) were
+  /// recomputed vs reused from the component caches / skipped as
+  /// unchanged.
   std::uint64_t components_recomputed = 0;
   std::uint64_t components_reused = 0;
   /// Always-on profiling deltas for this solve: the full work-counter
   /// snapshot difference (holistic/fixed-point iteration totals, arena
-  /// reuse, the work-per-move histogram).  Deterministic for a fixed seed;
+  /// reuse, the work-per-evaluation histogram).  Deterministic for a fixed seed;
   /// serialized as the report's `profile` block.
   EvaluatorWorkStats profile;
   /// Portfolio solves only: the winning member id ("sa#2") and one

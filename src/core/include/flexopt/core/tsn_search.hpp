@@ -6,9 +6,9 @@
 /// algorithms that Optimizer's block-coordinate descent runs on FlexRay
 /// clusters.  TSN clusters cannot go through CostEvaluator::set_focus (the
 /// single-bus algorithms mutate BusConfigs), so the descent scores every
-/// neighbour through the SystemConfig evaluate_delta overload instead: each
-/// candidate is the incumbent with one cluster's TsnConfig substituted, and
-/// the full cross-cluster fixed point prices it.
+/// neighbour through CostEvaluator::evaluate_system instead: each candidate
+/// is the incumbent with one cluster's TsnConfig substituted, and the full
+/// cross-cluster fixed point prices it.
 ///
 /// The search is a deterministic first-improvement coordinate descent: the
 /// neighbourhood is enumerated in a fixed order (gate offset slides, gate

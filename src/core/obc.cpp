@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <string>
 
 #include "flexopt/core/config_builder.hpp"
@@ -49,11 +48,6 @@ OptimizationOutcome optimize_obc(CostEvaluator& evaluator, DynSegmentStrategy& d
     return out;
   };
 
-  // The last configuration a DYN search fully analysed: each inner sweep
-  // starts its DeltaMove chain here, so consecutive ST points reuse every
-  // analysis component the slot-count/length step left intact.
-  std::optional<BusConfig> warm_base;
-
   // Fig. 6 lines 2-9: nested ST exploration.
   for (int slot_count = std::max(slots_min, senders.empty() ? 0 : slots_min);
        slot_count <= std::max(slots_max, slots_min); ++slot_count) {
@@ -72,12 +66,9 @@ OptimizationOutcome optimize_obc(CostEvaluator& evaluator, DynSegmentStrategy& d
       const DynBounds bounds = dyn_segment_bounds(app, params, st_len);
       if (!bounds.feasible()) continue;
 
-      const DynSearchResult dyn =
-          dyn_strategy.search(evaluator, base, bounds.min_minislots, bounds.max_minislots,
-                              control, warm_base.has_value() ? &*warm_base : nullptr);
+      const DynSearchResult dyn = dyn_strategy.search(
+          evaluator, base, bounds.min_minislots, bounds.max_minislots, control);
       if (!dyn.exact) continue;
-      warm_base = base;
-      warm_base->minislot_count = dyn.minislots;
 
       if (dyn.cost.value < outcome.cost.value) {
         outcome.cost = dyn.cost;

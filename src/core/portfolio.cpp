@@ -175,7 +175,6 @@ SolveReport PortfolioOptimizer::solve_cluster(CostEvaluator& evaluator,
     member.status = solved.status;
     member.cache_hits = solved.cache_hits;
     member.cache_misses = solved.cache_misses;
-    member.delta_evaluations = solved.delta_evaluations;
     member.components_recomputed = solved.components_recomputed;
     member.components_reused = solved.components_reused;
     member.profile = solved.profile;
@@ -230,7 +229,6 @@ SolveReport PortfolioOptimizer::solve_cluster(CostEvaluator& evaluator,
         any_budget_exhausted || members[i].status == SolveStatus::BudgetExhausted;
     report.cache_hits += members[i].cache_hits;
     report.cache_misses += members[i].cache_misses;
-    report.delta_evaluations += members[i].delta_evaluations;
     report.components_recomputed += members[i].components_recomputed;
     report.components_reused += members[i].components_reused;
     report.profile += members[i].profile;

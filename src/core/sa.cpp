@@ -157,18 +157,14 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
       }
       if (!moved) continue;
 
-      // The move touched one or two decision variables: the delta path
-      // reuses every analysis component of `current` it did not invalidate
-      // (bit-identical to a full evaluation).  The fast form
-      // returns a reference into the evaluator's thread slot — valid here
-      // because nothing else evaluates on this thread before the next
-      // iteration overwrites it.
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      const CostEvaluator::Evaluation& eval = evaluator.evaluate_delta_fast(current, move);
+      // The slot form returns a reference into the evaluator's thread
+      // slot — valid here because nothing else evaluates on this thread
+      // before the next iteration overwrites it.
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(neighbour);
       const double cost = eval.valid ? eval.cost.value : kInvalidConfigCost;
       const double delta = cost - current_cost;
       if (delta <= 0.0 || rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {
-        current = std::move(move.config);
+        current = std::move(neighbour);
         current_cost = cost;
       }
       if (eval.valid && eval.cost.value < outcome.cost.value) {

@@ -102,7 +102,6 @@ namespace {
 
 /// The incremental-work fields of a report are views of its profile.
 void fill_incremental_from_profile(SolveReport& report) {
-  report.delta_evaluations = report.profile.delta_evaluations;
   report.components_recomputed = report.profile.analysis.components();
   report.components_reused = report.profile.components_reused();
 }
@@ -217,8 +216,8 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
       if (model.cluster_app(c)->cluster_backend(ClusterId{0}) == ClusterBackendKind::Tsn) {
         // TSN coordinate: the single-bus algorithms cannot focus a TSN
         // cluster, so the pass is the deterministic TSN descent, scored
-        // through the SystemConfig delta path against the same full
-        // cross-cluster cost.
+        // through evaluate_system against the same full cross-cluster
+        // cost.
         const EvaluatorCacheStats cache_before = evaluator.cache_stats();
         const EvaluatorWorkStats work_before = evaluator.work_stats();
         TsnSearchResult tsn =

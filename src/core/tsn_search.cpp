@@ -105,14 +105,14 @@ TsnSearchResult tsn_coordinate_descent(CostEvaluator& evaluator, const SystemCon
   while (accepted && accepts < kMaxAccepts && !control.should_stop(evaluator)) {
     accepted = sweep_neighbourhood(app, result.config, [&](TsnConfig next) {
       if (control.should_stop(evaluator)) return true;  // abort the sweep
-      DeltaMove move = DeltaMove::tsn_between(result.config, std::move(next), cluster);
-      if (!move.any_change()) return false;
-      const auto eval = evaluator.evaluate_delta(current, move);
+      if (next == result.config) return false;
+      SystemConfig candidate = current;
+      candidate.clusters[static_cast<std::size_t>(cluster)] = ClusterConfig::tsn_switch(next);
+      const auto eval = evaluator.evaluate_system(candidate);
       if (!eval.valid || eval.cost.value >= result.cost.value) return false;
       result.cost = eval.cost;
-      result.config = std::move(move.tsn);
-      current.clusters[static_cast<std::size_t>(cluster)] =
-          ClusterConfig::tsn_switch(result.config);
+      result.config = std::move(next);
+      current = std::move(candidate);
       result.improved = true;
       ++accepts;
       control.note_best(eval.cost);

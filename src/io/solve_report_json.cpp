@@ -106,7 +106,6 @@ void write_member(JsonWriter& json, const MemberSolveReport& member, bool includ
       .field("evaluations", member.evaluations)
       .field("cache_hits", member.cache_hits)
       .field("cache_misses", member.cache_misses)
-      .field("delta_evaluations", member.delta_evaluations)
       .field("components_recomputed", member.components_recomputed)
       .field("components_reused", member.components_reused);
   if (include_timing) json.field("wall_seconds", member.wall_seconds);
@@ -142,10 +141,15 @@ std::string write_solve_json(const Application& app, std::string_view algorithm,
   // Additive within v5: the profile block carries the exact-engine counters
   // (exact_states_explored, exact_states_deduped, exact_frontier_reused) —
   // zero on holistic solves, so existing consumers see only new keys.
+  // Schema v6 delta: `delta_evaluations` leaves `incremental` and every
+  // member; `delta_seeded`, `arena_binds` and `arena_reuses` leave
+  // `profile` (every analysis now runs on a worker thread's arena, so those
+  // two count threads, not work); the histogram `components_per_delta`
+  // becomes `components_per_evaluation`, recorded for every analysis.
   const bool multicluster = outcome.system.cluster_count() > 1;
   JsonWriter json;
   json.begin_object();
-  json.field("schema", "flexopt-solve-report/5");
+  json.field("schema", "flexopt-solve-report/6");
   json.key("system").begin_object();
   json.field("tasks", app.task_count())
       .field("messages", app.message_count())
@@ -169,7 +173,6 @@ std::string write_solve_json(const Application& app, std::string_view algorithm,
       .end_object();
   json.key("incremental")
       .begin_object()
-      .field("delta_evaluations", report.delta_evaluations)
       .field("components_recomputed", report.components_recomputed)
       .field("components_reused", report.components_reused)
       .end_object();
@@ -189,19 +192,16 @@ std::string write_solve_json(const Application& app, std::string_view algorithm,
       .field("exact_states_explored", profile.analysis.exact_states_explored)
       .field("exact_states_deduped", profile.analysis.exact_states_deduped)
       .field("exact_frontier_reused", profile.analysis.exact_frontier_reused)
-      .field("full_evaluations", profile.full_evaluations)
-      .field("delta_seeded", profile.delta_seeded)
-      .field("arena_binds", profile.arena_binds)
-      .field("arena_reuses", profile.arena_reuses);
-  const Histogram& per_delta = profile.components_per_delta;
-  json.key("components_per_delta")
+      .field("full_evaluations", profile.full_evaluations);
+  const Histogram& per_evaluation = profile.components_per_evaluation;
+  json.key("components_per_evaluation")
       .begin_object()
-      .field("count", per_delta.count())
-      .field("sum", per_delta.sum());
+      .field("count", per_evaluation.count())
+      .field("sum", per_evaluation.sum());
   json.key("buckets").begin_array();
-  const int top_bucket = per_delta.max_bucket();
+  const int top_bucket = per_evaluation.max_bucket();
   for (int b = 0; b <= top_bucket; ++b) {
-    const std::uint64_t bucket_count = per_delta.buckets()[static_cast<std::size_t>(b)];
+    const std::uint64_t bucket_count = per_evaluation.buckets()[static_cast<std::size_t>(b)];
     if (bucket_count == 0) continue;
     json.begin_object()
         .field("le", Histogram::bucket_bound(b))
@@ -209,7 +209,7 @@ std::string write_solve_json(const Application& app, std::string_view algorithm,
         .end_object();
   }
   json.end_array();
-  json.end_object();   // components_per_delta
+  json.end_object();   // components_per_evaluation
   json.end_object();   // profile
   if (pessimism != nullptr) write_pessimism(json, *pessimism);
   json.key("config");

@@ -91,8 +91,7 @@ inline constexpr int kTsnFrameOverheadBytes = 42;
 [[nodiscard]] Time tsn_frame_duration(int size_bytes, int link_rate_mbps);
 
 /// The neighbourhood move kinds a backend's configuration supports — the
-/// dispatch vocabulary of the optimizer's block-coordinate descent and the
-/// delta-evaluation invalidation logic.
+/// dispatch vocabulary of the optimizer's block-coordinate descent.
 enum class BackendMoveKind {
   // FlexRay (BusConfig knobs):
   StSlotCount,

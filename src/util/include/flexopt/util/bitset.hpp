@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file bitset.hpp
-/// Resizable fixed-width bitset over a dense index space.  The incremental
-/// analysis uses these for its invalidation closure and dirty tracking:
-/// membership tests and inserts become single-word bit operations, and
+/// Resizable fixed-width bitset over a dense index space.  The holistic
+/// analysis uses one for its dirty tracking: membership tests and inserts
+/// become single-word bit operations, and
 /// clearing between evaluations is a memset over n/64 words instead of a
 /// byte-per-element pass — with the backing storage reused across
 /// evaluations (reset() only reallocates when the universe grows).
@@ -31,22 +31,6 @@ class IndexBitset {
   void reset_bit(std::size_t i) { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
   [[nodiscard]] bool test(std::size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1u;
-  }
-  /// Set bit i; returns its previous value (the closure's "already
-  /// marked?" test and the insert in one word access).
-  bool test_set(std::size_t i) {
-    std::uint64_t& w = words_[i >> 6];
-    const std::uint64_t mask = std::uint64_t{1} << (i & 63);
-    const bool old = (w & mask) != 0;
-    w |= mask;
-    return old;
-  }
-  /// Set every bit in the universe.
-  void fill() {
-    for (std::uint64_t& w : words_) w = ~std::uint64_t{0};
-    if (const std::size_t tail = bits_ & 63; tail != 0 && !words_.empty()) {
-      words_.back() = (std::uint64_t{1} << tail) - 1;
-    }
   }
   [[nodiscard]] std::size_t size() const { return bits_; }
   [[nodiscard]] bool any() const {

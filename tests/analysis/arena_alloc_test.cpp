@@ -1,26 +1,17 @@
-// Arena hot-path contracts, enforced with real counters rather than code
-// review:
-//
-//  1. Closure equivalence: across 50 random (spec, move-chain) pairs, the
-//     arena engine behind CostEvaluator::evaluate_delta_fast — which seeds
-//     the holistic fixed point from the base evaluation and re-iterates
-//     only the bitset invalidation closure — must agree bit-for-bit with
-//     an independent full evaluation on every completion, jitter and cost.
-//     An under-marked closure cannot hide: a stale component would leak a
-//     stale bound into the comparison.
-//
-//  2. Zero allocations: replaying a warmed move chain through
-//     evaluate_delta_fast performs no heap allocation at all, measured by
-//     the operator new interposer (src/util/alloc_probe.cpp, linked into
-//     this binary only).  The contract holds in Release; Debug builds
-//     carry the full-analysis cross-check (which allocates by design), so
-//     there the test still runs the replay but skips the allocation
-//     assertion.
+// Arena hot-path contract, enforced with a real counter rather than code
+// review: replaying a warmed SA move chain through
+// CostEvaluator::evaluate_in_slot performs no heap allocation at all,
+// measured by the operator new interposer (src/util/alloc_probe.cpp, linked
+// into this binary only).  The contract holds in Release; Debug builds
+// carry the call-local-cache cross-check (which allocates by design), so
+// there the test still runs the replay but skips the allocation assertion.
+// (The engine's equivalence with the Jacobi reference lives in
+// delta_eval_property_test.)
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
+#include <cstdint>
+#include <utility>
 
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/evaluator.hpp"
@@ -31,80 +22,6 @@
 
 namespace flexopt {
 namespace {
-
-constexpr int kPairs = 50;
-constexpr int kMovesPerPair = 8;
-
-SyntheticSpec random_spec(Rng& rng) {
-  SyntheticSpec spec;
-  spec.nodes = static_cast<int>(rng.uniform_int(2, 5));
-  spec.tasks_per_graph = static_cast<int>(rng.uniform_int(2, 4));
-  spec.tasks_per_node = spec.tasks_per_graph * static_cast<int>(rng.uniform_int(1, 2));
-  spec.tt_share = rng.uniform_real(0.2, 0.8);
-  spec.deadline_factor = rng.uniform_real(0.6, 1.2);
-  spec.seed = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 30));
-  return spec;
-}
-
-void expect_identical(const CostEvaluator::Evaluation& fast,
-                      const CostEvaluator::Evaluation& full, const std::string& label) {
-  ASSERT_EQ(fast.valid, full.valid) << label;
-  if (!full.valid) return;
-  if (fast.analysis.converged && !full.analysis.converged) return;  // documented carve-out
-  EXPECT_EQ(fast.cost.value, full.cost.value) << label;
-  EXPECT_EQ(fast.cost.schedulable, full.cost.schedulable) << label;
-  EXPECT_EQ(fast.analysis.task_completion, full.analysis.task_completion) << label;
-  EXPECT_EQ(fast.analysis.message_completion, full.analysis.message_completion) << label;
-  EXPECT_EQ(fast.analysis.task_jitter, full.analysis.task_jitter) << label;
-  EXPECT_EQ(fast.analysis.message_jitter, full.analysis.message_jitter) << label;
-  EXPECT_EQ(fast.analysis.converged, full.analysis.converged) << label;
-}
-
-TEST(ArenaClosure, MatchesFullEvaluationOnRandomMoveChains) {
-  const BusParams params;
-  Rng rng(0xa11e9a7e5u);
-  int chains_run = 0;
-  for (int pair = 0; pair < kPairs; ++pair) {
-    const SyntheticSpec spec = random_spec(rng);
-    const std::string where =
-        "pair " + std::to_string(pair) + " seed " + std::to_string(spec.seed);
-    auto app_result = generate_synthetic(spec, params);
-    ASSERT_TRUE(app_result.ok()) << where << ": " << app_result.error().message;
-    const Application& app = app_result.value();
-
-    const StartConfig start = minimal_start_config(app, params);
-    if (!start.bounds.feasible()) continue;  // degenerate cell: nothing to walk
-    BusConfig current = start.config;
-
-    CostEvaluator full(app, params, AnalysisOptions{});
-    CostEvaluator fast(app, params, AnalysisOptions{});
-    CostEvaluator::Evaluation accepted = fast.evaluate(current);
-    expect_identical(accepted, full.evaluate(current), where + " start");
-
-    Rng move_rng(spec.seed ^ 0x9e3779b97f4a7c15ull);
-    for (int step = 0; step < kMovesPerPair; ++step) {
-      BusConfig neighbour = current;
-      bool moved = false;
-      for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
-        moved = random_neighbour_move(neighbour, app, params, move_rng, start.st_senders,
-                                      start.bounds.min_minislots, SpecLimits::kMaxMinislots);
-      }
-      if (!moved) break;
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      const CostEvaluator::Evaluation& eval = fast.evaluate_delta_fast(accepted, move);
-      expect_identical(eval, full.evaluate(move.config),
-                       where + " step " + std::to_string(step));
-      // Walk every move (accepted unconditionally): deep chains stress the
-      // closure under accumulating geometry changes.
-      accepted = eval;
-      current = std::move(move.config);
-    }
-    ++chains_run;
-  }
-  // The spec band is calibrated to be mostly feasible; if this trips, the
-  // suite silently stopped testing anything.
-  EXPECT_GE(chains_run, kPairs / 2);
-}
 
 TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
   const BusParams params;
@@ -129,7 +46,6 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
   std::uint64_t allocations = 0;
   const auto run_chain = [&](bool count) {
     BusConfig current = start.config;
-    CostEvaluator::Evaluation accepted = evaluator.evaluate(current);
     Rng move_rng(0x5eedu);
     for (int step = 0; step < 64; ++step) {
       BusConfig neighbour = current;
@@ -139,17 +55,15 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
                                       start.bounds.min_minislots, SpecLimits::kMaxMinislots);
       }
       if (!moved) continue;
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
 
       const std::uint64_t a0 = alloc_probe::thread_allocations();
-      const CostEvaluator::Evaluation& eval = evaluator.evaluate_delta_fast(accepted, move);
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(neighbour);
       const std::uint64_t evaluation_allocs = alloc_probe::thread_allocations() - a0;
       if (count && eval.valid) {
         ++measured;
         allocations += evaluation_allocs;  // error paths allocate strings
       }
-      accepted = eval;
-      current = std::move(move.config);
+      current = std::move(neighbour);  // walk every move
     }
   };
 
@@ -164,7 +78,7 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
   EXPECT_EQ(allocations, 0u) << "steady-state hot path allocated on " << measured
                              << " measured moves";
 #else
-  // Debug carries the full-analysis bit-identity cross-check, which
+  // Debug carries the call-local-cache bit-identity cross-check, which
   // allocates by design; the replay above still verified it runs clean.
   SUCCEED() << "allocation contract gated to Release";
 #endif

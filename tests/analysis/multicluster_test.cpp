@@ -125,7 +125,7 @@ TEST(Multicluster, ComponentCachesDoNotChangeResults) {
   AnalysisComponentCache* caches[] = {&cache0, &cache1};
   AnalysisWorkCounters counters;
   auto cached = analyze_multicluster(model.value(), layouts.value(), AnalysisOptions{},
-                                     MulticlusterOptions{}, caches, &counters);
+                                     caches, &counters);
   auto fresh = analyze_multicluster(model.value(), layouts.value(), AnalysisOptions{});
   ASSERT_TRUE(cached.ok());
   ASSERT_TRUE(fresh.ok());

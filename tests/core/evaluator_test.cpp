@@ -1,14 +1,19 @@
 // CostEvaluator: the shared, thread-safe analysis service all optimisers
 // consume — memoization cache, atomic work counter, shared Application
-// ownership, and the evaluate_many worker pool.
+// ownership, the component cache behind every analysis, the slot form SA's
+// inner loop uses, and the evaluate_many worker pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/evaluator.hpp"
+#include "flexopt/gen/cruise_control.hpp"
 #include "helpers.hpp"
 
 namespace flexopt {
@@ -87,6 +92,119 @@ TEST(CostEvaluator, CachedEvaluationIdenticalToFreshAnalysis) {
   EXPECT_EQ(hit.cost.schedulable, reference.cost.schedulable);
   EXPECT_EQ(hit.analysis.task_completion, reference.analysis.task_completion);
   EXPECT_EQ(hit.analysis.message_completion, reference.analysis.message_completion);
+}
+
+/// BBC-shaped base configuration for the cruise controller, whose DYN
+/// segment carries several FrameIDs.
+struct CruiseFixture {
+  Application app = build_cruise_controller();
+  BusParams params = cruise_controller_params();
+  BusConfig base;
+
+  CruiseFixture() {
+    const StartConfig start = minimal_start_config(app, params);
+    EXPECT_TRUE(start.bounds.feasible());
+    base = start.config;
+    base.minislot_count = (start.bounds.min_minislots + start.bounds.max_minislots) / 2;
+  }
+
+  /// Indices of DYN messages (frame_id != 0), ascending.
+  [[nodiscard]] std::vector<std::size_t> dyn_messages() const {
+    std::vector<std::size_t> out;
+    for (std::size_t m = 0; m < base.frame_id.size(); ++m) {
+      if (base.frame_id[m] != 0) out.push_back(m);
+    }
+    return out;
+  }
+};
+
+void expect_identical(const CostEvaluator::Evaluation& a, const CostEvaluator::Evaluation& b) {
+  ASSERT_EQ(a.valid, b.valid);
+  EXPECT_EQ(a.error, b.error);
+  EXPECT_EQ(a.cost.value, b.cost.value);
+  EXPECT_EQ(a.cost.schedulable, b.cost.schedulable);
+  EXPECT_EQ(a.cost.unbounded_activities, b.cost.unbounded_activities);
+  EXPECT_EQ(a.analysis.task_completion, b.analysis.task_completion);
+  EXPECT_EQ(a.analysis.message_completion, b.analysis.message_completion);
+  EXPECT_EQ(a.analysis.task_jitter, b.analysis.task_jitter);
+  EXPECT_EQ(a.analysis.message_jitter, b.analysis.message_jitter);
+  EXPECT_EQ(a.analysis.converged, b.analysis.converged);
+}
+
+TEST(CostEvaluator, SlotFormRepeatIsServedFromTheCache) {
+  const CruiseFixture f;
+  CostEvaluator evaluator(f.app, f.params, AnalysisOptions{});
+  const auto first = evaluator.evaluate(f.base);
+  ASSERT_TRUE(first.valid);
+  const auto hits_before = evaluator.cache_stats().hits;
+  const CostEvaluator::Evaluation& again = evaluator.evaluate_in_slot(f.base);
+  expect_identical(again, first);
+  EXPECT_EQ(evaluator.cache_stats().hits, hits_before + 1);
+  EXPECT_EQ(evaluator.work_stats().full_evaluations, 1u);  // no second analysis
+}
+
+TEST(CostEvaluator, FrameIdMoveReusesTheScheduleComponent) {
+  const CruiseFixture f;
+  const auto dyn = f.dyn_messages();
+  ASSERT_GE(dyn.size(), 2u);
+  CostEvaluator evaluator(f.app, f.params, AnalysisOptions{});
+  ASSERT_TRUE(evaluator.evaluate(f.base).valid);
+  // The first evaluation built the table into the component cache.
+  const EvaluatorWorkStats before = evaluator.work_stats();
+  EXPECT_EQ(before.analysis.schedule_builds, 1u);
+  EXPECT_EQ(before.analysis.schedule_reuses, 0u);
+
+  BusConfig first = f.base;
+  std::swap(first.frame_id[dyn.front()], first.frame_id[dyn.back()]);
+  ASSERT_NE(first, f.base);
+  ASSERT_TRUE(evaluator.evaluate(first).valid);
+  BusConfig second = first;
+  int unused_fid = 0;
+  for (const std::size_t m : dyn) unused_fid = std::max(unused_fid, first.frame_id[m]);
+  ++unused_fid;
+  ASSERT_LE(unused_fid, second.minislot_count);
+  second.frame_id[dyn.front()] = unused_fid;
+  ASSERT_TRUE(evaluator.evaluate_in_slot(second).valid);
+
+  // Same ST/DYN geometry: the table is reused, never rebuilt.
+  const EvaluatorWorkStats after = evaluator.work_stats();
+  EXPECT_EQ(after.analysis.schedule_builds, 1u);
+  EXPECT_EQ(after.analysis.schedule_reuses, 2u);
+  EXPECT_EQ(after.full_evaluations, 3u);
+  EXPECT_EQ(after.components_per_evaluation.count(), 3u);
+}
+
+TEST(CostEvaluator, SlotFormWorksWithTheCacheDisabled) {
+  const CruiseFixture f;
+  CostEvaluator uncached(f.app, f.params, AnalysisOptions{}, uncached_serial());
+  CostEvaluator cached(f.app, f.params, AnalysisOptions{});
+  BusConfig neighbour = f.base;
+  neighbour.minislot_count += 8;
+  const CostEvaluator::Evaluation& slot = uncached.evaluate_in_slot(neighbour);
+  expect_identical(slot, cached.evaluate(neighbour));
+  EXPECT_EQ(uncached.cache_stats().misses, 0u);  // the memo cache never ran
+  EXPECT_EQ(uncached.evaluations(), 1);
+}
+
+TEST(CostEvaluator, SlotFormReportsTheLayoutError) {
+  const CruiseFixture f;
+  CostEvaluator evaluator(f.app, f.params, AnalysisOptions{});
+  ASSERT_TRUE(evaluator.evaluate(f.base).valid);
+  BusConfig neighbour = f.base;
+  neighbour.minislot_count = 0;  // DYN messages exist: layout must reject this
+  const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(neighbour);
+  EXPECT_FALSE(eval.valid);
+  EXPECT_FALSE(eval.error.empty());
+  EXPECT_DOUBLE_EQ(eval.cost.value, kInvalidConfigCost);
+  // The slot held the base configuration's analysis; none of it survives.
+  EXPECT_TRUE(eval.analysis.task_completion.empty());
+  EXPECT_TRUE(eval.analysis.message_completion.empty());
+  EXPECT_TRUE(eval.analysis.task_jitter.empty());
+  EXPECT_TRUE(eval.analysis.message_jitter.empty());
+  EXPECT_EQ(eval.analysis.schedule_ptr, nullptr);
+  // The rejection is memoized like any other result.
+  expect_identical(evaluator.evaluate(neighbour), eval);
+  EXPECT_EQ(evaluator.evaluations(), 1);
 }
 
 TEST(CostEvaluator, AnalysisResultExposed) {

@@ -79,36 +79,35 @@ TEST(MulticlusterEvaluator, FocusSubstitutesIntoContext) {
             direct.cluster_analysis[1].task_completion);
 }
 
-TEST(MulticlusterEvaluator, ClusterDeltaMatchesFullEvaluation) {
+TEST(MulticlusterEvaluator, ClusterMoveOnAWarmedEvaluatorMatchesAFreshOne) {
   Fixture f;
   CostEvaluator evaluator(f.model, f.sys.params, AnalysisOptions{});
+  ASSERT_TRUE(evaluator.evaluate_system(f.config).valid);  // warms the component caches
 
-  // Mutate cluster 1's DYN segment length through a cluster-stamped move.
-  BusConfig next = f.config.clusters[1].flexray;
-  next.minislot_count += 5;
-  DeltaMove move = DeltaMove::between(f.config.clusters[1].flexray, next);
-  move.cluster = 1;
-  const auto delta = evaluator.evaluate_delta(f.config, move);
-  ASSERT_TRUE(delta.valid);
-
+  // Move cluster 1's DYN segment length: substitute it and re-evaluate.
   SystemConfig substituted = f.config;
-  substituted.clusters[1] = ClusterConfig::flexray_bus(next);
-  CostEvaluator reference(f.model, f.sys.params, AnalysisOptions{});
-  const auto full = reference.evaluate_system(substituted);
-  ASSERT_TRUE(full.valid);
-  EXPECT_EQ(delta.cost.value, full.cost.value);
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(delta.cluster_analysis[c].task_completion,
-              full.cluster_analysis[c].task_completion);
-    EXPECT_EQ(delta.cluster_analysis[c].message_completion,
-              full.cluster_analysis[c].message_completion);
-  }
-  EXPECT_EQ(evaluator.work_stats().delta_evaluations, 1u);
+  substituted.clusters[1].flexray.minislot_count += 5;
+  const auto warm = evaluator.evaluate_system(substituted);
+  ASSERT_TRUE(warm.valid);
+  // Cluster 0's schedule table came from the warmed component cache.
+  EXPECT_GT(evaluator.work_stats().analysis.schedule_reuses, 0u);
 
-  // Out-of-range cluster indices are rejected, not UB.
-  DeltaMove bad = move;
-  bad.cluster = 7;
-  EXPECT_FALSE(evaluator.evaluate_delta(f.config, bad).valid);
+  CostEvaluator reference(f.model, f.sys.params, AnalysisOptions{});
+  const auto fresh = reference.evaluate_system(substituted);
+  ASSERT_TRUE(fresh.valid);
+  EXPECT_EQ(warm.cost.value, fresh.cost.value);
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(warm.cluster_analysis[c].task_completion,
+              fresh.cluster_analysis[c].task_completion);
+    EXPECT_EQ(warm.cluster_analysis[c].message_completion,
+              fresh.cluster_analysis[c].message_completion);
+  }
+  EXPECT_EQ(evaluator.work_stats().full_evaluations, 2u);
+
+  // A configuration of the wrong width is rejected, not UB.
+  SystemConfig bad = substituted;
+  bad.clusters.push_back(bad.clusters[1]);
+  EXPECT_FALSE(evaluator.evaluate_system(bad).valid);
 }
 
 TEST(MulticlusterSolve, EveryRegistryOptimizerSolvesATwoClusterSystem) {
@@ -189,7 +188,7 @@ TEST(MulticlusterSolve, PortfolioJobsDoNotChangeTheReport) {
   const std::string parallel = solve_with_jobs(4);
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("cluster_configs"), std::string::npos);
-  EXPECT_NE(serial.find("flexopt-solve-report/5"), std::string::npos);
+  EXPECT_NE(serial.find("flexopt-solve-report/6"), std::string::npos);
 }
 
 void expect_same_work(const EvaluatorWorkStats& a, const EvaluatorWorkStats& b) {
@@ -199,7 +198,6 @@ void expect_same_work(const EvaluatorWorkStats& a, const EvaluatorWorkStats& b) 
   EXPECT_EQ(a.analysis.exact_states_explored, b.analysis.exact_states_explored);
   EXPECT_EQ(a.analysis.exact_frontier_reused, b.analysis.exact_frontier_reused);
   EXPECT_EQ(a.full_evaluations, b.full_evaluations);
-  EXPECT_EQ(a.delta_evaluations, b.delta_evaluations);
 }
 
 /// The descent's profile covers all of its work: the seed evaluation and
@@ -230,7 +228,6 @@ TEST(MulticlusterSolve, ProfileCountsEveryPassAndTheSeed) {
   EXPECT_GT(report.profile.analysis.exact_frontier_reused, 0u);
   expect_same_work(report.profile, spent);
   EXPECT_EQ(report.components_recomputed, report.profile.analysis.components());
-  EXPECT_EQ(report.delta_evaluations, report.profile.delta_evaluations);
 }
 
 /// A portfolio descent races its members on sibling evaluators: its

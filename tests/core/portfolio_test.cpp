@@ -93,7 +93,7 @@ class ScriptedOptimizer final : public Optimizer {
     report.outcome.evaluations = evaluations_;
     report.outcome.algorithm = name_;
     report.cache_hits = 1;
-    report.delta_evaluations = 2;
+    report.components_recomputed = 2;
     return report;
   }
 
@@ -136,7 +136,7 @@ TEST(PortfolioSolve, PicksCostArgminAndBreaksTiesByMemberIndex) {
   // Aggregates are sums over the members.
   EXPECT_EQ(report.outcome.evaluations, 3 + 5 + 4);
   EXPECT_EQ(report.cache_hits, 3u);
-  EXPECT_EQ(report.delta_evaluations, 6u);
+  EXPECT_EQ(report.components_recomputed, 6u);
   EXPECT_EQ(report.status, SolveStatus::Complete);
 }
 

@@ -81,7 +81,7 @@ TEST(PessimismJson, StarvedPortSerializesInfiniteBoundAsNull) {
   report.outcome.evaluations = 1;
   const std::string json = write_solve_json(sys.app, "exact", report, false, &pessimism);
 
-  EXPECT_NE(json.find("\"schema\": \"flexopt-solve-report/5\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"flexopt-solve-report/6\""), std::string::npos);
   EXPECT_NE(json.find("\"pessimism\""), std::string::npos);
   EXPECT_NE(json.find("\"unbounded\": " + std::to_string(pessimism.unbounded)),
             std::string::npos);
@@ -92,7 +92,7 @@ TEST(PessimismJson, StarvedPortSerializesInfiniteBoundAsNull) {
   // Without a report the block is absent and the schema stays v5.
   const std::string plain = write_solve_json(sys.app, "exact", report);
   EXPECT_EQ(plain.find("\"pessimism\""), std::string::npos);
-  EXPECT_NE(plain.find("\"flexopt-solve-report/5\""), std::string::npos);
+  EXPECT_NE(plain.find("\"flexopt-solve-report/6\""), std::string::npos);
 }
 
 }  // namespace

@@ -1,15 +1,28 @@
-// Property test of the incremental evaluation engine: across random
-// (spec, move-sequence) pairs drawn from every topology family, a chain of
-// SA neighbourhood moves evaluated through CostEvaluator::evaluate_delta
-// must agree bit-for-bit with independent full evaluations — costs,
-// completion bounds, jitters and convergence alike.  25 pairs per family
-// x 4 families = 100 pairs, each with an 8-move chain.
+// Property test of the holistic engine against the Jacobi reference oracle
+// (tests/analysis/jacobi_reference.hpp): across random (spec, move-chain)
+// pairs drawn from every topology family, every configuration of a chain
+// of SA neighbourhood moves is analysed by CostEvaluator's slot form (the
+// engine on warmed component caches) and by the reference.  Wherever the
+// reference converged with no FPS/DYN recurrence at its cap, the two agree
+// bit for bit: completions, convergence, jitters and cost.  Elsewhere (the
+// reference's carve-outs, jacobi_reference.hpp) the engine's completions
+// are <= the reference's element-wise: it may bound an activity the
+// reference leaves unbounded, and every activity both bound gets the same
+// bound.  Those carve-out cases are counted.  The engine never leaves
+// unbounded an activity the reference bounds: on this population that
+// holds without exception (HolisticCap pins a fig9 configuration where an
+// FPS recurrence caps on the engine's trajectory only).  Every third
+// configuration is also analysed under per-message DYN caps, the exact
+// backend's hook.  25 pairs per family x 4 families = 100 pairs, each with
+// an 8-move chain.
 
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "analysis/jacobi_reference.hpp"
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/evaluator.hpp"
 #include "flexopt/core/sa.hpp"
@@ -36,79 +49,133 @@ ScenarioSpec random_spec(Topology topology, Rng& rng) {
   return spec;
 }
 
-void expect_identical(const CostEvaluator::Evaluation& delta,
-                      const CostEvaluator::Evaluation& full, const std::string& label) {
-  ASSERT_EQ(delta.valid, full.valid) << label;
-  if (!full.valid) return;
-  if (delta.analysis.converged && !full.analysis.converged) return;  // documented carve-out
-  EXPECT_EQ(delta.cost.value, full.cost.value) << label;
-  EXPECT_EQ(delta.cost.schedulable, full.cost.schedulable) << label;
-  EXPECT_EQ(delta.analysis.task_completion, full.analysis.task_completion) << label;
-  EXPECT_EQ(delta.analysis.message_completion, full.analysis.message_completion) << label;
-  EXPECT_EQ(delta.analysis.task_jitter, full.analysis.task_jitter) << label;
-  EXPECT_EQ(delta.analysis.message_jitter, full.analysis.message_jitter) << label;
-  EXPECT_EQ(delta.analysis.converged, full.analysis.converged) << label;
+struct Tally {
+  int identical = 0;   ///< no activity bounded on one side only
+  int carve_outs = 0;  ///< some activity bounded by the engine only
+};
+
+/// Compares one engine result with the reference on the same layout.
+void check(const AnalysisResult& engine, const BusLayout& layout,
+           std::span<const Time> dyn_message_caps, const std::string& label, Tally& tally) {
+  auto ref = testing::jacobi_reference(layout, AnalysisOptions{}, {}, dyn_message_caps);
+  ASSERT_TRUE(ref.ok()) << label << ": " << ref.error().message;
+  const AnalysisResult& reference = ref.value().result;
+  const bool carve_out = !reference.converged || ref.value().recurrence_capped;
+  bool engine_only = false;  // bounded by the engine, unbounded by the reference
+  auto compare = [&](const std::vector<Time>& e, const std::vector<Time>& r, const char* kind) {
+    ASSERT_EQ(e.size(), r.size()) << label;
+    for (std::size_t i = 0; i < e.size(); ++i) {
+      if (is_infinite(e[i]) == is_infinite(r[i])) {
+        EXPECT_EQ(e[i], r[i]) << label << " " << kind << " " << i;
+      } else if (is_infinite(e[i])) {
+        ADD_FAILURE() << label << " " << kind << " " << i
+                      << ": unbounded by the engine, bounded by the reference";
+      } else {
+        engine_only = true;
+      }
+    }
+  };
+  compare(engine.task_completion, reference.task_completion, "task");
+  compare(engine.message_completion, reference.message_completion, "message");
+  if (engine_only) {
+    EXPECT_TRUE(carve_out) << label
+                           << ": the engine bounds an activity the reference leaves unbounded, "
+                              "yet the reference converged with no capped recurrence";
+    ++tally.carve_outs;
+    return;
+  }
+  ++tally.identical;
+  EXPECT_EQ(engine.converged, reference.converged) << label;
+  EXPECT_EQ(engine.cost.value, reference.cost.value) << label;
+  EXPECT_EQ(engine.cost.schedulable, reference.cost.schedulable) << label;
+  EXPECT_EQ(engine.cost.unbounded_activities, reference.cost.unbounded_activities) << label;
+  if (!engine.converged) return;  // pinned: the last sweep's jitters are not a bound
+  EXPECT_EQ(engine.task_jitter, reference.task_jitter) << label;
+  EXPECT_EQ(engine.message_jitter, reference.message_jitter) << label;
+}
+
+/// Caps at half of each finite DYN completion: binding for most messages.
+std::vector<Time> half_caps(const Application& app, const AnalysisResult& uncapped) {
+  std::vector<Time> caps(app.message_count(), kTimeInfinity);
+  for (std::uint32_t m = 0; m < app.message_count(); ++m) {
+    const Time c = uncapped.message_completion[m];
+    if (app.messages()[m].cls == MessageClass::Dynamic && !is_infinite(c)) caps[m] = c / 2;
+  }
+  return caps;
 }
 
 void run_family(Topology topology) {
   BusParams params;
   Rng rng(0xde17a0000u + static_cast<std::uint64_t>(topology));
+  Tally tally;
   int chains_run = 0;
+  int capped_checks = 0;
   for (int pair = 0; pair < kPairsPerFamily; ++pair) {
     const ScenarioSpec spec = random_spec(topology, rng);
     const std::string where = std::string(to_string(topology)) + " pair " +
                               std::to_string(pair) + " seed " +
                               std::to_string(spec.base.seed);
     auto app_result = generate_scenario(spec, params);
-    ASSERT_TRUE(app_result.ok()) << where << ": " << app_result.error().message;
+    EXPECT_TRUE(app_result.ok()) << where << ": " << app_result.error().message;
+    if (!app_result.ok()) continue;
     const Application& app = app_result.value();
 
     const StartConfig start = minimal_start_config(app, params);
     if (!start.bounds.feasible()) continue;  // degenerate cell: nothing to walk
-    const std::vector<NodeId>& senders = start.st_senders;
-    const DynBounds& bounds = start.bounds;
     BusConfig current = start.config;
-
-    CostEvaluator full(app, params, AnalysisOptions{});
-    CostEvaluator delta(app, params, AnalysisOptions{});
-    expect_identical(delta.evaluate(current), full.evaluate(current), where + " start");
+    CostEvaluator evaluator(app, params, AnalysisOptions{});
 
     Rng move_rng(spec.base.seed ^ 0x9e3779b97f4a7c15ull);
-    for (int step = 0; step < kMovesPerPair; ++step) {
-      BusConfig neighbour = current;
-      bool moved = false;
-      for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
-        moved = random_neighbour_move(neighbour, app, params, move_rng, senders,
-                                      bounds.min_minislots, SpecLimits::kMaxMinislots);
+    for (int step = 0; step <= kMovesPerPair; ++step) {
+      BusConfig config = current;
+      if (step > 0) {
+        bool moved = false;
+        for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
+          moved = random_neighbour_move(config, app, params, move_rng, start.st_senders,
+                                        start.bounds.min_minislots, SpecLimits::kMaxMinislots);
+        }
+        if (!moved) continue;
       }
-      if (!moved) continue;
-      const DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      const auto ef = full.evaluate(move.config);
-      const auto ed = delta.evaluate_delta(current, move);
-      expect_identical(ed, ef, where + " step " + std::to_string(step));
-      // Walk on through every analysable neighbour so the delta chain keeps
-      // seeding from fresh bases (invalid ones keep the previous base).
-      if (ef.valid) current = move.config;
+      const std::string label = where + " step " + std::to_string(step);
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(config);
+      auto layout = BusLayout::build(app, params, config);
+      EXPECT_EQ(eval.valid, layout.ok()) << label;
+      if (!layout.ok() || !eval.valid) continue;
+      check(eval.analysis, layout.value(), {}, label, tally);
+
+      if (step % 3 == 0) {
+        const std::vector<Time> caps = half_caps(app, eval.analysis);
+        auto capped = analyze_system(layout.value(), AnalysisOptions{}, nullptr, {}, caps);
+        ASSERT_TRUE(capped.ok()) << label;
+        check(capped.value(), layout.value(), caps, label + " capped", tally);
+        ++capped_checks;
+      }
+      current = std::move(config);  // walk on through every analysable neighbour
     }
     ++chains_run;
   }
   // The generator must give us real work for most draws.
   EXPECT_GE(chains_run, kPairsPerFamily / 2) << to_string(topology);
+  EXPECT_GE(capped_checks, chains_run) << to_string(topology);
+  EXPECT_GT(tally.identical, 8 * chains_run) << to_string(topology);
+  std::cout << to_string(topology) << ": " << tally.identical << " identical, "
+            << tally.carve_outs << " carve-outs bounded by the engine only\n";
+  ::testing::Test::RecordProperty("carve_outs", tally.carve_outs);
 }
 
-TEST(DeltaEvalProperty, RandomDagChainsMatchFullEvaluation) {
+TEST(HolisticReferenceProperty, RandomDagChainsMatchTheJacobiReference) {
   run_family(Topology::RandomDag);
 }
 
-TEST(DeltaEvalProperty, PipelineChainsMatchFullEvaluation) {
+TEST(HolisticReferenceProperty, PipelineChainsMatchTheJacobiReference) {
   run_family(Topology::Pipeline);
 }
 
-TEST(DeltaEvalProperty, FanInFanOutChainsMatchFullEvaluation) {
+TEST(HolisticReferenceProperty, FanInFanOutChainsMatchTheJacobiReference) {
   run_family(Topology::FanInFanOut);
 }
 
-TEST(DeltaEvalProperty, GatewayHeavyChainsMatchFullEvaluation) {
+TEST(HolisticReferenceProperty, GatewayHeavyChainsMatchTheJacobiReference) {
   run_family(Topology::GatewayHeavy);
 }
 

@@ -569,7 +569,7 @@ TEST(ExactProperty, LazyWalkMatchesEagerReference) {
     auto holistic = analyze_system(layout.value(), AnalysisOptions{});
     ASSERT_TRUE(holistic.ok()) << holistic.error().message;
     if (!holistic.value().converged) continue;
-    const auto horizon = analysis_horizon(app.value(), AnalysisOptions{});
+    const auto horizon = analysis_horizon(app.value());
     ASSERT_TRUE(horizon.ok());
     const std::vector<Time>& jitter = holistic.value().message_jitter;
 

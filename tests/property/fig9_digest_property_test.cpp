@@ -18,7 +18,12 @@
 // memoised, and before that scan became one batched curve family refreshed
 // only between a new point's neighbours; those are pure speed-ups, so any
 // change to placement choice, profile construction, interpolation or solver
-// trajectories moves a digest.
+// trajectories moves a digest.  The solve digest was re-recorded once since,
+// when every evaluation moved onto the one holistic engine: the Jacobi fixed
+// point that served full evaluations until then pinned to infinity some
+// bounds the engine resolves (its sweep cap, and an FPS recurrence capped on
+// its trajectory only), which changed the trajectories of scenarios that
+// visit such configurations.
 
 #include <gtest/gtest.h>
 
@@ -200,7 +205,7 @@ TEST(Fig9Digest, StaticScheduleMatchesRecordedDigestWhereTheFpsCapBinds) {
 }
 
 TEST(Fig9Digest, SolvesMatchRecordedDigest) {
-  constexpr std::uint64_t kRecordedDigest = 0xb1f6f2ad4cdc258cull;
+  constexpr std::uint64_t kRecordedDigest = 0x29f2c17bce8f588cull;
   CampaignRunner runner(fig9_grid(/*replicates=*/1, /*budget=*/200), BusParams{});
   CampaignOptions options;
   options.threads = 2;

@@ -61,7 +61,7 @@ void expect_identical(const SolveReport& a, const SolveReport& b, const std::str
   EXPECT_EQ(a.status, b.status) << label;
   EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
   EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
-  EXPECT_EQ(a.delta_evaluations, b.delta_evaluations) << label;
+  EXPECT_EQ(a.components_recomputed, b.components_recomputed) << label;
   ASSERT_EQ(a.members.size(), b.members.size()) << label;
   for (std::size_t i = 0; i < a.members.size(); ++i) {
     const MemberSolveReport& ma = a.members[i];

@@ -116,14 +116,6 @@ TEST(IndexBitset, SetTestAndResetBit) {
   EXPECT_TRUE(s.test(64));
 }
 
-TEST(IndexBitset, TestSetReturnsPreviousValue) {
-  IndexBitset s;
-  s.reset(10);
-  EXPECT_FALSE(s.test_set(3));
-  EXPECT_TRUE(s.test_set(3));
-  EXPECT_TRUE(s.test(3));
-}
-
 TEST(IndexBitset, ClearKeepsSize) {
   IndexBitset s;
   s.reset(70);
@@ -134,23 +126,10 @@ TEST(IndexBitset, ClearKeepsSize) {
   EXPECT_FALSE(s.any());
 }
 
-TEST(IndexBitset, FillMasksTailBits) {
-  IndexBitset s;
-  s.reset(70);
-  s.fill();
-  for (std::size_t i = 0; i < 70; ++i) EXPECT_TRUE(s.test(i)) << i;
-  EXPECT_TRUE(s.any());
-  // A universe that is an exact multiple of the word size has no tail.
-  IndexBitset whole;
-  whole.reset(128);
-  whole.fill();
-  for (std::size_t i = 0; i < 128; ++i) EXPECT_TRUE(whole.test(i)) << i;
-}
-
 TEST(IndexBitset, ResetShrinksAndRegrows) {
   IndexBitset s;
   s.reset(200);
-  s.fill();
+  for (std::size_t i = 0; i < 200; ++i) s.set(i);
   s.reset(40);
   EXPECT_EQ(s.size(), 40u);
   EXPECT_FALSE(s.any());

@@ -349,20 +349,17 @@ int solve_main(int argc, char** argv) {
             << fmt_double(outcome.cost.value, 1) << " us, " << outcome.evaluations
             << " analyses in " << fmt_double(outcome.wall_seconds, 3) << " s ("
             << to_string(report.status) << ", " << report.cache_hits << " cache hits)\n";
-  if (report.delta_evaluations > 0) {
-    std::cout << "incremental: " << report.delta_evaluations << " delta analyses, "
-              << report.components_recomputed << " components recomputed, "
-              << report.components_reused << " reused\n";
-  }
+  std::cout << "incremental: " << report.components_recomputed << " components recomputed, "
+            << report.components_reused << " reused\n";
   {
     const EvaluatorWorkStats& profile = report.profile;
     std::cout << "profile: " << profile.analysis.holistic_iterations
               << " holistic iterations, " << profile.analysis.fixed_point_iterations
               << " fixed-point iterations, " << profile.arena_reuses << "/"
               << (profile.arena_binds + profile.arena_reuses) << " arena reuses";
-    if (profile.components_per_delta.count() > 0) {
-      std::cout << ", " << fmt_double(profile.components_per_delta.mean(), 1)
-                << " components/delta";
+    if (profile.components_per_evaluation.count() > 0) {
+      std::cout << ", " << fmt_double(profile.components_per_evaluation.mean(), 1)
+                << " components/evaluation";
     }
     std::cout << "\n";
     if (profile.analysis.exact_states_explored > 0 ||
