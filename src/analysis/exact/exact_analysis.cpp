@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "exact_dispatch.hpp"
 #include "flexopt/analysis/incremental.hpp"
 #include "flexopt/analysis/sat_time.hpp"
 #include "flexopt/analysis/exact/schedule_space.hpp"
@@ -49,10 +50,11 @@ void clamp_to_holistic(const Application& app, AnalysisResult& refined,
 /// itself — through `cache`'s exact-space store when one is available (a
 /// hit replays the stored frontier outcome verbatim, bit-identical to a
 /// cold run); returns the caps to feed the re-run (empty on fallback) and
-/// records the outcome in `info`.
+/// records the outcome in `info`.  `converged` is the system-wide holistic
+/// fixed point's verdict.
 std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult& holistic,
-                                  const AnalysisOptions& options, ExactClusterInfo& info,
-                                  AnalysisComponentCache* cache,
+                                  bool converged, const AnalysisOptions& options,
+                                  ExactClusterInfo& info, AnalysisComponentCache* cache,
                                   AnalysisWorkCounters* counters) {
   const Application& app = layout.application();
   // Validated at entry: a zero budget must be a loud diagnostic, not a
@@ -65,7 +67,7 @@ std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult&
     info.fallback = ExactFallback::NoDynMessages;
     return {};
   }
-  if (!holistic.converged) {
+  if (!converged) {
     info.fallback = ExactFallback::NotConverged;
     return {};
   }
@@ -102,45 +104,7 @@ std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult&
 
 }  // namespace
 
-Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
-                                              const AnalysisOptions& options,
-                                              AnalysisWorkCounters* counters,
-                                              std::span<const Time> external_task_jitter,
-                                              AnalysisComponentCache* cache) {
-  AnalysisOptions holistic_options = options;
-  holistic_options.mode = AnalysisMode::Holistic;
-  auto holistic =
-      analyze_system(layout, holistic_options, counters, external_task_jitter, {}, cache);
-  if (!holistic.ok()) return holistic;
-  AnalysisResult base = std::move(holistic).value();
-
-  auto info = std::make_shared<ExactClusterInfo>();
-  info->holistic_task_completion = base.task_completion;
-  info->holistic_message_completion = base.message_completion;
-
-  const std::vector<Time> caps = explore_cluster(layout, base, options, *info, cache, counters);
-  if (info->fallback != ExactFallback::None) {
-    base.exact = std::move(info);
-    return base;
-  }
-
-  auto capped =
-      analyze_system(layout, holistic_options, counters, external_task_jitter, caps, cache);
-  if (!capped.ok()) return capped;
-  AnalysisResult refined = std::move(capped).value();
-  if (!refined.converged) {
-    // The capped fixed point should only converge faster; if it does not,
-    // keep the holistic bounds rather than the pinned-to-infinity ones.
-    info->fallback = ExactFallback::NotConverged;
-    base.exact = std::move(info);
-    return base;
-  }
-  clamp_to_holistic(layout.application(), refined, *info);
-  refined.exact = std::move(info);
-  return refined;
-}
-
-Expected<MulticlusterResult> analyze_multicluster_exact(
+Expected<MulticlusterResult> detail::analyze_multicluster_exact(
     const SystemModel& model, std::span<const ClusterLayout> layouts,
     const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches,
     AnalysisWorkCounters* counters) {
@@ -163,13 +127,9 @@ Expected<MulticlusterResult> analyze_multicluster_exact(
       info.fallback = ExactFallback::UnsupportedBackend;
       continue;
     }
-    if (!base.converged) {
-      info.fallback = ExactFallback::NotConverged;
-      continue;
-    }
     AnalysisComponentCache* cache = c < caches.size() ? caches[c] : nullptr;
-    caps[c] = explore_cluster(layouts[c].flexray(), base.clusters[c], options, info, cache,
-                              counters);
+    caps[c] = explore_cluster(layouts[c].flexray(), base.clusters[c], base.converged, options,
+                              info, cache, counters);
     any_caps = any_caps || info.fallback == ExactFallback::None;
   }
 
@@ -200,7 +160,7 @@ Expected<MulticlusterResult> analyze_multicluster_exact(
     clamp_to_holistic(app, refined.clusters[c], *infos[c]);
     acc.add(app, refined.clusters[c].task_completion, refined.clusters[c].message_completion);
   }
-  refined.cost = model.single_cluster() ? refined.clusters[0].cost : acc.finish();
+  refined.cost = acc.finish();
   attach(refined);
   return refined;
 }

@@ -1,13 +1,13 @@
 #pragma once
 
 /// \file analysis_mode.hpp
-/// The analysis-backend vocabulary shared by analyze_system,
-/// analyze_multicluster, CostEvaluator, and the campaign runner: which of
-/// the two backends (holistic, exact) computes the ET (DYN-segment)
-/// worst-case response times, the exact exploration's two knobs (state
-/// budget, dominance pruning), and the per-cluster record of what the
-/// exact backend actually did (refinement statistics plus the holistic
-/// reference bounds the pessimism report is computed against).
+/// The analysis-backend vocabulary shared by analyze_multicluster,
+/// CostEvaluator, and the campaign runner: which of the two backends
+/// (holistic, exact) computes the ET (DYN-segment) worst-case response
+/// times, the exact exploration's one knob (the state budget), and the
+/// per-cluster record of what the exact backend actually did (refinement
+/// statistics plus the holistic reference bounds the pessimism report is
+/// computed against).
 
 #include <cstdint>
 #include <memory>

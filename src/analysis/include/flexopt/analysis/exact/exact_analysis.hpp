@@ -1,18 +1,21 @@
 #pragma once
 
 /// \file exact_analysis.hpp
-/// The exact analysis backend behind AnalysisMode::Exact: runs the holistic
-/// analysis, explores the DYN schedule space per FlexRay cluster
-/// (schedule_space.hpp), and re-runs the holistic fixed point with the
-/// explored worst-case finishes as per-message caps.  Folding the caps
-/// through the fixed point tightens the jitters of downstream FPS tasks and
-/// messages too, so the refinement propagates along the task graphs — and
-/// the final bounds are clamped activity-wise to the holistic ones, so
-/// exact <= holistic holds by construction.
+/// The exact analysis backend behind AnalysisMode::Exact, reached through
+/// analyze_multicluster at every cluster count (a single bus is the
+/// one-cluster SystemModel::single): runs the holistic analysis, explores
+/// the DYN schedule space per FlexRay cluster (schedule_space.hpp), and
+/// re-runs the holistic fixed point with the explored worst-case finishes
+/// as per-message caps.  Folding the caps through the fixed point tightens
+/// the jitters of downstream FPS tasks and messages too, so the refinement
+/// propagates along the task graphs — and the final bounds are clamped
+/// activity-wise to the holistic ones, so exact <= holistic holds by
+/// construction.
 ///
 /// Any cluster the exploration cannot refine keeps its holistic bounds and
 /// records why (ExactFallback) in the ExactClusterInfo attached to its
-/// AnalysisResult — recorded, never silent.
+/// AnalysisResult — recorded, never silent.  This header holds the
+/// holistic-vs-exact report built from those records.
 
 #include <cstdint>
 #include <span>
@@ -22,28 +25,6 @@
 #include "flexopt/analysis/system_analysis.hpp"
 
 namespace flexopt {
-
-/// Single-cluster exact analysis (the AnalysisMode::Exact dispatch target
-/// of analyze_system).  Always attaches an ExactClusterInfo to the result.
-/// With `cache`, both holistic passes read the cache's schedule components
-/// and the exploration goes through its exact-space store, making repeated
-/// analyses of unchanged DYN inputs incremental — bit-identical to cold
-/// runs.
-Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
-                                              const AnalysisOptions& options = {},
-                                              AnalysisWorkCounters* counters = nullptr,
-                                              std::span<const Time> external_task_jitter = {},
-                                              AnalysisComponentCache* cache = nullptr);
-
-/// Multi-cluster exact analysis (the AnalysisMode::Exact dispatch target of
-/// analyze_multicluster): holistic cross-cluster fixed point, one
-/// exploration per FlexRay cluster, then one capped cross-cluster re-run.
-/// Every cluster's result carries an ExactClusterInfo (TSN clusters fall
-/// back with ExactFallback::UnsupportedBackend).
-Expected<MulticlusterResult> analyze_multicluster_exact(
-    const SystemModel& model, std::span<const ClusterLayout> layouts,
-    const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches = {},
-    AnalysisWorkCounters* counters = nullptr);
 
 /// One ET activity's holistic-vs-exact bound pair.
 struct PessimismActivity {

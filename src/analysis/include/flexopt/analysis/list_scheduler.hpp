@@ -19,16 +19,14 @@ class BusLayout;  // flexopt/flexray/bus_layout.hpp (kept out of cluster-generic
 enum class Placement {
   /// First idle gap after ASAP — fast, used inside hot optimisation loops.
   Asap,
-  /// Evaluate up to `placement_candidates` gaps and keep the one giving the
-  /// smallest sum of FPS response times on that node (the paper's intent;
-  /// the exact method of [13] re-analyses the whole system per candidate).
+  /// Evaluate a few candidate gaps and keep the one giving the smallest sum
+  /// of FPS response times on that node (the paper's intent; the exact
+  /// method of [13] re-analyses the whole system per candidate).
   MinimizeFpsImpact,
 };
 
 struct SchedulerOptions {
   Placement placement = Placement::MinimizeFpsImpact;
-  /// Gap candidates evaluated per SCS task when minimising FPS impact.
-  int placement_candidates = 4;
   /// Give up locating an ST slot for a message beyond this many bus cycles
   /// after its ready time (guards against unbounded searches when slots are
   /// hopelessly oversubscribed); the schedule is then reported infeasible.

@@ -18,9 +18,10 @@
 /// activity to infinity, exactly like analyze_system's own iteration cap.
 ///
 /// Every FlexRay cluster is analysed by analyze_system's engine
-/// (flexopt/analysis/incremental.hpp).  The degenerate single-cluster case
-/// runs exactly one per-cluster analysis with no injected jitter and is
-/// bit-identical to analyze_system.
+/// (flexopt/analysis/incremental.hpp).  A single bus is the one-cluster
+/// SystemModel::single: one sweep with an all-zero injected jitter,
+/// bit-identical to analyze_system.  analyze_multicluster is the exact
+/// backend's only entry point, at every cluster count.
 
 #include <memory>
 #include <span>
@@ -68,9 +69,16 @@ Expected<std::vector<ClusterLayout>> build_system_layouts(const SystemModel& mod
 /// analysis of every sweep.  `dyn_message_caps` (optional, one vector per
 /// cluster; an empty inner vector caps nothing) forwards per-message
 /// response caps into each FlexRay cluster's fixed point — the exact
-/// backend's re-run hook (see analyze_system).  When options.mode ==
-/// AnalysisMode::Exact and no caps are given, the call dispatches to
-/// analyze_multicluster_exact.
+/// backend's re-run hook (see analyze_system).
+///
+/// When options.mode == AnalysisMode::Exact and no caps are given, the call
+/// runs the exact analysis (flexopt/analysis/exact/exact_analysis.hpp) and
+/// every cluster's result carries an ExactClusterInfo (TSN clusters fall
+/// back with ExactFallback::UnsupportedBackend).  With `caches`, each
+/// exploration goes through its cluster's exact-space store, bit-identical
+/// to a cold run.  A cluster's fallback reasons rank InvalidOptions,
+/// NoDynMessages, then NotConverged (the system-wide holistic fixed point),
+/// then the exploration's own.
 Expected<MulticlusterResult> analyze_multicluster(
     const SystemModel& model, std::span<const ClusterLayout> layouts,
     const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches = {},

@@ -38,7 +38,8 @@ struct AnalysisOptions {
   /// then pinned to infinity).
   int max_holistic_iterations = 32;
   /// Which backend produces the ET bounds.  Exact routes through the DYN
-  /// schedule-space exploration (flexopt/analysis/exact/).
+  /// schedule-space exploration (flexopt/analysis/exact/); only
+  /// analyze_multicluster runs it.
   AnalysisMode mode = AnalysisMode::Holistic;
   /// Exploration knobs, used only when mode == AnalysisMode::Exact.
   ExactOptions exact;
@@ -166,10 +167,10 @@ Expected<Time> analysis_horizon(const Application& app);
 /// `cache` (optional) serves the schedule table and the task structure
 /// (thread-safe, shared by concurrent calls on one application); without
 /// one the call builds both into a call-local cache.
-/// When options.mode == AnalysisMode::Exact and no caps are given, the call
-/// dispatches to the exact backend (analyze_system_exact), which runs the
-/// holistic analysis, explores the DYN schedule space, and re-runs the
-/// fixed point with the explored caps.
+/// The analysis is holistic only: options.mode == AnalysisMode::Exact is
+/// rejected with a diagnostic naming analyze_multicluster, the exact
+/// backend's entry point at every cluster count (a single bus is the
+/// one-cluster SystemModel::single).
 Expected<AnalysisResult> analyze_system(const BusLayout& layout,
                                         const AnalysisOptions& options = {},
                                         AnalysisWorkCounters* counters = nullptr,

@@ -13,6 +13,9 @@
 namespace flexopt {
 namespace {
 
+/// Gap candidates evaluated per SCS task under Placement::MinimizeFpsImpact.
+constexpr int kPlacementCandidates = 4;
+
 /// A time-triggered job: one hyper-period instance of an SCS task or an ST
 /// message.
 struct Job {
@@ -263,8 +266,7 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
     const std::size_t node = index_of(task.node);
     Timeline& tl = timelines[node];
 
-    const int candidates = options.placement == Placement::Asap ? 1
-                                                                : options.placement_candidates;
+    const int candidates = options.placement == Placement::Asap ? 1 : kPlacementCandidates;
     tl.gap_candidates(js.asap, task.wcet, candidates, starts);
     if (options.placement == Placement::MinimizeFpsImpact && !fps_on_node[node].empty()) {
       // The first-fit gaps all hug the existing SCS clump, which is exactly
@@ -281,8 +283,8 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
           js.job.release + deadline - alap_reserve[slot_of(js.job.activity)];
       const Time span = latest - js.asap;
       if (span > 0) {
-        for (int j = 1; j < std::max(2, options.placement_candidates); ++j) {
-          const Time probe = js.asap + span * j / std::max(2, options.placement_candidates);
+        for (int j = 1; j < kPlacementCandidates; ++j) {
+          const Time probe = js.asap + span * j / kPlacementCandidates;
           const Time fitted = tl.earliest_fit(probe, task.wcet);
           if (fitted <= latest) starts.push_back(fitted);
         }

@@ -4,7 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "flexopt/analysis/exact/exact_analysis.hpp"
+#include "exact/exact_dispatch.hpp"
 
 namespace flexopt {
 namespace {
@@ -71,7 +71,7 @@ Expected<MulticlusterResult> analyze_multicluster(
   // this function with mode == Holistic (and, on the second pass, with the
   // explored caps) — the caps.empty() guard keeps the re-entry direct.
   if (options.mode == AnalysisMode::Exact && dyn_message_caps.empty()) {
-    return analyze_multicluster_exact(model, layouts, options, caches, counters);
+    return detail::analyze_multicluster_exact(model, layouts, options, caches, counters);
   }
   if (layouts.size() != C) {
     return make_error("analyze_multicluster: layout count does not match cluster count");
@@ -86,16 +86,6 @@ Expected<MulticlusterResult> analyze_multicluster(
 
   MulticlusterResult result;
   result.clusters.resize(C);
-
-  if (model.single_cluster()) {
-    auto analysis = analyze_one(layouts[0], options, cache_of(0), counters, {}, caps_of(0));
-    if (!analysis.ok()) return analysis.error();
-    result.clusters[0] = std::move(analysis).value();
-    result.cost = result.clusters[0].cost;
-    result.converged = result.clusters[0].converged;
-    result.cross_iterations = 1;
-    return result;
-  }
 
   // Injected release-jitter floors, indexed [cluster][local TaskId]; only
   // forwarding relays ever get a non-zero entry.

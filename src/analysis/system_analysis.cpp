@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "flexopt/analysis/arena.hpp"
-#include "flexopt/analysis/exact/exact_analysis.hpp"
 #include "flexopt/analysis/incremental.hpp"
 
 namespace flexopt {
@@ -27,16 +26,14 @@ Expected<AnalysisResult> analyze_system(const BusLayout& layout, const AnalysisO
                                         std::span<const Time> external_task_jitter,
                                         std::span<const Time> dyn_message_caps,
                                         AnalysisComponentCache* cache) {
+  if (options.mode == AnalysisMode::Exact) {
+    return make_error("analyze_system runs the holistic analysis only; exact mode runs through "
+                      "analyze_multicluster");
+  }
   if (cache == nullptr) {
     AnalysisComponentCache call_local;
     return analyze_system(layout, options, counters, external_task_jitter, dyn_message_caps,
                           &call_local);
-  }
-  // Exact mode dispatches to the schedule-space backend, which re-enters
-  // this function twice with mode == Holistic (once uncapped, once with the
-  // explored caps) — the caps.empty() guard keeps that re-entry direct.
-  if (options.mode == AnalysisMode::Exact && dyn_message_caps.empty()) {
-    return analyze_system_exact(layout, options, counters, external_task_jitter, cache);
   }
   AnalysisArena arena;
   AnalysisResult result;

@@ -13,6 +13,10 @@
 namespace flexopt {
 namespace {
 
+/// Candidate lengths on the curve-fit scan's grid; the stride in minislots
+/// follows from the searched span.
+constexpr int kCurveFitCandidates = 128;
+
 int auto_stride(int span, int max_points) {
   return std::max(1, span / std::max(1, max_points - 1));
 }
@@ -22,9 +26,7 @@ int auto_stride(int span, int max_points) {
 DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const BusConfig& base,
                                             int dyn_min, int dyn_max, SolveControl* control) {
   DynSearchResult best;
-  const int stride = options_.stride_minislots > 0
-                         ? options_.stride_minislots
-                         : auto_stride(dyn_max - dyn_min, options_.max_sweep_points);
+  const int stride = auto_stride(dyn_max - dyn_min, options_.max_sweep_points);
 
   auto note = [&](int minislots, const CostEvaluator::Evaluation& eval) {
     if (eval.valid && eval.cost.value < best.cost.value) {
@@ -73,9 +75,7 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
 
   // Fig. 8 scans a fixed candidate grid; the stride only needs the span.
   const int span = dyn_max - dyn_min;
-  const int stride = options_.stride_minislots > 0
-                         ? options_.stride_minislots
-                         : auto_stride(span, options_.max_candidates);
+  const int stride = auto_stride(span, kCurveFitCandidates);
   std::vector<int> grid;
   for (int x = dyn_min; x <= dyn_max; x += stride) grid.push_back(x);
 

@@ -1,6 +1,5 @@
 #include "flexopt/core/evaluator.hpp"
 
-#include "flexopt/analysis/exact/exact_analysis.hpp"
 #include "flexopt/analysis/multicluster.hpp"
 #include "flexopt/flexray/bus_layout.hpp"
 
@@ -21,6 +20,7 @@ struct CostEvaluator::ThreadSlot {
   EvaluatorWorkStats stats;  // guarded by mutex
   AnalysisArena arena;       ///< fixed-point state, reused per evaluation
   BusLayout layout;          ///< rebuilt in place per candidate
+  SystemConfig key;          ///< the candidate's memo key, rebuilt in place
   Evaluation eval;           ///< evaluate_in_slot's return storage
 };
 
@@ -114,6 +114,7 @@ CostEvaluator::CostEvaluator(SystemModel model, const BusParams& params,
   // The pointer table is built once — the evaluator is immovable, so the
   // addresses hold — keeping the per-candidate hot path allocation-free.
   for (std::size_t c = 0; c < components_.size(); ++c) cluster_caches_[c] = &components_[c];
+  clear_focus();
 }
 
 namespace {
@@ -153,16 +154,13 @@ CostEvaluator::CostEvaluator(const CostEvaluator& parent, EvaluatorOptions evalu
 }
 
 void CostEvaluator::set_focus(SystemConfig context, int cluster) {
-  // Focus is a multi-cluster FlexRay concept; any invalid request
-  // (single-cluster system, cluster out of range, context of the wrong
-  // width, focused cluster not a FlexRay bus) degrades to "no focus" in
-  // every build type rather than risking an out-of-range or cross-backend
-  // substitution on the next evaluate() call.
-  if (model_.single_cluster() || cluster < 0 ||
-      static_cast<std::size_t>(cluster) >= model_.cluster_count() ||
+  // Invalid requests degrade to the default coordinate in every build type
+  // rather than risk an out-of-range or cross-backend substitution.
+  const auto c = static_cast<std::size_t>(cluster);
+  if (cluster < 0 || c >= model_.cluster_count() ||
       context.cluster_count() != model_.cluster_count() ||
-      context.clusters[static_cast<std::size_t>(cluster)].kind !=
-          ClusterBackendKind::FlexRay) {
+      context.clusters[c].kind != ClusterBackendKind::FlexRay ||
+      model_.cluster_app(c)->cluster_backend(ClusterId{0}) != ClusterBackendKind::FlexRay) {
     clear_focus();
     return;
   }
@@ -171,42 +169,55 @@ void CostEvaluator::set_focus(SystemConfig context, int cluster) {
 }
 
 void CostEvaluator::clear_focus() {
+  if (model_.single_cluster() &&
+      model_.cluster_app(0)->cluster_backend(ClusterId{0}) == ClusterBackendKind::FlexRay) {
+    focus_context_ = SystemConfig::single(BusConfig{});
+    focus_cluster_ = 0;
+    return;
+  }
   focus_cluster_ = -1;
   focus_context_ = SystemConfig{};
 }
 
-CostEvaluator::Evaluation CostEvaluator::focused_view(const Evaluation& full) const {
-  // Single-bus algorithms searching a focused cluster read per-activity
-  // completions off Evaluation::analysis (the OBC curve fit); hand them the
-  // focused cluster's holistic result and nothing else — copying all C
-  // cluster results out of the cache per candidate would dominate the
-  // descent's hottest path.
-  Evaluation out;
-  out.valid = full.valid;
-  out.cost = full.cost;
-  out.multicluster_converged = full.multicluster_converged;
-  out.error = full.error;
-  const auto focus = static_cast<std::size_t>(focus_cluster_);
-  if (full.valid && focused() && focus < full.cluster_analysis.size()) {
-    out.analysis = full.cluster_analysis[focus];
-  }
+namespace {
+
+/// Empties a result, keeping its capacity (the slot form allocates nothing).
+void clear_keeping_capacity(AnalysisResult& a) {
+  a.task_completion.clear();
+  a.message_completion.clear();
+  a.task_jitter.clear();
+  a.message_jitter.clear();
+  a.schedule_ptr.reset();
+  a.exact.reset();
+  a.cost = Cost{};
+  a.converged = true;
+}
+
+/// The evaluate_system shape of a slot-engine result (the memo entry).
+CostEvaluator::Evaluation system_view(const CostEvaluator::Evaluation& slot_eval) {
+  CostEvaluator::Evaluation out;
+  out.valid = slot_eval.valid;
+  out.cost = slot_eval.cost;
+  out.error = slot_eval.error;
+  if (slot_eval.valid) out.cluster_analysis.push_back(slot_eval.analysis);
   return out;
 }
 
-std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::cached(
-    const BusConfig& config) {
-  if (!evaluator_options_.cache_enabled) return nullptr;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_.find(config);
-  return it != cache_.end() ? it->second : nullptr;
-}
+}  // namespace
 
-void CostEvaluator::insert_cache(const BusConfig& config,
-                                 std::shared_ptr<const Evaluation> entry) {
-  if (!evaluator_options_.cache_enabled) return;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (cache_.size() < evaluator_options_.max_cache_entries) {
-    cache_.emplace(config, std::move(entry));
+void CostEvaluator::assign_focused_view(const Evaluation& entry, Evaluation& out) const {
+  // Single-bus algorithms read per-activity completions off
+  // Evaluation::analysis (the OBC curve fit); copying all C cluster results
+  // out of the cache per candidate would dominate the descent's hot path.
+  out.valid = entry.valid;
+  out.cost = entry.cost;
+  out.error = entry.error;
+  out.cluster_analysis.clear();
+  const auto focus = static_cast<std::size_t>(focus_cluster_);
+  if (entry.valid && focus < entry.cluster_analysis.size()) {
+    out.analysis = entry.cluster_analysis[focus];
+  } else {
+    clear_keeping_capacity(out.analysis);
   }
 }
 
@@ -215,7 +226,9 @@ std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::cached_system(
   if (!evaluator_options_.cache_enabled) return nullptr;
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = system_cache_.find(config);
-  return it != system_cache_.end() ? it->second : nullptr;
+  if (it == system_cache_.end()) return nullptr;
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
 }
 
 void CostEvaluator::insert_system_cache(const SystemConfig& config,
@@ -240,41 +253,30 @@ void CostEvaluator::record_analysis(const AnalysisWorkCounters& counters) {
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
-  if (focused()) {
-    SystemConfig candidate = focus_context_;
-    candidate.clusters[static_cast<std::size_t>(focus_cluster_)] =
-        ClusterConfig::flexray_bus(config);
-    return evaluate_system_impl(candidate, /*focused_result=*/true);
-  }
-  if (model_.cluster_count() > 1) {
-    Evaluation out;
-    out.error = "multi-cluster evaluator: use evaluate_system() or set_focus()";
-    return out;
-  }
-  if (const auto hit = cached(config)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *hit;
-  }
-  return analyze_into_slot(config);  // copies out of the thread slot
+  return evaluate_in_slot(config);  // copies out of the thread slot
 }
 
 const CostEvaluator::Evaluation& CostEvaluator::evaluate_in_slot(const BusConfig& config) {
   ThreadSlot& s = slot();
-  if (focused() || model_.cluster_count() > 1) {
-    // Cross-cluster paths allocate; park their result in the slot so the
-    // reference contract still holds.
-    s.eval = evaluate(config);
+  if (!focused()) {
+    s.eval = Evaluation{};
+    s.eval.error = "no FlexRay cluster in focus: use evaluate_system() or set_focus()";
     return s.eval;
   }
-  if (const auto hit = cached(config)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    s.eval = *hit;  // vector assignments reuse the slot's capacity
+  // Assignment reuses the key's capacity: a memo hit allocates nothing.
+  s.key = focus_context_;
+  s.key.clusters[static_cast<std::size_t>(focus_cluster_)].flexray = config;
+  if (const auto hit = cached_system(s.key)) {
+    assign_focused_view(*hit, s.eval);
     return s.eval;
   }
-  return analyze_into_slot(config);
+  if (slot_engine()) return analyze_into_slot(config, s.key);
+  assign_focused_view(*analyze_system_entry(s.key), s.eval);
+  return s.eval;
 }
 
-const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfig& config) {
+const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfig& config,
+                                                                 const SystemConfig& key) {
   ThreadSlot& s = slot();
   Evaluation& out = s.eval;
   // Concurrent misses of the same configuration analyse redundantly but
@@ -287,29 +289,13 @@ const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfi
   out.error.clear();
   out.cost = Cost{kInvalidConfigCost, false, 0};
   out.cluster_analysis.clear();
-  out.multicluster_converged = true;
 
   auto layout = s.layout.assign(*app_, params_, config);
   if (layout.ok()) {
     evaluations_.fetch_add(1, std::memory_order_relaxed);
     AnalysisWorkCounters counters;
-    Expected<bool> analysis = true;
-    if (options_.mode == AnalysisMode::Exact) {
-      // The exact backend keeps its result off the arena.  Its exploration
-      // goes through the component cache's exact-space store, so repeat
-      // analyses whose DYN inputs are unchanged replay the explored
-      // frontier instead of re-exploring (bit-identical either way;
-      // asserted below).
-      auto exact = analyze_system_exact(s.layout, options_, &counters, {}, &components_[0]);
-      if (exact.ok()) {
-        out.analysis = std::move(exact).value();
-      } else {
-        analysis = exact.error();
-      }
-    } else {
-      analysis = analyze_system_into(s.layout, options_, components_[0], s.arena, out.analysis,
-                                     &counters);
-    }
+    const Expected<bool> analysis = analyze_system_into(s.layout, options_, components_[0],
+                                                        s.arena, out.analysis, &counters);
     record_analysis(counters);
     if (analysis.ok()) {
       out.valid = true;
@@ -320,25 +306,13 @@ const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfi
   } else {
     out.error = layout.error().message;
   }
-  if (!out.valid) {
-    // An invalid result carries no bounds, not the slot's previous ones.
-    // clear() keeps the capacity, so the slot form stays allocation-free.
-    AnalysisResult& a = out.analysis;
-    a.task_completion.clear();
-    a.message_completion.clear();
-    a.task_jitter.clear();
-    a.message_jitter.clear();
-    a.schedule_ptr.reset();
-    a.exact.reset();
-    a.cost = Cost{};
-    a.converged = true;
-  }
+  // An invalid result carries no bounds, not the slot's previous ones.
+  if (!out.valid) clear_keeping_capacity(out.analysis);
 
 #ifndef NDEBUG
   // Debug builds re-analyse every configuration on a call-local component
   // cache and compare bit for bit: a stale or mis-keyed cached component
-  // can never hide.  Exact mode compares the engine counters too, so a
-  // stale exact-space entry cannot hide behind equal costs either.
+  // can never hide.
   if (layout.ok()) {
     auto reference = analyze_system(s.layout, options_);
     assert(reference.ok() == out.valid);
@@ -352,48 +326,28 @@ const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfi
       assert(out.cost.value == ref.cost.value);
       assert(out.cost.schedulable == ref.cost.schedulable);
       assert(out.cost.unbounded_activities == ref.cost.unbounded_activities);
-      if (options_.mode == AnalysisMode::Exact) {
-        assert(out.analysis.exact != nullptr && ref.exact != nullptr);
-        assert(out.analysis.exact->fallback == ref.exact->fallback);
-        assert(out.analysis.exact->explored_states == ref.exact->explored_states);
-        assert(out.analysis.exact->merged_states == ref.exact->merged_states);
-        assert(out.analysis.exact->transitions == ref.exact->transitions);
-        assert(out.analysis.exact->refined_messages == ref.exact->refined_messages);
-      }
     }
   }
 #endif
   if (evaluator_options_.cache_enabled) {
-    insert_cache(config, std::make_shared<const Evaluation>(out));
+    insert_system_cache(key, std::make_shared<const Evaluation>(system_view(out)));
   }
   return out;
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate_system(const SystemConfig& config) {
-  if (model_.single_cluster() && config.cluster_count() == 1 && !focused() &&
-      config.clusters[0].kind == ClusterBackendKind::FlexRay) {
-    // Degenerate case: exactly the single-bus pipeline (and its cache).
-    // Single-cluster TSN systems go through the system path — the TSN
-    // analysis has no BusLayout to speak of.
-    return evaluate(config.clusters[0].flexray);
-  }
-  return evaluate_system_impl(config);
+  if (const auto hit = cached_system(config)) return *hit;
+  return *analyze_system_entry(config);
 }
 
-CostEvaluator::Evaluation CostEvaluator::evaluate_system_impl(const SystemConfig& config,
-                                                              bool focused_result) {
-  if (!evaluator_options_.cache_enabled) {
-    Evaluation out = analyze_system_config(config);
-    return focused_result ? focused_view(out) : out;
+std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::analyze_system_entry(
+    const SystemConfig& config) {
+  if (evaluator_options_.cache_enabled) {
+    cache_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (const auto hit = cached_system(config)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    return focused_result ? focused_view(*hit) : *hit;
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   auto entry = std::make_shared<const Evaluation>(analyze_system_config(config));
   insert_system_cache(config, entry);
-  return focused_result ? focused_view(*entry) : *entry;
+  return entry;
 }
 
 CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfig& config) {
@@ -415,24 +369,36 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   MulticlusterResult result = std::move(analysis).value();
   out.valid = true;
   out.cost = result.cost;
-  out.multicluster_converged = result.converged;
   out.cluster_analysis = std::move(result.clusters);
 
 #ifndef NDEBUG
   // Debug builds cross-check every evaluation against the same fixed point
-  // on call-local caches, bit for bit — the multi-cluster analogue of the
-  // single-cluster assertion.
+  // on call-local caches, bit for bit — the system-path analogue of the
+  // slot-engine assertion.  Exact mode compares the engine counters too, so
+  // a stale exact-space entry cannot hide behind equal costs either.
   auto reference = analyze_multicluster(model_, layouts.value(), options_);
   assert(reference.ok());
   if (reference.ok()) {
     const MulticlusterResult& ref = reference.value();
-    assert(ref.converged == out.multicluster_converged);
     assert(ref.cost.value == out.cost.value);
     assert(ref.cost.schedulable == out.cost.schedulable);
     assert(ref.cost.unbounded_activities == out.cost.unbounded_activities);
     for (std::size_t c = 0; c < ref.clusters.size(); ++c) {
-      assert(ref.clusters[c].task_completion == out.cluster_analysis[c].task_completion);
-      assert(ref.clusters[c].message_completion == out.cluster_analysis[c].message_completion);
+      const AnalysisResult& a = out.cluster_analysis[c];
+      const AnalysisResult& r = ref.clusters[c];
+      assert(r.converged == a.converged);
+      assert(r.task_completion == a.task_completion);
+      assert(r.message_completion == a.message_completion);
+      assert(r.task_jitter == a.task_jitter);
+      assert(r.message_jitter == a.message_jitter);
+      assert((r.exact == nullptr) == (a.exact == nullptr));
+      if (r.exact != nullptr && a.exact != nullptr) {
+        assert(r.exact->fallback == a.exact->fallback);
+        assert(r.exact->explored_states == a.exact->explored_states);
+        assert(r.exact->merged_states == a.exact->merged_states);
+        assert(r.exact->transitions == a.exact->transitions);
+        assert(r.exact->refined_messages == a.exact->refined_messages);
+      }
     }
   }
 #endif
@@ -537,14 +503,13 @@ EvaluatorCacheStats CostEvaluator::cache_stats() const {
   stats.hits = cache_hits_.load(std::memory_order_relaxed);
   stats.misses = cache_misses_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  stats.entries = cache_.size() + system_cache_.size();
+  stats.entries = system_cache_.size();
   return stats;
 }
 
 void CostEvaluator::clear_cache() {
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    cache_.clear();
     system_cache_.clear();
   }
   for (AnalysisComponentCache& cache : components_) cache.clear();

@@ -38,8 +38,8 @@ class DynSegmentStrategy {
 };
 
 struct ExhaustiveDynOptions {
-  /// Candidate stride in minislots; 0 = auto from max_sweep_points.
-  int stride_minislots = 0;
+  /// Candidate lengths swept; the stride in minislots follows from the
+  /// searched span.
   int max_sweep_points = 96;
 };
 
@@ -64,9 +64,6 @@ struct CurveFitDynOptions {
   /// Terminate after this many iterations without a schedulable solution or
   /// cost improvement (the paper uses 10).
   int n_max = 10;
-  /// Candidate grid stride; 0 = auto from max_candidates.
-  int stride_minislots = 0;
-  int max_candidates = 128;
 };
 
 /// Fig. 8's search.  Points are analysed one at a time.

@@ -11,13 +11,18 @@
 /// `evaluate()` may be called concurrently from any number of threads, and
 /// `evaluate_many()` fans a batch of candidates across a worker pool.
 ///
-/// Four evaluation entry points: `evaluate` (one BusConfig, by value),
-/// `evaluate_in_slot` (the same, returned by reference from this thread's
-/// slot with zero heap allocations at steady state), `evaluate_system`
-/// (a per-cluster configuration product) and `evaluate_many`.  Every
-/// analysis runs the one holistic engine (flexopt/analysis/incremental.hpp)
-/// cold, on the evaluator's component caches, so a configuration's result
-/// does not depend on which entry point or which thread analysed it first.
+/// Four evaluation entry points, sharing one SystemConfig-keyed memo cache:
+/// `evaluate_system` (a per-cluster configuration product) and three
+/// BusConfig forms that substitute the candidate into the focus coordinate
+/// (see set_focus): `evaluate` (by value), `evaluate_in_slot` (by reference
+/// into this thread's slot, allocation-free at steady state) and
+/// `evaluate_many`.  On a memo miss a BusConfig form on one holistic
+/// FlexRay cluster runs the arena engine (flexopt/analysis/incremental.hpp)
+/// on the thread slot; everything else — evaluate_system at every cluster
+/// count, exact mode, TSN, multi-cluster — runs analyze_multicluster.
+/// Both analyse cold on the evaluator's component caches, so a
+/// configuration's result does not depend on which entry point or which
+/// thread analysed it first.
 
 #include <atomic>
 #include <condition_variable>
@@ -45,17 +50,16 @@ namespace flexopt {
 /// configuration.
 inline constexpr double kInvalidConfigCost = 1e15;
 
-/// Stable hash of the decision variables; keys the evaluator's memoization
-/// cache (collisions are resolved by full BusConfig equality).
+/// Stable hash of one bus's decision variables (part of hash_system_config).
 [[nodiscard]] std::size_t hash_config(const BusConfig& config);
 
 /// Stable hash over the per-cluster configs; keys the evaluator's
-/// SystemConfig memoization cache.
+/// memoization cache (collisions are resolved by full equality).
 [[nodiscard]] std::size_t hash_system_config(const SystemConfig& config);
 
 /// Behaviour knobs of the evaluation service (cache + worker pool).
 struct EvaluatorOptions {
-  /// Memoize BusConfig -> Evaluation.  Optimisers that revisit
+  /// Memoize SystemConfig -> Evaluation.  Optimisers that revisit
   /// configurations (SA, nested OBC loops) pay one analysis per distinct
   /// candidate instead of one per visit.
   bool cache_enabled = true;
@@ -140,44 +144,36 @@ class CostEvaluator {
   struct Evaluation {
     bool valid = false;
     Cost cost{kInvalidConfigCost, false, 0};
-    /// Single-cluster analyses, or — under set_focus — the focused
-    /// cluster's holistic result; default-constructed for unfocused
-    /// multi-cluster evaluations (use `cluster_analysis` there).  Empty
-    /// (no completions, no schedule) when `valid` is false.
+    /// BusConfig forms: the focused cluster's result; default-constructed
+    /// in evaluate_system returns.  Empty (no completions, no schedule)
+    /// when `valid` is false.
     AnalysisResult analysis;
-    /// Unfocused multi-cluster evaluations only: one holistic result per
-    /// cluster.  Focused returns carry only `cost` plus the focused
-    /// cluster's result in `analysis` (this vector stays empty).
+    /// evaluate_system: one result per cluster, at every cluster count
+    /// (empty when `valid` is false); empty in BusConfig-form returns.
     std::vector<AnalysisResult> cluster_analysis;
-    /// Multi-cluster evaluations only: cross-cluster fixed point converged.
-    bool multicluster_converged = true;
     std::string error;
   };
 
-  /// Full scheduling + schedulability analysis of one candidate (served
-  /// from the cache when the configuration was seen before).  Thread-safe.
-  /// Single-cluster systems evaluate `config` directly; under set_focus the
-  /// candidate is substituted into the focus context's focused cluster and
-  /// the full system is evaluated.  A multi-cluster evaluator without a
-  /// focus reports an invalid Evaluation (use evaluate_system).
+  /// Full scheduling + schedulability analysis of one candidate for the
+  /// focused cluster: substituted into the focus context, the full system
+  /// is evaluated (or served from the cache).  Thread-safe.  Without a
+  /// focus (multi-cluster before set_focus, single-cluster TSN) the
+  /// Evaluation is invalid (use evaluate_system).
   Evaluation evaluate(const BusConfig& config);
 
   /// evaluate(), returned by reference into this thread's slot: the hot
   /// path of SA's neighbour loop.  The reference is valid until the next
   /// evaluator call on the same thread — copy it to keep it.  At steady
-  /// state (same application, memo cache disabled, single-cluster
-  /// holistic analysis) a call performs zero heap allocations; with the
-  /// memo cache enabled, cache insertion still allocates on a miss, and
-  /// focused or exact-mode evaluations allocate as evaluate() does.
+  /// state (same application, single-cluster holistic analysis) a memo hit
+  /// or an uncached analysis performs zero heap allocations; a memo miss
+  /// allocates its cache entry, and the system path allocates.
   const Evaluation& evaluate_in_slot(const BusConfig& config);
 
   /// Full system evaluation of one per-cluster configuration product
   /// candidate (cross-cluster fixed point; cached on the SystemConfig
-  /// hash).  Thread-safe.  For single-cluster FlexRay systems this is
-  /// exactly evaluate(config.clusters[0].flexray).  Neighbour moves on a
-  /// multi-cluster or TSN system substitute one cluster's configuration and
-  /// call this; the per-cluster component caches serve every cluster the
-  /// move left intact.
+  /// hash).  Thread-safe.  Neighbour moves on a multi-cluster or TSN system
+  /// substitute one cluster's configuration and call this; the per-cluster
+  /// component caches serve every cluster the move left intact.
   Evaluation evaluate_system(const SystemConfig& config);
 
   /// Evaluates a batch of candidates on the worker pool; results are in
@@ -194,22 +190,23 @@ class CostEvaluator {
     return search_app();
   }
 
-  // ---- multi-cluster search context ---------------------------------------
+  // ---- search context: the system and its focus coordinate ----------------
   [[nodiscard]] const SystemModel& system_model() const { return model_; }
   [[nodiscard]] std::size_t cluster_count() const { return model_.cluster_count(); }
-  /// Focuses the evaluator on one cluster of a multi-cluster system:
-  /// subsequent evaluate/evaluate_in_slot/evaluate_many calls substitute the
-  /// candidate into `context` at `cluster` and evaluate the full system,
-  /// and application() returns that cluster's projection — which is what
-  /// lets every single-bus search algorithm optimise one coordinate of the
-  /// per-cluster configuration product unchanged.  Focus is a FlexRay
-  /// concept — the focused cluster's ClusterConfig must be a FlexRay bus
-  /// (TSN clusters are searched through evaluate_system; see
-  /// flexopt/core/tsn_search.hpp).  Invalid requests (single-cluster
-  /// system, cluster out of range, wrong context width, non-FlexRay
-  /// cluster) degrade to clear_focus().  Not thread-safe: set it between
-  /// solves, never while evaluations are in flight.
+  /// Sets the focus coordinate: subsequent evaluate/evaluate_in_slot/
+  /// evaluate_many calls substitute the candidate into `context` at
+  /// `cluster` and evaluate the full system, and application() returns
+  /// that cluster's projection — which is what lets every single-bus search
+  /// algorithm optimise one coordinate of the per-cluster configuration
+  /// product unchanged.  Focus is a FlexRay concept — the focused cluster
+  /// must be a FlexRay bus (TSN clusters are searched through
+  /// evaluate_system; see flexopt/core/tsn_search.hpp).  Invalid requests
+  /// (cluster out of range, wrong context width, non-FlexRay cluster)
+  /// degrade to clear_focus().  Not thread-safe: set it between solves,
+  /// never while evaluations are in flight.
   void set_focus(SystemConfig context, int cluster);
+  /// Restores the default coordinate: cluster 0 of a single-cluster
+  /// FlexRay system (its focus from construction), none otherwise.
   void clear_focus();
   [[nodiscard]] bool focused() const { return focus_cluster_ >= 0; }
   [[nodiscard]] int focus_cluster() const { return focus_cluster_; }
@@ -236,28 +233,32 @@ class CostEvaluator {
   void clear_cache();
 
  private:
-  /// Per-thread evaluation state: the analysis arena, a reusable BusLayout,
-  /// the Evaluation evaluate_in_slot returns by reference, and this
-  /// thread's share of the work statistics.  One slot per (evaluator,
-  /// thread) pair, owned by the evaluator, found through a thread-local
-  /// cache keyed by the evaluator's id — replacing the old mutex-guarded
-  /// global work counter, whose lock the worker pool contended on.
+  /// Per-thread evaluation state: the analysis arena, a reusable BusLayout
+  /// and memo key, the Evaluation evaluate_in_slot returns by reference,
+  /// and this thread's share of the work statistics.  One slot per
+  /// (evaluator, thread) pair, owned by the evaluator, found through a
+  /// thread-local cache keyed by the evaluator's id — replacing the old
+  /// mutex-guarded global work counter, whose lock the worker pool
+  /// contended on.
   struct ThreadSlot;
   ThreadSlot& slot();
 
-  /// The single-cluster analysis behind evaluate and evaluate_in_slot on a
-  /// memo miss: in-place layout assign + analysis into the slot's
-  /// Evaluation, entered into the memo cache.
-  const Evaluation& analyze_into_slot(const BusConfig& config);
-  /// The uncached multi-cluster path.
+  /// A BusConfig-form memo miss runs on the slot engine: one holistic
+  /// FlexRay cluster.
+  [[nodiscard]] bool slot_engine() const {
+    return focused() && model_.single_cluster() && options_.mode == AnalysisMode::Holistic;
+  }
+  /// The slot engine on a memo miss: in-place layout assign + analysis into
+  /// the slot's Evaluation, entered into the memo cache under `key`.
+  const Evaluation& analyze_into_slot(const BusConfig& config, const SystemConfig& key);
+  /// The system path on a memo miss: analyze_multicluster, entered into the
+  /// memo cache.
+  std::shared_ptr<const Evaluation> analyze_system_entry(const SystemConfig& config);
   Evaluation analyze_system_config(const SystemConfig& config);
-  Evaluation evaluate_system_impl(const SystemConfig& config, bool focused_result = false);
-  /// Cost + the focused cluster's result only (the focused-search return
-  /// shape; avoids copying every cluster's analysis out of the cache).
-  [[nodiscard]] Evaluation focused_view(const Evaluation& full) const;
+  /// Writes cost + the focused cluster's result of a memo entry into `out`
+  /// (the BusConfig-form shape), reusing out's capacity.
+  void assign_focused_view(const Evaluation& entry, Evaluation& out) const;
   /// Cache lookup only (no analysis on miss); nullptr when absent.
-  std::shared_ptr<const Evaluation> cached(const BusConfig& config);
-  void insert_cache(const BusConfig& config, std::shared_ptr<const Evaluation> entry);
   std::shared_ptr<const Evaluation> cached_system(const SystemConfig& config);
   void insert_system_cache(const SystemConfig& config, std::shared_ptr<const Evaluation> entry);
   /// Books one analysis' work into the calling thread's slot.
@@ -266,9 +267,6 @@ class CostEvaluator {
     return focused() ? model_.cluster_app(static_cast<std::size_t>(focus_cluster_)) : app_;
   }
 
-  struct ConfigHash {
-    std::size_t operator()(const BusConfig& config) const { return hash_config(config); }
-  };
   struct SystemConfigHash {
     std::size_t operator()(const SystemConfig& config) const {
       return hash_system_config(config);
@@ -294,16 +292,15 @@ class CostEvaluator {
   BusParams params_;
   AnalysisOptions options_;
   EvaluatorOptions evaluator_options_;
-  /// Multi-cluster search context (see set_focus); -1 = unfocused.
+  /// The focus coordinate (see set_focus); -1 = unfocused.
   SystemConfig focus_context_;
   int focus_cluster_ = -1;
   std::atomic<long> evaluations_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
   mutable std::mutex cache_mutex_;
-  /// Single-cluster configurations (the pre-cluster hot path, untouched).
-  std::unordered_map<BusConfig, std::shared_ptr<const Evaluation>, ConfigHash> cache_;
-  /// Full per-cluster configuration products (multi-cluster systems).
+  /// The memo cache: per-cluster configuration products, each entry in
+  /// the evaluate_system shape.
   std::unordered_map<SystemConfig, std::shared_ptr<const Evaluation>, SystemConfigHash>
       system_cache_;
 

@@ -19,10 +19,6 @@ struct ObcOptions {
   /// loops to the protocol limit (1023) but stops at the first feasible
   /// configuration; the cap bounds worst-case runtime on hopeless systems.
   int max_extra_slots = 4;
-  /// ST slot lengths explored per slot count.  The paper steps by
-  /// 20 * gdBit up to 661 macroticks; the cap bounds the loop, the step is
-  /// widened to cover [min, 661 MT] with this many samples when needed.
-  int max_slot_len_steps = 8;
   /// Assign FrameIDs by criticality (Eq. 4); false = declaration order
   /// (ablation A3).
   bool criticality_frame_ids = true;

@@ -24,9 +24,6 @@ struct SaOptions {
   /// default is sized for the scaled-down Fig. 9 bench, and
   /// FLEXOPT_BENCH_FULL raises it.
   long max_evaluations = 1500;
-  double initial_temperature_factor = 0.25;  ///< T0 = factor * |initial cost|
-  double cooling = 0.97;
-  int iterations_per_temperature = 20;
   /// Keep annealing after the first schedulable solution to minimise f2
   /// (the paper optimises the cost function, not mere feasibility).
   bool stop_at_first_feasible = false;

@@ -54,19 +54,21 @@ using OptimizerParams = std::variant<std::monostate, BbcOptions, ObcEeParams, Ob
 /// calls (on the same or different evaluators).
 ///
 /// Implementations override solve_cluster(), which optimises ONE bus: the
-/// single cluster of a plain system, or — under CostEvaluator::set_focus —
-/// one coordinate of a multi-cluster configuration product (the evaluator
-/// then scores every candidate against the full cross-cluster system).
-/// Front-ends call solve(), which dispatches single-cluster systems
-/// straight to solve_cluster (bit-identical to the pre-cluster behaviour)
-/// and drives multi-cluster systems through a deterministic block-
-/// coordinate descent over the clusters.
+/// evaluator's focus coordinate (CostEvaluator::set_focus) — the bus of a
+/// single-cluster FlexRay system, which is focused from construction, or
+/// one FlexRay coordinate of a multi-cluster configuration product.  The
+/// evaluator scores every candidate against the full system either way.
+/// Front-ends call solve(), which hands a focused evaluator straight to
+/// solve_cluster, drives an unfocused multi-cluster system through a
+/// deterministic block-coordinate descent over the clusters (focusing each
+/// FlexRay cluster in turn), and solves a single-cluster TSN system with
+/// the TSN descent (flexopt/core/tsn_search.hpp).
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
   /// Registry name ("bbc", "obc-ee", "obc-cf", "sa", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Algorithm hook: optimise the evaluator's (single or focused) cluster.
+  /// Algorithm hook: optimise the evaluator's focused cluster.
   virtual SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest& request) = 0;
   /// Unified entry point (see class comment).  Also guarantees
   /// outcome.system is filled for every solve.

@@ -9,6 +9,11 @@
 
 namespace flexopt {
 
+/// ST slot lengths explored per slot count.  The paper steps by 20 * gdBit
+/// up to 661 macroticks; the cap bounds the loop, the step is widened to
+/// cover [min, 661 MT] with this many samples when needed.
+constexpr int kMaxSlotLenSteps = 8;
+
 OptimizationOutcome optimize_obc(CostEvaluator& evaluator, DynSegmentStrategy& dyn_strategy,
                                  const ObcOptions& options, SolveControl* control) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -32,12 +37,12 @@ OptimizationOutcome optimize_obc(CostEvaluator& evaluator, DynSegmentStrategy& d
   const Time len_min = min_static_slot_len(app, params);
   const Time len_max = SpecLimits::kMaxStaticSlotMacroticks * params.gd_macrotick;
   const Time payload_step = SpecLimits::kPayloadStepBits * params.gd_bit;
-  // Widen the step so at most max_slot_len_steps lengths are tried, keeping
+  // Widen the step so at most kMaxSlotLenSteps lengths are tried, keeping
   // it a multiple of the 2-byte payload increment.
   Time len_step = payload_step;
-  if (len_min < len_max && options.max_slot_len_steps > 1) {
+  if (len_min < len_max) {
     const Time span = len_max - len_min;
-    const Time needed = span / (options.max_slot_len_steps - 1);
+    const Time needed = span / (kMaxSlotLenSteps - 1);
     len_step = std::max(payload_step, ceil_div(needed, payload_step) * payload_step);
   }
 
@@ -52,7 +57,7 @@ OptimizationOutcome optimize_obc(CostEvaluator& evaluator, DynSegmentStrategy& d
   for (int slot_count = std::max(slots_min, senders.empty() ? 0 : slots_min);
        slot_count <= std::max(slots_max, slots_min); ++slot_count) {
     int len_steps = 0;
-    const int len_steps_cap = slot_count == 0 ? 1 : std::max(1, options.max_slot_len_steps);
+    const int len_steps_cap = slot_count == 0 ? 1 : kMaxSlotLenSteps;
     for (Time slot_len = len_min; slot_len <= len_max && len_steps < len_steps_cap;
          slot_len += len_step, ++len_steps) {
       if (control != nullptr && control->should_stop(evaluator)) return finish(outcome);

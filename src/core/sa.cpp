@@ -13,6 +13,12 @@
 
 namespace flexopt {
 
+// Geometric cooling: T0 = kInitialTemperatureFactor * |initial cost|, then
+// kIterationsPerTemperature moves per temperature and T *= kCooling.
+constexpr double kInitialTemperatureFactor = 0.25;
+constexpr double kCooling = 0.97;
+constexpr int kIterationsPerTemperature = 20;
+
 bool random_neighbour_move(BusConfig& config, const Application& app, const BusParams& params,
                            Rng& rng, const std::vector<NodeId>& st_senders, int dyn_min,
                            int dyn_max) {
@@ -140,13 +146,13 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
   }
 
   double temperature =
-      std::max(1.0, std::abs(current_cost) * options.initial_temperature_factor);
+      std::max(1.0, std::abs(current_cost) * kInitialTemperatureFactor);
   const double t_min = 1e-3;
 
   while (evaluator.evaluations() - evals_before < options.max_evaluations &&
          temperature > t_min) {
     if (control != nullptr && control->should_stop(evaluator)) break;
-    for (int i = 0; i < options.iterations_per_temperature; ++i) {
+    for (int i = 0; i < kIterationsPerTemperature; ++i) {
       if (evaluator.evaluations() - evals_before >= options.max_evaluations) break;
       if (control != nullptr && control->should_stop(evaluator)) break;
       BusConfig neighbour = current;
@@ -180,7 +186,7 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
         }
       }
     }
-    temperature *= options.cooling;
+    temperature *= kCooling;
   }
 
   outcome.evaluations = evaluator.evaluations() - evals_before;

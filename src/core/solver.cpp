@@ -330,24 +330,19 @@ SolveReport solve_single_tsn(CostEvaluator& evaluator, const SolveRequest& reque
 }  // namespace
 
 SolveReport Optimizer::solve(CostEvaluator& evaluator, const SolveRequest& request) {
-  const SystemModel& model = evaluator.system_model();
-  if (!evaluator.focused() && evaluator.cluster_count() == 1 && model.cluster_app(0) &&
-      model.cluster_app(0)->cluster_backend(ClusterId{0}) == ClusterBackendKind::Tsn) {
-    return solve_single_tsn(evaluator, request);
-  }
-  if (evaluator.cluster_count() == 1 || evaluator.focused()) {
+  if (evaluator.focused()) {
+    // One FlexRay coordinate: a single-cluster bus, or a cluster a caller
+    // focused.
     SolveReport report = solve_cluster(evaluator, request);
     if (report.outcome.system.clusters.empty()) {
-      if (evaluator.focused()) {
-        report.outcome.system = evaluator.focus_context();
-        report.outcome.system.clusters[static_cast<std::size_t>(evaluator.focus_cluster())] =
-            ClusterConfig::flexray_bus(report.outcome.config);
-      } else {
-        report.outcome.system = SystemConfig::single(report.outcome.config);
-      }
+      report.outcome.system = evaluator.focus_context();
+      report.outcome.system.clusters[static_cast<std::size_t>(evaluator.focus_cluster())] =
+          ClusterConfig::flexray_bus(report.outcome.config);
     }
     return report;
   }
+  // Unfocused: a single-cluster evaluator is focused unless its bus is TSN.
+  if (evaluator.cluster_count() == 1) return solve_single_tsn(evaluator, request);
   return solve_multicluster(*this, evaluator, request);
 }
 

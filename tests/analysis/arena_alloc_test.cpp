@@ -1,10 +1,11 @@
 // Arena hot-path contract, enforced with a real counter rather than code
 // review: replaying a warmed SA move chain through
-// CostEvaluator::evaluate_in_slot performs no heap allocation at all,
-// measured by the operator new interposer (src/util/alloc_probe.cpp, linked
-// into this binary only).  The contract holds in Release; Debug builds
-// carry the call-local-cache cross-check (which allocates by design), so
-// there the test still runs the replay but skips the allocation assertion.
+// CostEvaluator::evaluate_in_slot performs no heap allocation at all, and
+// neither does a memo hit, measured by the operator new interposer
+// (src/util/alloc_probe.cpp, linked into this binary only).  The replay
+// contract holds in Release; Debug builds carry the call-local-cache
+// cross-check (which allocates by design), so there the replay test still
+// runs but skips the allocation assertion.
 // (The engine's equivalence with the Jacobi reference lives in
 // delta_eval_property_test.)
 
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/evaluator.hpp"
@@ -82,6 +84,55 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
   // allocates by design; the replay above still verified it runs clean.
   SUCCEED() << "allocation contract gated to Release";
 #endif
+}
+
+/// The memo-hit half of the contract: with the memo cache on, a revisit
+/// served from the cache through evaluate_in_slot allocates nothing either
+/// — the candidate's memo key is rebuilt in the thread slot with its
+/// capacity reused, and the cached result is copied into the slot's
+/// Evaluation.  Hits run no cross-check, so this holds in every build the
+/// probe is installed in.
+TEST(ArenaAlloc, MemoHitPerformsZeroHeapAllocations) {
+  const BusParams params;
+  SyntheticSpec spec;
+  spec.deadline_factor = 0.7;
+  spec.seed = 4242;
+  auto app_result = generate_synthetic(spec, params);
+  ASSERT_TRUE(app_result.ok()) << app_result.error().message;
+  const Application& app = app_result.value();
+  const StartConfig start = minimal_start_config(app, params);
+  ASSERT_TRUE(start.bounds.feasible());
+
+  CostEvaluator evaluator(app, params, AnalysisOptions{});  // memo cache on
+  std::vector<BusConfig> visited;
+  BusConfig current = start.config;
+  Rng move_rng(0x5eedu);
+  for (int step = 0; step < 32; ++step) {
+    bool moved = false;
+    for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
+      moved = random_neighbour_move(current, app, params, move_rng, start.st_senders,
+                                    start.bounds.min_minislots, SpecLimits::kMaxMinislots);
+    }
+    if (moved && evaluator.evaluate_in_slot(current).valid) visited.push_back(current);
+  }
+  ASSERT_FALSE(visited.empty());
+
+  const EvaluatorCacheStats before = evaluator.cache_stats();
+  const long analyses = evaluator.evaluations();
+  std::uint64_t allocations = 0;
+  for (const BusConfig& config : visited) {
+    const std::uint64_t a0 = alloc_probe::thread_allocations();
+    const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(config);
+    allocations += alloc_probe::thread_allocations() - a0;
+    EXPECT_TRUE(eval.valid);
+  }
+  EXPECT_EQ(evaluator.cache_stats().hits - before.hits, visited.size());
+  EXPECT_EQ(evaluator.evaluations(), analyses);  // every revisit was a hit
+
+  if (!alloc_probe::installed()) {
+    GTEST_SKIP() << "alloc probe displaced (sanitizer build)";
+  }
+  EXPECT_EQ(allocations, 0u) << "memo hits allocated over " << visited.size() << " revisits";
 }
 
 }  // namespace

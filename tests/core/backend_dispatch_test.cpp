@@ -34,12 +34,12 @@ TEST(BackendDispatch, SingleClusterFlexrayIsBitIdenticalThroughSystemConfig) {
 
   EXPECT_EQ(old_path.cost.value, new_path.cost.value);
   EXPECT_EQ(old_path.cost.schedulable, new_path.cost.schedulable);
-  // The degenerate case routes through the pre-cluster pipeline: the result
-  // is the single-bus Evaluation itself (analysis filled, no per-cluster
-  // vector), byte for byte.
-  EXPECT_TRUE(new_path.cluster_analysis.empty());
-  EXPECT_EQ(old_path.analysis.task_completion, new_path.analysis.task_completion);
-  EXPECT_EQ(old_path.analysis.message_completion, new_path.analysis.message_completion);
+  // evaluate_system has one shape at every cluster count: one per-cluster
+  // result, here the single bus's.  It ran analyze_multicluster, the
+  // BusConfig form the thread-slot engine — byte for byte the same bounds.
+  ASSERT_EQ(new_path.cluster_analysis.size(), 1u);
+  EXPECT_EQ(old_path.analysis.task_completion, new_path.cluster_analysis[0].task_completion);
+  EXPECT_EQ(old_path.analysis.message_completion, new_path.cluster_analysis[0].message_completion);
 }
 
 struct MixedFixture {

@@ -56,7 +56,6 @@
 #include "flexopt/io/system_format.hpp"
 #include "flexopt/netsim/netsim.hpp"
 #include "flexopt/netsim/trace_json.hpp"
-#include "flexopt/sim/simulator.hpp"
 #include "flexopt/util/table.hpp"
 
 using namespace flexopt;
@@ -396,115 +395,78 @@ int solve_main(int argc, char** argv) {
     return 1;
   }
 
-  if (evaluator.cluster_count() > 1) {
-    // Per-cluster reporting: each cluster has its own bus configuration and
-    // its projection's WCRTs already include cross-cluster relay jitter.
-    // Usually a cache hit (descent passes evaluate on this evaluator);
-    // portfolio descents race members on sibling evaluators, so the winning
-    // product may be analysed once more here.
-    const SystemModel& sys = evaluator.system_model();
-    const auto evaluation = evaluator.evaluate_system(outcome.system);
-    if (!evaluation.valid) {
-      std::cerr << "analysis: " << evaluation.error << "\n";
-      return 1;
-    }
-    for (std::size_t c = 0; c < sys.cluster_count(); ++c) {
-      const Application& capp = *sys.cluster_app(c);
-      const ClusterConfig& cluster_cfg = outcome.system.clusters[c];
-      if (cluster_cfg.kind == ClusterBackendKind::Tsn) {
-        const TsnConfig& tsn = cluster_cfg.tsn;
-        int windows = 0;
-        for (const TsnGateWindow& gate : tsn.gates) {
-          if (gate.length > 0) ++windows;
-        }
-        std::cout << "\ncluster " << c << " (tsn): " << windows << " gate windows / "
-                  << format_time(tsn.cycle) << " cycle @ " << tsn.link_rate_mbps << " Mbit/s\n";
-      } else {
-        const BusConfig& cfg = cluster_cfg.flexray;
-        std::cout << "\ncluster " << c << " (flexray): " << cfg.static_slot_count
-                  << " ST slots x " << format_time(cfg.static_slot_len) << ", DYN "
-                  << cfg.minislot_count << " minislots\n";
+  // Per-cluster reporting, for every cluster count: each cluster has its
+  // own bus configuration and its projection's WCRTs already include
+  // cross-cluster relay jitter.  Usually a cache hit (the solve evaluated on
+  // this evaluator); portfolio solves race members on sibling evaluators,
+  // so the winning product may be analysed once more here.
+  const SystemModel& sys = evaluator.system_model();
+  const auto evaluation = evaluator.evaluate_system(outcome.system);
+  if (!evaluation.valid) {
+    std::cerr << "analysis: " << evaluation.error << "\n";
+    return 1;
+  }
+  for (std::size_t c = 0; c < sys.cluster_count(); ++c) {
+    const Application& capp = *sys.cluster_app(c);
+    const ClusterConfig& cluster_cfg = outcome.system.clusters[c];
+    if (cluster_cfg.kind == ClusterBackendKind::Tsn) {
+      const TsnConfig& tsn = cluster_cfg.tsn;
+      int windows = 0;
+      for (const TsnGateWindow& gate : tsn.gates) {
+        if (gate.length > 0) ++windows;
       }
-      Table wcrt({"activity", "kind", "WCRT", "deadline", "status"});
-      const AnalysisResult& cluster = evaluation.cluster_analysis[c];
-      auto add_row = [&](const std::string& name, const char* kind, Time r, Time d) {
-        wcrt.add_row({name, kind, format_time(r), format_time(d), r <= d ? "ok" : "MISS"});
-      };
-      for (std::uint32_t t = 0; t < capp.task_count(); ++t) {
-        add_row(capp.tasks()[t].name,
-                capp.tasks()[t].policy == TaskPolicy::Scs ? "SCS" : "FPS",
-                cluster.task_completion[t],
-                capp.effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
-      }
+      std::cout << "\ncluster " << c << " (tsn): " << windows << " gate windows / "
+                << format_time(tsn.cycle) << " cycle @ " << tsn.link_rate_mbps << " Mbit/s\n";
+    } else {
+      const BusConfig& cfg = cluster_cfg.flexray;
+      std::cout << "\ncluster " << c << " (flexray): " << cfg.static_slot_count
+                << " ST slots x " << format_time(cfg.static_slot_len) << ", DYN "
+                << cfg.minislot_count << " minislots\n";
+      Table fids({"message", "FrameID"});
       for (std::uint32_t m = 0; m < capp.message_count(); ++m) {
-        add_row(capp.messages()[m].name,
-                capp.messages()[m].cls == MessageClass::Static ? "ST" : "DYN",
-                cluster.message_completion[m],
-                capp.effective_deadline(ActivityRef::message(static_cast<MessageId>(m))));
+        if (cfg.frame_id[m] > 0) {
+          fids.add_row({capp.messages()[m].name, std::to_string(cfg.frame_id[m])});
+        }
       }
-      wcrt.print(std::cout);
+      if (fids.rows() > 0) fids.print(std::cout);
     }
-    if (run_sim) {
-      auto layouts = build_system_layouts(sys, params, outcome.system);
-      auto mc = layouts.ok()
-                    ? analyze_multicluster(sys, layouts.value(), AnalysisOptions{})
-                    : Expected<MulticlusterResult>(layouts.error());
-      auto sim = mc.ok() ? simulate_network(sys, layouts.value(), mc.value())
-                         : Expected<NetSimResult>(mc.error());
-      if (!sim.ok()) {
-        std::cerr << "simulation: " << sim.error().message << "\n";
-      } else {
-        const SoundnessReport verdict = check_soundness(sys, mc.value(), sim.value());
-        std::cout << "\nsimulated one hyper-period across " << sys.cluster_count()
-                  << " clusters: " << sim.value().unfinished_jobs << " unfinished jobs, "
-                  << sim.value().precedence_violations << " precedence violations, "
-                  << (verdict.sound ? "observed <= bound for all "
-                                    : "BOUND VIOLATIONS among ")
-                  << verdict.checked << " checked activities\n";
-      }
+    Table wcrt({"activity", "kind", "WCRT", "deadline", "status"});
+    const AnalysisResult& cluster = evaluation.cluster_analysis[c];
+    auto add_row = [&](const std::string& name, const char* kind, Time r, Time d) {
+      wcrt.add_row({name, kind, format_time(r), format_time(d), r <= d ? "ok" : "MISS"});
+    };
+    for (std::uint32_t t = 0; t < capp.task_count(); ++t) {
+      add_row(capp.tasks()[t].name,
+              capp.tasks()[t].policy == TaskPolicy::Scs ? "SCS" : "FPS",
+              cluster.task_completion[t],
+              capp.effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
     }
-    return outcome.feasible ? 0 : 1;
-  }
-
-  std::cout << "configuration: " << outcome.config.static_slot_count << " ST slots x "
-            << format_time(outcome.config.static_slot_len) << ", DYN "
-            << outcome.config.minislot_count << " minislots\n";
-  Table fids({"message", "FrameID"});
-  for (std::uint32_t m = 0; m < app.message_count(); ++m) {
-    if (outcome.config.frame_id[m] > 0) {
-      fids.add_row({app.messages()[m].name, std::to_string(outcome.config.frame_id[m])});
+    for (std::uint32_t m = 0; m < capp.message_count(); ++m) {
+      add_row(capp.messages()[m].name,
+              capp.messages()[m].cls == MessageClass::Static ? "ST" : "DYN",
+              cluster.message_completion[m],
+              capp.effective_deadline(ActivityRef::message(static_cast<MessageId>(m))));
     }
+    wcrt.print(std::cout);
   }
-  if (fids.rows() > 0) fids.print(std::cout);
-
-  auto layout = BusLayout::build(app, params, outcome.config);
-  auto analysis = analyze_system(layout.value());
-  std::cout << "\nworst-case response times:\n";
-  Table wcrt({"activity", "kind", "WCRT", "deadline", "status"});
-  auto add = [&](const std::string& name, const char* kind, Time r, Time d) {
-    wcrt.add_row({name, kind, format_time(r), format_time(d), r <= d ? "ok" : "MISS"});
-  };
-  for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-    add(app.tasks()[t].name, app.tasks()[t].policy == TaskPolicy::Scs ? "SCS" : "FPS",
-        analysis.value().task_completion[t],
-        app.effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
-  }
-  for (std::uint32_t m = 0; m < app.message_count(); ++m) {
-    add(app.messages()[m].name,
-        app.messages()[m].cls == MessageClass::Static ? "ST" : "DYN",
-        analysis.value().message_completion[m],
-        app.effective_deadline(ActivityRef::message(static_cast<MessageId>(m))));
-  }
-  wcrt.print(std::cout);
-
   if (run_sim) {
-    auto sim = simulate(layout.value(), analysis.value().schedule());
+    auto layouts = build_system_layouts(sys, params, outcome.system);
+    auto mc = layouts.ok()
+                  ? analyze_multicluster(sys, layouts.value(), AnalysisOptions{})
+                  : Expected<MulticlusterResult>(layouts.error());
+    auto sim = mc.ok() ? simulate_network(sys, layouts.value(), mc.value())
+                       : Expected<NetSimResult>(mc.error());
     if (!sim.ok()) {
       std::cerr << "simulation: " << sim.error().message << "\n";
     } else {
-      std::cout << "\nsimulated one hyper-period: " << sim.value().unfinished_jobs
-                << " unfinished jobs, " << sim.value().precedence_violations
-                << " precedence violations\n";
+      const SoundnessReport verdict = check_soundness(sys, mc.value(), sim.value());
+      std::cout << "\nsimulated one hyper-period across " << sys.cluster_count()
+                << " cluster" << (sys.cluster_count() > 1 ? "s" : "") << ": "
+                << sim.value().unfinished_jobs << " unfinished jobs, "
+                << sim.value().precedence_violations << " precedence violations, "
+                << (verdict.sound ? "observed <= bound for all "
+                                  : "BOUND VIOLATIONS among ")
+                << verdict.checked << " checked activities\n";
     }
   }
   return outcome.feasible ? 0 : 1;
