@@ -62,7 +62,7 @@ struct SteadyResult {
 ///
 /// The trajectory is replayed twice through the SAME evaluator.  The first
 /// (recording) pass is pure warm-up: every move geometry lands in the
-/// component cache, the thread slot's arena binds, and scratch containers
+/// component cache, worker slot 0's arena binds, and scratch containers
 /// grow to their high-water capacity.  The second pass re-seeds the RNGs
 /// and replays the bit-identical move/acceptance stream — by then every
 /// schedule lookup is a cache hit and every fixed point runs inside the

@@ -1,13 +1,13 @@
 // Evaluator service bench — the seam the unified Solver API load-bears on:
-// the thread-safe CostEvaluator with its memoization cache and
-// evaluate_many() worker pool.  Sweeps the same candidate set (with the
+// the CostEvaluator with its memoization cache and the evaluate_many()
+// fan-out across parallel_for workers.  Sweeps the same candidate set (with the
 // revisits a nested OBC/SA exploration produces) three ways and checks the
 // costs are bit-identical:
 //
 //   serial/uncached   — the pre-registry behaviour: one full analysis per
 //                       visit, one thread
 //   serial/cached     — same thread count, revisits served from the cache
-//   parallel/cached   — evaluate_many() on the worker pool
+//   parallel/cached   — evaluate_many() on the evaluator's worker threads
 //
 // "analyses" counts full holistic analyses (the Fig. 9 work metric); the
 // cached runs must produce identical costs with strictly fewer analyses.
@@ -112,7 +112,7 @@ int main() {
   table.print(std::cout);
   std::cout << "\nReading: the cached runs serve every revisit from the config->evaluation\n"
                "cache (half the candidates here), and evaluate_many spreads the remaining\n"
-               "full analyses across the worker pool — identical costs, fewer analyses,\n"
+               "full analyses across its worker threads — identical costs, fewer analyses,\n"
                "lower wall time.  This is the hot path of every optimiser behind the\n"
                "unified Solver API.\n";
   return 0;

@@ -9,8 +9,9 @@
 // The CI-facing --check gate asserts:
 // (1) every scenario of the population generates, projects and solves to a
 //     feasible product (the workload axis must not silently regress), and
-// (2) the portfolio descent report is byte-identical between --jobs 1 and
-//     a parallel run (the determinism contract across the descent).
+// (2) the portfolio descent report is byte-identical between
+//     PortfolioSpec::jobs = 1 and a parallel run (the determinism contract
+//     across the descent).
 
 #include <chrono>
 #include <fstream>

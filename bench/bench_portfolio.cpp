@@ -10,7 +10,7 @@
 // (1) the portfolio's cost is <= the best single member on every system
 // (it must select the argmin; anything else is a winner-selection bug),
 // and (2) the winning configuration and cost are bit-identical between
-// --jobs 1 and a parallel run (the determinism contract).  --out writes
+// PortfolioSpec::jobs = 1 and a parallel run (the determinism contract).  --out writes
 // BENCH_portfolio.json (schema documented in README.md).
 
 #include <chrono>

@@ -2,7 +2,7 @@
 
 /// \file arena.hpp
 /// Preallocated structure-of-arrays state for the holistic analysis hot
-/// path.  One AnalysisArena belongs to one evaluator worker thread and is
+/// path.  One AnalysisArena belongs to one evaluator worker slot and is
 /// reused across evaluations: every per-task / per-message quantity the
 /// holistic fixed point touches lives in a flat array indexed by the dense
 /// activity index (aid = task index for tasks, n_tasks + message index for

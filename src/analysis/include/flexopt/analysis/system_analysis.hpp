@@ -147,9 +147,9 @@ Expected<Time> analysis_horizon(const Application& app);
 /// positive cost.
 ///
 /// Reentrancy guarantee: the analysis reads `layout` and `options` only and
-/// keeps its fixed-point state on the stack — concurrent calls (the
-/// CostEvaluator worker pool fans candidate configurations across threads)
-/// are safe as long as each call gets its own BusLayout.
+/// keeps its fixed-point state on the stack — concurrent calls
+/// (CostEvaluator::evaluate_many fans candidate configurations across
+/// threads) are safe as long as each call gets its own BusLayout.
 /// `counters` (optional) accumulates the work performed.
 /// `external_task_jitter` (optional, indexed by TaskId; empty = none) adds
 /// a release-jitter floor per task on top of precedence-induced jitter —

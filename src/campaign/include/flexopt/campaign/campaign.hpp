@@ -5,8 +5,9 @@
 /// over the generator family of flexopt/gen/scenario.hpp (node counts x
 /// topologies x traffic mixes x utilisation bands x period sets x payload
 /// caps x replicates), expand_grid() unrolls it into per-scenario plans
-/// with derived seeds, and CampaignRunner fans the scenarios across a
-/// worker pool, solving each with every requested registry algorithm.
+/// with derived seeds, and CampaignRunner fans the scenarios across the
+/// workers of parallel_for, solving each with every requested registry
+/// algorithm.
 ///
 /// Determinism contract: with no wall-clock budget, the records (and the
 /// JSON/CSV summaries in flexopt/campaign/report.hpp) are byte-identical
@@ -189,7 +190,9 @@ struct CampaignResult {
 };
 
 struct CampaignOptions {
-  /// Scenario-level worker threads; 0 = hardware concurrency.  Does not
+  /// The campaign's thread budget; 0 = hardware concurrency.  Scenario
+  /// workers take min(budget, scenarios) of it and every portfolio solve
+  /// races its members on the share left per scenario worker.  Does not
   /// affect results (see the determinism contract above).
   int threads = 0;
   /// Called after each finished scenario (from worker threads, serialized

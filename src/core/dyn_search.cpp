@@ -38,8 +38,10 @@ DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const BusC
   };
 
   if (evaluator.worker_threads() <= 1) {
-    // No pool to fan candidates across: sweep sequentially (results match
-    // the batched sweep bit for bit).
+    // One worker: sweep one candidate at a time, polling `control` before
+    // each.  Costs and evaluations match the batched sweep; the progress
+    // ticks are per candidate, which portfolio members' improvement stamps
+    // rely on.
     for (int minislots = dyn_min; minislots <= dyn_max; minislots += stride) {
       if (control != nullptr && control->should_stop(evaluator)) break;
       BusConfig candidate = base;

@@ -6,57 +6,18 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace flexopt {
 
-/// Per-thread evaluation state (see the declaration in evaluator.hpp).
-/// `mutex` only guards `stats`: the owner thread takes it briefly when
-/// flushing counters (uncontended), work_stats() takes it when summing.
-/// Everything else is touched by the owning thread exclusively.
-struct CostEvaluator::ThreadSlot {
-  std::mutex mutex;
-  EvaluatorWorkStats stats;  // guarded by mutex
-  AnalysisArena arena;       ///< fixed-point state, reused per evaluation
-  BusLayout layout;          ///< rebuilt in place per candidate
-  SystemConfig key;          ///< the candidate's memo key, rebuilt in place
-  Evaluation eval;           ///< evaluate_in_slot's return storage
+/// Per-worker evaluation state (see the declaration in evaluator.hpp).
+struct CostEvaluator::WorkerSlot {
+  EvaluatorWorkStats stats;
+  AnalysisArena arena;  ///< fixed-point state, reused per evaluation
+  BusLayout layout;     ///< rebuilt in place per candidate
+  SystemConfig key;     ///< the candidate's memo key, rebuilt in place
+  Evaluation eval;      ///< evaluate_in_slot's return storage
 };
-
-namespace {
-
-/// Thread-local (evaluator id -> slot) cache.  The raw pointer is only ever
-/// dereferenced when the id matches a live evaluator — ids are monotonic
-/// and never reused, so an entry left behind by a destroyed evaluator can
-/// never be hit.  Bounded: with more than kSlotCacheMax live evaluators on
-/// one thread the oldest entry is evicted (that evaluator then re-creates
-/// a slot on its next use here; only its arena warm-up is lost).
-struct SlotCacheEntry {
-  std::uint64_t evaluator = 0;
-  void* slot = nullptr;
-};
-constexpr std::size_t kSlotCacheMax = 16;
-thread_local std::vector<SlotCacheEntry> t_slot_cache;
-
-std::atomic<std::uint64_t> g_next_evaluator_id{1};
-
-}  // namespace
-
-CostEvaluator::ThreadSlot& CostEvaluator::slot() {
-  for (const SlotCacheEntry& entry : t_slot_cache) {
-    if (entry.evaluator == id_) return *static_cast<ThreadSlot*>(entry.slot);
-  }
-  auto owned = std::make_unique<ThreadSlot>();
-  ThreadSlot* raw = owned.get();
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    slots_.push_back(std::move(owned));
-  }
-  if (t_slot_cache.size() >= kSlotCacheMax) t_slot_cache.erase(t_slot_cache.begin());
-  t_slot_cache.push_back({id_, raw});
-  return *raw;
-}
 
 std::size_t hash_config(const BusConfig& config) {
   // FNV-1a over the six decision variables.
@@ -108,14 +69,16 @@ CostEvaluator::CostEvaluator(SystemModel model, const BusParams& params,
       options_(options),
       evaluator_options_(evaluator_options),
       components_(model_.cluster_count()),
-      cluster_caches_(model_.cluster_count()),
-      id_(g_next_evaluator_id.fetch_add(1, std::memory_order_relaxed)) {
+      cluster_caches_(model_.cluster_count()) {
   // One cache per cluster, so geometry components never alias across buses.
   // The pointer table is built once — the evaluator is immovable, so the
   // addresses hold — keeping the per-candidate hot path allocation-free.
   for (std::size_t c = 0; c < components_.size(); ++c) cluster_caches_[c] = &components_[c];
+  slots_.push_back(std::make_unique<WorkerSlot>());
   clear_focus();
 }
+
+CostEvaluator::~CostEvaluator() = default;
 
 namespace {
 
@@ -240,9 +203,7 @@ void CostEvaluator::insert_system_cache(const SystemConfig& config,
   }
 }
 
-void CostEvaluator::record_analysis(const AnalysisWorkCounters& counters) {
-  ThreadSlot& s = slot();
-  std::lock_guard<std::mutex> lock(s.mutex);
+void CostEvaluator::record_analysis(WorkerSlot& s, const AnalysisWorkCounters& counters) {
   s.stats.analysis += counters;
   ++s.stats.full_evaluations;
   // The arena tracks its own lifetime totals; mirroring them (assignment,
@@ -253,11 +214,15 @@ void CostEvaluator::record_analysis(const AnalysisWorkCounters& counters) {
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
-  return evaluate_in_slot(config);  // copies out of the thread slot
+  return evaluate_in_slot(config);  // copies out of slot 0
 }
 
 const CostEvaluator::Evaluation& CostEvaluator::evaluate_in_slot(const BusConfig& config) {
-  ThreadSlot& s = slot();
+  return evaluate_focused(*slots_[0], config);
+}
+
+const CostEvaluator::Evaluation& CostEvaluator::evaluate_focused(WorkerSlot& s,
+                                                                 const BusConfig& config) {
   if (!focused()) {
     s.eval = Evaluation{};
     s.eval.error = "no FlexRay cluster in focus: use evaluate_system() or set_focus()";
@@ -270,18 +235,18 @@ const CostEvaluator::Evaluation& CostEvaluator::evaluate_in_slot(const BusConfig
     assign_focused_view(*hit, s.eval);
     return s.eval;
   }
-  if (slot_engine()) return analyze_into_slot(config, s.key);
-  assign_focused_view(*analyze_system_entry(s.key), s.eval);
+  if (slot_engine()) return analyze_into_slot(s, config);
+  assign_focused_view(*analyze_system_entry(s, s.key), s.eval);
   return s.eval;
 }
 
-const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfig& config,
-                                                                 const SystemConfig& key) {
-  ThreadSlot& s = slot();
+const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(WorkerSlot& s,
+                                                                  const BusConfig& config) {
   Evaluation& out = s.eval;
-  // Concurrent misses of the same configuration analyse redundantly but
-  // converge on identical values (the analysis is deterministic), so no
-  // per-key coordination is needed.
+  // Concurrent misses of the same configuration (repeats within one
+  // evaluate_many batch) analyse redundantly but converge on identical
+  // values (the analysis is deterministic), so no per-key coordination is
+  // needed.
   if (evaluator_options_.cache_enabled) {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -296,7 +261,7 @@ const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfi
     AnalysisWorkCounters counters;
     const Expected<bool> analysis = analyze_system_into(s.layout, options_, components_[0],
                                                         s.arena, out.analysis, &counters);
-    record_analysis(counters);
+    record_analysis(s, counters);
     if (analysis.ok()) {
       out.valid = true;
       out.cost = out.analysis.cost;
@@ -330,27 +295,28 @@ const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(const BusConfi
   }
 #endif
   if (evaluator_options_.cache_enabled) {
-    insert_system_cache(key, std::make_shared<const Evaluation>(system_view(out)));
+    insert_system_cache(s.key, std::make_shared<const Evaluation>(system_view(out)));
   }
   return out;
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate_system(const SystemConfig& config) {
   if (const auto hit = cached_system(config)) return *hit;
-  return *analyze_system_entry(config);
+  return *analyze_system_entry(*slots_[0], config);
 }
 
 std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::analyze_system_entry(
-    const SystemConfig& config) {
+    WorkerSlot& s, const SystemConfig& config) {
   if (evaluator_options_.cache_enabled) {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
   }
-  auto entry = std::make_shared<const Evaluation>(analyze_system_config(config));
+  auto entry = std::make_shared<const Evaluation>(analyze_system_config(s, config));
   insert_system_cache(config, entry);
   return entry;
 }
 
-CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfig& config) {
+CostEvaluator::Evaluation CostEvaluator::analyze_system_config(WorkerSlot& s,
+                                                               const SystemConfig& config) {
   Evaluation out;
   auto layouts = build_system_layouts(model_, params_, config);
   if (!layouts.ok()) {
@@ -361,7 +327,7 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   AnalysisWorkCounters counters;
   auto analysis =
       analyze_multicluster(model_, layouts.value(), options_, cluster_caches_, &counters);
-  record_analysis(counters);
+  record_analysis(s, counters);
   if (!analysis.ok()) {
     out.error = analysis.error().message;
     return out;
@@ -405,96 +371,20 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   return out;
 }
 
-CostEvaluator::~CostEvaluator() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    shutting_down_ = true;
-  }
-  pool_wake_.notify_all();
-  for (std::thread& t : pool_) t.join();
-}
-
-int CostEvaluator::worker_threads() const {
-  const int threads = evaluator_options_.threads > 0
-                          ? evaluator_options_.threads
-                          : static_cast<int>(std::thread::hardware_concurrency());
-  return std::max(1, threads);
-}
-
-void CostEvaluator::ensure_pool() {
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  const std::size_t wanted = static_cast<std::size_t>(worker_threads()) - 1;
-  while (pool_.size() < wanted) pool_.emplace_back([this] { pool_worker(); });
-}
-
-void CostEvaluator::drain(Batch& batch) {
-  for (std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-       i < batch.configs.size(); i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
-    (*batch.out)[i] = evaluate(batch.configs[i]);
-  }
-}
-
-void CostEvaluator::pool_worker() {
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    Batch* batch = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(pool_mutex_);
-      pool_wake_.wait(lock, [&] {
-        return shutting_down_ || (batch_ != nullptr && batch_generation_ != seen_generation);
-      });
-      if (shutting_down_) return;
-      seen_generation = batch_generation_;
-      batch = batch_;
-      ++batch->active;
-    }
-    drain(*batch);
-    {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
-      --batch->active;
-    }
-    pool_done_.notify_all();
-  }
-}
-
 std::vector<CostEvaluator::Evaluation> CostEvaluator::evaluate_many(
     std::span<const BusConfig> configs) {
   std::vector<Evaluation> out(configs.size());
-  if (configs.empty()) return out;
-
-  if (worker_threads() <= 1 || configs.size() <= 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i) out[i] = evaluate(configs[i]);
-    return out;
-  }
-
-  ensure_pool();
-  Batch batch;
-  batch.configs = configs;
-  batch.out = &out;
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    batch_ = &batch;
-    ++batch_generation_;
-  }
-  pool_wake_.notify_all();
-  drain(batch);  // the caller participates
-  {
-    // `batch` lives on this stack frame: wait for every worker to check
-    // out (they only touch it between the active ++/--) before returning.
-    std::unique_lock<std::mutex> lock(pool_mutex_);
-    pool_done_.wait(lock, [&] { return batch.active == 0; });
-    if (batch_ == &batch) batch_ = nullptr;
-  }
+  const std::size_t workers = std::min(configs.size(), static_cast<std::size_t>(worker_threads()));
+  while (slots_.size() < workers) slots_.push_back(std::make_unique<WorkerSlot>());
+  parallel_for(configs.size(), static_cast<int>(workers), [&](std::size_t i, std::size_t worker) {
+    out[i] = evaluate_focused(*slots_[worker], configs[i]);
+  });
   return out;
 }
 
 EvaluatorWorkStats CostEvaluator::work_stats() const {
   EvaluatorWorkStats out;
-  std::lock_guard<std::mutex> lock(slots_mutex_);
-  for (const auto& s : slots_) {
-    std::lock_guard<std::mutex> slot_lock(s->mutex);
-    out += s->stats;
-  }
+  for (const auto& s : slots_) out += s->stats;
   return out;
 }
 

@@ -24,8 +24,8 @@ struct BbcOptions {
 /// Runs BBC.  The outcome carries the best configuration found over the
 /// sweep (feasible == cost.schedulable; BBC frequently ends infeasible on
 /// larger systems, which is exactly the Fig. 9 result).  Candidate DYN
-/// lengths are evaluated in parallel batches on the evaluator's worker
-/// pool; `control` (optional) enforces the SolveRequest budgets between
+/// lengths are evaluated in batches of CostEvaluator::evaluate_many;
+/// `control` (optional) enforces the SolveRequest budgets between
 /// batches.  Front-ends drive this through the OptimizerRegistry ("bbc").
 OptimizationOutcome optimize_bbc(CostEvaluator& evaluator, const BbcOptions& options = {},
                                  SolveControl* control = nullptr);

@@ -3,9 +3,9 @@
 /// \file batch_sweep.hpp
 /// Shared core of the two parallel DYN-length sweeps (BBC's Fig. 5 sweep
 /// and OBC-EE's exhaustive search): evaluate `base` at every candidate
-/// minislot count in parallel batches on the evaluator's worker pool,
-/// honouring the SolveControl budgets between batches.  Internal to
-/// src/core — front-ends drive sweeps through the Optimizer interface.
+/// minislot count in batches of CostEvaluator::evaluate_many, honouring the
+/// SolveControl budgets between batches.  Internal to src/core — front-ends
+/// drive sweeps through the Optimizer interface.
 
 #include <algorithm>
 #include <functional>
@@ -20,13 +20,15 @@ namespace flexopt::detail {
 /// in input order — so a strictly-better selection in the callback yields
 /// results identical to the serial sweep.  Stops early when `control`
 /// requests it; batches never claim more than the remaining evaluation
-/// budget (cache hits make this conservative, never over).
+/// budget (cache hits make this conservative, never over), so the batch
+/// size changes how often the sweep polls `control`, never which
+/// candidates an evaluation budget admits.  Eight candidates per worker
+/// amortise the helper threads each evaluate_many call starts.
 inline void batched_minislot_sweep(
     CostEvaluator& evaluator, const BusConfig& base, const std::vector<int>& lengths,
     SolveControl* control,
     const std::function<void(int, const CostEvaluator::Evaluation&)>& on_result) {
-  const std::size_t batch_size =
-      std::max<std::size_t>(8, 2 * static_cast<std::size_t>(evaluator.worker_threads()));
+  const std::size_t batch_size = 8 * static_cast<std::size_t>(evaluator.worker_threads());
   std::vector<BusConfig> batch;
   for (std::size_t pos = 0; pos < lengths.size();) {
     if (control != nullptr && control->should_stop(evaluator)) break;

@@ -44,9 +44,12 @@ struct ExhaustiveDynOptions {
 };
 
 /// Full analysis at every candidate length (OBC-EE).  Candidates are fanned
-/// across the evaluator's worker pool in batches; results are identical to
-/// the serial sweep (in-order, strictly-better comparisons).  An evaluator
-/// without a pool sweeps sequentially instead.
+/// across the evaluator's evaluate_many workers in batches, in order with
+/// strictly-better comparisons.  An evaluator with one worker thread sweeps
+/// one candidate at a time instead: the same costs and evaluations, plus a
+/// SolveControl poll (and so a progress tick) before every candidate, which
+/// is what stamps a portfolio member's improvements at the evaluation that
+/// found them.
 class ExhaustiveDynSearch final : public DynSegmentStrategy {
  public:
   explicit ExhaustiveDynSearch(ExhaustiveDynOptions options = {}) : options_(options) {}

@@ -6,32 +6,30 @@
 /// configuration, and counts full analyses so the Fig. 9 runtime comparison
 /// can report work done.
 ///
-/// The evaluator is a thread-safe service: it owns the Application by
-/// shared_ptr (evaluations stay valid after the caller's copy goes away),
-/// `evaluate()` may be called concurrently from any number of threads, and
-/// `evaluate_many()` fans a batch of candidates across a worker pool.
+/// The evaluator owns the Application by shared_ptr (evaluations stay
+/// valid after the caller's copy goes away).  One thread drives an
+/// evaluator at a time; `evaluate_many()` is its only fan-out, running a
+/// batch of candidates on the fork-join loop of flexopt/util/parallel.hpp.
 ///
 /// Four evaluation entry points, sharing one SystemConfig-keyed memo cache:
 /// `evaluate_system` (a per-cluster configuration product) and three
 /// BusConfig forms that substitute the candidate into the focus coordinate
 /// (see set_focus): `evaluate` (by value), `evaluate_in_slot` (by reference
-/// into this thread's slot, allocation-free at steady state) and
-/// `evaluate_many`.  On a memo miss a BusConfig form on one holistic
+/// into the driving thread's worker slot, allocation-free at steady state)
+/// and `evaluate_many`.  On a memo miss a BusConfig form on one holistic
 /// FlexRay cluster runs the arena engine (flexopt/analysis/incremental.hpp)
-/// on the thread slot; everything else — evaluate_system at every cluster
+/// on a worker slot; everything else — evaluate_system at every cluster
 /// count, exact mode, TSN, multi-cluster — runs analyze_multicluster.
 /// Both analyse cold on the evaluator's component caches, so a
 /// configuration's result does not depend on which entry point or which
-/// thread analysed it first.
+/// worker analysed it first.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -41,6 +39,7 @@
 #include "flexopt/flexray/params.hpp"
 #include "flexopt/flexray/system_config.hpp"
 #include "flexopt/model/system_model.hpp"
+#include "flexopt/util/parallel.hpp"
 #include "flexopt/util/stat.hpp"
 
 namespace flexopt {
@@ -57,7 +56,7 @@ inline constexpr double kInvalidConfigCost = 1e15;
 /// memoization cache (collisions are resolved by full equality).
 [[nodiscard]] std::size_t hash_system_config(const SystemConfig& config);
 
-/// Behaviour knobs of the evaluation service (cache + worker pool).
+/// Behaviour knobs of the evaluation service (cache + evaluate_many workers).
 struct EvaluatorOptions {
   /// Memoize SystemConfig -> Evaluation.  Optimisers that revisit
   /// configurations (SA, nested OBC loops) pay one analysis per distinct
@@ -156,14 +155,14 @@ class CostEvaluator {
 
   /// Full scheduling + schedulability analysis of one candidate for the
   /// focused cluster: substituted into the focus context, the full system
-  /// is evaluated (or served from the cache).  Thread-safe.  Without a
+  /// is evaluated (or served from the cache).  Without a
   /// focus (multi-cluster before set_focus, single-cluster TSN) the
   /// Evaluation is invalid (use evaluate_system).
   Evaluation evaluate(const BusConfig& config);
 
-  /// evaluate(), returned by reference into this thread's slot: the hot
-  /// path of SA's neighbour loop.  The reference is valid until the next
-  /// evaluator call on the same thread — copy it to keep it.  At steady
+  /// evaluate(), returned by reference into worker slot 0 (the driving
+  /// thread's): the hot path of SA's neighbour loop.  The reference is
+  /// valid until the next evaluator call — copy it to keep it.  At steady
   /// state (same application, single-cluster holistic analysis) a memo hit
   /// or an uncached analysis performs zero heap allocations; a memo miss
   /// allocates its cache entry, and the system path allocates.
@@ -171,15 +170,15 @@ class CostEvaluator {
 
   /// Full system evaluation of one per-cluster configuration product
   /// candidate (cross-cluster fixed point; cached on the SystemConfig
-  /// hash).  Thread-safe.  Neighbour moves on a multi-cluster or TSN system
+  /// hash).  Neighbour moves on a multi-cluster or TSN system
   /// substitute one cluster's configuration and call this; the per-cluster
   /// component caches serve every cluster the move left intact.
   Evaluation evaluate_system(const SystemConfig& config);
 
-  /// Evaluates a batch of candidates on the worker pool; results are in
-  /// input order and identical to calling evaluate() serially.  The pool
-  /// is persistent: threads are spawned lazily on the first batch and
-  /// reused across calls, so small per-batch sweeps stay cheap.
+  /// Evaluates a batch of candidates on min(batch size, worker_threads())
+  /// workers of parallel_for: worker w analyses on slot w, the caller being
+  /// worker 0.  Results are in input order and identical to calling
+  /// evaluate() serially.
   std::vector<Evaluation> evaluate_many(std::span<const BusConfig> configs);
 
   /// The application the current search runs over: the focused cluster's
@@ -202,8 +201,8 @@ class CostEvaluator {
   /// must be a FlexRay bus (TSN clusters are searched through
   /// evaluate_system; see flexopt/core/tsn_search.hpp).  Invalid requests
   /// (cluster out of range, wrong context width, non-FlexRay cluster)
-  /// degrade to clear_focus().  Not thread-safe: set it between solves,
-  /// never while evaluations are in flight.
+  /// degrade to clear_focus().  Set it between solves, never while
+  /// evaluations are in flight.
   void set_focus(SystemConfig context, int cluster);
   /// Restores the default coordinate: cluster 0 of a single-cluster
   /// FlexRay system (its focus from construction), none otherwise.
@@ -226,43 +225,46 @@ class CostEvaluator {
 
   /// Worker threads evaluate_many() will use (EvaluatorOptions::threads
   /// resolved against hardware concurrency); >= 1.
-  [[nodiscard]] int worker_threads() const;
+  [[nodiscard]] int worker_threads() const {
+    return resolve_threads(evaluator_options_.threads);
+  }
 
   [[nodiscard]] EvaluatorCacheStats cache_stats() const;
   [[nodiscard]] EvaluatorWorkStats work_stats() const;
   void clear_cache();
 
  private:
-  /// Per-thread evaluation state: the analysis arena, a reusable BusLayout
+  /// Per-worker evaluation state: the analysis arena, a reusable BusLayout
   /// and memo key, the Evaluation evaluate_in_slot returns by reference,
-  /// and this thread's share of the work statistics.  One slot per
-  /// (evaluator, thread) pair, owned by the evaluator, found through a
-  /// thread-local cache keyed by the evaluator's id — replacing the old
-  /// mutex-guarded global work counter, whose lock the worker pool
-  /// contended on.
-  struct ThreadSlot;
-  ThreadSlot& slot();
+  /// and this worker's share of the work statistics.  Slot 0 serves the
+  /// driving thread; evaluate_many's worker w owns slot w for the batch,
+  /// so no slot is ever touched by two threads at once.
+  struct WorkerSlot;
 
   /// A BusConfig-form memo miss runs on the slot engine: one holistic
   /// FlexRay cluster.
   [[nodiscard]] bool slot_engine() const {
     return focused() && model_.single_cluster() && options_.mode == AnalysisMode::Holistic;
   }
+  /// A BusConfig form on `slot`: memo lookup, then the slot engine or the
+  /// system path on a miss.
+  const Evaluation& evaluate_focused(WorkerSlot& slot, const BusConfig& config);
   /// The slot engine on a memo miss: in-place layout assign + analysis into
-  /// the slot's Evaluation, entered into the memo cache under `key`.
-  const Evaluation& analyze_into_slot(const BusConfig& config, const SystemConfig& key);
+  /// the slot's Evaluation, entered into the memo cache under slot.key.
+  const Evaluation& analyze_into_slot(WorkerSlot& slot, const BusConfig& config);
   /// The system path on a memo miss: analyze_multicluster, entered into the
   /// memo cache.
-  std::shared_ptr<const Evaluation> analyze_system_entry(const SystemConfig& config);
-  Evaluation analyze_system_config(const SystemConfig& config);
+  std::shared_ptr<const Evaluation> analyze_system_entry(WorkerSlot& slot,
+                                                         const SystemConfig& config);
+  Evaluation analyze_system_config(WorkerSlot& slot, const SystemConfig& config);
   /// Writes cost + the focused cluster's result of a memo entry into `out`
   /// (the BusConfig-form shape), reusing out's capacity.
   void assign_focused_view(const Evaluation& entry, Evaluation& out) const;
   /// Cache lookup only (no analysis on miss); nullptr when absent.
   std::shared_ptr<const Evaluation> cached_system(const SystemConfig& config);
   void insert_system_cache(const SystemConfig& config, std::shared_ptr<const Evaluation> entry);
-  /// Books one analysis' work into the calling thread's slot.
-  void record_analysis(const AnalysisWorkCounters& counters);
+  /// Books one analysis' work into `slot`.
+  static void record_analysis(WorkerSlot& slot, const AnalysisWorkCounters& counters);
   [[nodiscard]] const std::shared_ptr<const Application>& search_app() const {
     return focused() ? model_.cluster_app(static_cast<std::size_t>(focus_cluster_)) : app_;
   }
@@ -272,20 +274,6 @@ class CostEvaluator {
       return hash_system_config(config);
     }
   };
-
-  /// One evaluate_many call in flight: workers claim indices via `next`;
-  /// `active` counts workers currently inside the batch so the caller can
-  /// destroy it only after everyone has checked out.
-  struct Batch {
-    std::span<const BusConfig> configs;
-    std::vector<Evaluation>* out = nullptr;
-    std::atomic<std::size_t> next{0};
-    int active = 0;  // guarded by pool_mutex_
-  };
-
-  void ensure_pool();
-  void pool_worker();
-  void drain(Batch& batch);
 
   SystemModel model_;
   std::shared_ptr<const Application> app_;  ///< the global application
@@ -309,21 +297,10 @@ class CostEvaluator {
   std::vector<AnalysisComponentCache> components_;
   /// Per-cluster cache pointer table, built once at construction.
   std::vector<AnalysisComponentCache*> cluster_caches_;
-  /// Monotonic id keying the thread-local slot cache: ids are never reused,
-  /// so a stale cache entry for a destroyed evaluator can never match.
-  const std::uint64_t id_;
-  mutable std::mutex slots_mutex_;
-  /// All slots ever handed out (one per thread that evaluated through this
-  /// evaluator); work_stats() sums them.  Guarded by slots_mutex_.
-  std::vector<std::unique_ptr<ThreadSlot>> slots_;
-
-  std::mutex pool_mutex_;
-  std::condition_variable pool_wake_;  ///< workers: a new batch was posted
-  std::condition_variable pool_done_;  ///< caller: all workers left the batch
-  std::vector<std::thread> pool_;      // spawned lazily, guarded by pool_mutex_
-  Batch* batch_ = nullptr;             // guarded by pool_mutex_
-  std::uint64_t batch_generation_ = 0;  // guarded by pool_mutex_
-  bool shutting_down_ = false;          // guarded by pool_mutex_
+  /// One slot per worker, slot 0 created at construction.  Only the
+  /// driving thread grows the vector (evaluate_many, before it forks), so
+  /// it never reallocates while workers run; work_stats() sums the slots.
+  std::vector<std::unique_ptr<WorkerSlot>> slots_;
 };
 
 /// Outcome shared by all optimisation algorithms.

@@ -2,8 +2,8 @@
 
 /// \file portfolio.hpp
 /// The "portfolio" meta-optimizer: races N registry members (any key x
-/// derived seed, e.g. 4x multi-start SA + OBC-EE) on a worker pool over one
-/// shared application, publishing improvements to a lock-cheap shared
+/// derived seed, e.g. 4x multi-start SA + OBC-EE) on PortfolioSpec::jobs
+/// workers of parallel_for over one shared application, publishing improvements to a lock-cheap shared
 /// incumbent and selecting the global best as the winner.
 ///
 /// Determinism contract (default mode): every member solves on its own

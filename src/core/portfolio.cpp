@@ -5,9 +5,9 @@
 #include <chrono>
 #include <cctype>
 #include <mutex>
-#include <thread>
 #include <utility>
 
+#include "flexopt/util/parallel.hpp"
 #include "flexopt/util/seed_mix.hpp"
 
 /// \file portfolio.cpp
@@ -181,29 +181,11 @@ SolveReport PortfolioOptimizer::solve_cluster(CostEvaluator& evaluator,
     member.wall_seconds = seconds_since(member_started);
   };
 
-  // Worker pool: workers claim member indices through claim_order (a
-  // shuffle hook for the determinism property test; identity by default).
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= n) return;
-      const int i = spec_.claim_order.empty() ? static_cast<int>(slot)
-                                              : spec_.claim_order[slot];
-      run_member(i);
-    }
-  };
-  const std::size_t hardware = std::max(1u, std::thread::hardware_concurrency());
-  std::size_t jobs = spec_.jobs > 0 ? static_cast<std::size_t>(spec_.jobs) : hardware;
-  jobs = std::max<std::size_t>(1, std::min(jobs, n));
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  // Workers claim member indices through claim_order (a shuffle hook for
+  // the determinism property test; identity by default).
+  parallel_for(n, resolve_threads(spec_.jobs), [&](std::size_t claim, std::size_t) {
+    run_member(spec_.claim_order.empty() ? static_cast<int>(claim) : spec_.claim_order[claim]);
+  });
 
   // Winner: cost-argmin, ties to the lowest member index.  Computed from
   // the finished member reports — never from the racy incumbent — so the

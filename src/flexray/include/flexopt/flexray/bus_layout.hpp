@@ -20,7 +20,7 @@ class BusLayout {
  public:
   /// An empty layout: every accessor is meaningless until a successful
   /// assign().  Exists so the evaluation hot path can keep one BusLayout
-  /// per worker thread and rebuild it in place per candidate.
+  /// per worker slot and rebuild it in place per candidate.
   BusLayout() = default;
 
   /// Validates `config` against the application and the FlexRay limits.

@@ -88,7 +88,7 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
 
 /// The memo-hit half of the contract: with the memo cache on, a revisit
 /// served from the cache through evaluate_in_slot allocates nothing either
-/// — the candidate's memo key is rebuilt in the thread slot with its
+/// — the candidate's memo key is rebuilt in worker slot 0 with its
 /// capacity reused, and the cached result is copied into the slot's
 /// Evaluation.  Hits run no cross-check, so this holds in every build the
 /// probe is installed in.

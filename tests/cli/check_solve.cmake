@@ -1,17 +1,28 @@
 # Runs `flexopt_cli solve` on one fixture and checks its report:
 #
 #   cmake -DCLI=<flexopt_cli> -DSYSTEM=<system file> -DARGS="<solve flags>"
-#         -DEXPECT=<regex> -P check_solve.cmake
+#         -DEXPECT=<regex> [-DEXIT=<code>] -P check_solve.cmake
 #
-# Passes only when the CLI exits 0 (schedulable) or 1 (not schedulable) —
-# a crash or a usage error fails even after printing — and its standard
-# output matches EXPECT, which spans the report's WCRT rows.
+# Without EXIT, passes only when the CLI exits 0 (schedulable) or 1 (not
+# schedulable) — a crash or a usage error fails even after printing — and
+# its standard output matches EXPECT, which spans the report's WCRT rows.
+# With EXIT, passes only when the CLI exits with exactly that code and its
+# standard error matches EXPECT (a rejected command line).
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
   COMMAND "${CLI}" solve "${SYSTEM}" ${args}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
+if(DEFINED EXIT)
+  if(NOT rc STREQUAL "${EXIT}")
+    message(FATAL_ERROR "flexopt_cli exited with '${rc}', expected '${EXIT}'\n${out}\n${err}")
+  endif()
+  if(NOT err MATCHES "${EXPECT}")
+    message(FATAL_ERROR "diagnostic does not match '${EXPECT}'\n${out}\n${err}")
+  endif()
+  return()
+endif()
 if(NOT rc STREQUAL "0" AND NOT rc STREQUAL "1")
   message(FATAL_ERROR "flexopt_cli exited with '${rc}'\n${out}\n${err}")
 endif()

@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "flexopt/campaign/spec_format.hpp"
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/dyn_search.hpp"
+#include "flexopt/core/solver.hpp"
 #include "flexopt/gen/cruise_control.hpp"
 #include "helpers.hpp"
 
@@ -119,6 +126,46 @@ TEST(DynSearch, NmaxBoundsIterationsOnHopelessSystems) {
   // Initial points + at most n_max refinements (each refinement may verify
   // one interpolated candidate and add one point).
   EXPECT_LE(evaluator.evaluations(), 5 + 2 * 3 + 1);
+}
+
+// On a one-thread evaluator the exhaustive sweep polls its SolveControl
+// before every candidate, so OBC-EE reports progress once per analysis.
+// Portfolio members solve on one-thread evaluators and stamp their
+// improvements with these ticks; a batched sweep would stamp them up to a
+// batch late.
+TEST(DynSearch, ExhaustiveOnOneThreadTicksOncePerAnalysis) {
+  std::ifstream in(std::string(FLEXOPT_SOURCE_DIR) + "/specs/smoke.campaign");
+  auto spec = parse_campaign(in);
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  auto plans = expand_grid(spec.value());
+  ASSERT_TRUE(plans.ok()) << plans.error().message;
+  ASSERT_EQ(plans.value().size(), 10u);
+  for (const ScenarioPlan& plan : plans.value()) {
+    auto app = generate_scenario(plan.scenario, BusParams{});
+    ASSERT_TRUE(app.ok()) << app.error().message;
+    EvaluatorOptions one_thread;
+    one_thread.threads = 1;
+    CostEvaluator evaluator(app.value(), BusParams{}, AnalysisOptions{}, one_thread);
+    auto optimizer = OptimizerRegistry::create("obc-ee");
+    ASSERT_TRUE(optimizer.ok());
+    SolveRequest request;
+    request.seed = plan.scenario.base.seed;
+    request.max_evaluations = 200;
+    std::vector<long> ticks;
+    request.progress = [&ticks](const SolveProgress& p) {
+      ticks.push_back(p.evaluations);
+      return true;
+    };
+    const SolveReport report = optimizer.value()->solve(evaluator, request);
+    ASSERT_GE(ticks.size(), 2u) << "scenario " << plan.index;
+    long largest_step = 0;
+    for (std::size_t t = 1; t < ticks.size(); ++t) {
+      largest_step = std::max(largest_step, ticks[t] - ticks[t - 1]);
+    }
+    EXPECT_EQ(largest_step, 1) << "scenario " << plan.index;
+    EXPECT_EQ(static_cast<long>(ticks.size()), report.outcome.evaluations)
+        << "scenario " << plan.index;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// CostEvaluator: the shared, thread-safe analysis service all optimisers
-// consume — memoization cache, atomic work counter, shared Application
-// ownership, the component cache behind every analysis, the slot form SA's
-// inner loop uses, and the evaluate_many worker pool.
+// CostEvaluator: the analysis service all optimisers consume — memoization
+// cache, work counters, shared Application ownership, the component cache
+// behind every analysis, the slot form SA's inner loop uses, and the
+// evaluate_many workers with their slots.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -275,31 +274,40 @@ TEST(CostEvaluator, EvaluateManyMatchesSerialUncachedWithFewerAnalyses) {
   EXPECT_LT(parallel.evaluations(), serial.evaluations());
 }
 
-TEST(CostEvaluator, ConcurrentEvaluateIsConsistent) {
-  TinySystem sys;
-  CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
-  const auto reference = evaluator.evaluate(sys.config);
-  ASSERT_TRUE(reference.valid);
-
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 16;
-  std::vector<std::thread> threads;
-  std::vector<int> mismatches(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int r = 0; r < kRounds; ++r) {
-        BusConfig config = sys.config;
-        config.minislot_count = 4 + (r % 8);
-        const auto eval = evaluator.evaluate(config);
-        const auto again = evaluator.evaluate(config);
-        if (!eval.valid || !again.valid || eval.cost.value != again.cost.value) {
-          ++mismatches[t];
-        }
-      }
-    });
+// evaluate_many gives worker w slot w on every call, so four workers bind
+// at most four analysis arenas however many batches they run.  Slots made
+// per helper thread per call would bind a fresh arena for each (up to 31
+// here).
+TEST(CostEvaluator, EvaluateManyReusesItsWorkerSlots) {
+  const CruiseFixture f;
+  const DynBounds bounds = minimal_start_config(f.app, f.params).bounds;
+  ASSERT_GE(bounds.max_minislots - bounds.min_minislots, 31);
+  std::vector<BusConfig> candidates;
+  for (int k = 0; k < 32; ++k) {
+    candidates.push_back(f.base);
+    candidates.back().minislot_count =
+        bounds.min_minislots + k * (bounds.max_minislots - bounds.min_minislots) / 31;
   }
-  for (auto& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+
+  CostEvaluator serial(f.app, f.params, AnalysisOptions{}, uncached_serial());
+  std::vector<CostEvaluator::Evaluation> reference;
+  for (const BusConfig& c : candidates) reference.push_back(serial.evaluate(c));
+
+  EvaluatorOptions four = uncached_serial();
+  four.threads = 4;
+  CostEvaluator parallel(f.app, f.params, AnalysisOptions{}, four);
+  for (int call = 0; call < 10; ++call) {
+    const auto results = parallel.evaluate_many(candidates);
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].valid) << "call " << call << ", candidate " << i;
+      expect_identical(results[i], reference[i]);
+    }
+  }
+  const EvaluatorWorkStats stats = parallel.work_stats();
+  EXPECT_EQ(parallel.evaluations(), 320);
+  EXPECT_EQ(stats.full_evaluations, 320u);
+  EXPECT_LE(stats.arena_binds, 4u);
 }
 
 TEST(CostEvaluator, CacheCapacityBoundsInsertions) {

@@ -3,15 +3,16 @@
 // Subcommands:
 //
 //   flexopt_cli solve <system-file> [--algorithm NAME] [--seed N] [--budget N]
-//               [--time-limit S] [--threads N] [--members LIST] [--jobs N]
+//               [--time-limit S] [--threads N] [--members LIST]
 //               [--analysis-mode MODE] [--json FILE] [--progress] [--no-cache]
 //               [--simulate] [--dump]
 //       Optimise one system described in the flexopt/io/system_format.hpp
 //       plain-text format; prints the chosen configuration and per-activity
-//       worst-case response times; exit code 0 iff schedulable.  With
-//       --algorithm portfolio, --members ("4xsa,obc-ee") composes the
-//       racing pool and --jobs caps its worker threads (results are
-//       independent of --jobs).  --analysis-mode holistic|exact selects the
+//       worst-case response times; exit code 0 iff schedulable.  --threads
+//       caps the worker threads: the evaluator's batch workers, or with
+//       --algorithm portfolio the members racing in parallel (results are
+//       independent of --threads).  --members ("4xsa,obc-ee") composes the
+//       portfolio's racing members.  --analysis-mode holistic|exact selects the
 //       analysis backend: `exact` refines every evaluator bound with the
 //       schedule-space backend and reports the winner's pessimism.
 //       --simulate replays the winner on the network simulator.  --json
@@ -66,7 +67,7 @@ int usage() {
   std::cerr
       << "usage: flexopt_cli [solve] <system-file> [--algorithm NAME|list] [--seed N]\n"
          "                   [--budget MAX_EVALUATIONS] [--time-limit SECONDS]\n"
-         "                   [--threads N] [--members LIST] [--jobs N]\n"
+         "                   [--threads N] [--members LIST]\n"
          "                   [--analysis-mode holistic|exact] [--json FILE]\n"
          "                   [--progress] [--no-cache] [--simulate] [--dump]\n"
          "       flexopt_cli simulate <system-file> [--algorithm NAME] [--seed N]\n"
@@ -169,9 +170,7 @@ int solve_main(int argc, char** argv) {
   std::string algorithm = "obc-cf";
   std::string members_arg;
   bool members_set = false;
-  bool jobs_set = false;
   std::string json_path;
-  int jobs = 0;
   SolveRequest request;
   EvaluatorOptions evaluator_options;
   AnalysisMode analysis_mode = AnalysisMode::Holistic;
@@ -192,9 +191,6 @@ int solve_main(int argc, char** argv) {
     } else if (arg == "--members" && i + 1 < argc) {
       members_arg = argv[++i];
       members_set = true;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      if (!parse_int_arg(argv[++i], jobs)) return numeric_arg_error(arg);
-      jobs_set = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -222,22 +218,23 @@ int solve_main(int argc, char** argv) {
     }
   }
   if (request.max_evaluations < 0 || request.max_wall_seconds < 0.0 ||
-      evaluator_options.threads < 0 || jobs < 0) {
-    std::cerr << "--budget, --time-limit, --threads and --jobs must be positive\n";
+      evaluator_options.threads < 0) {
+    std::cerr << "--budget, --time-limit and --threads must be positive\n";
     return usage();
   }
   if (algorithm == "list") return list_algorithms();
   if (path.empty()) return usage();
 
-  // --members/--jobs compose the portfolio payload; they are meaningless
-  // for the single algorithms, so passing them there must error, not be
-  // silently dropped.
+  // --members composes the portfolio payload; it is meaningless for the
+  // single algorithms, so passing it there must error, not be silently
+  // dropped.  A portfolio races its members on --threads workers (its
+  // members solve on one-thread evaluators of their own).
+  if (members_set && !is_portfolio_algorithm(algorithm)) {
+    std::cerr << "--members requires --algorithm portfolio\n";
+    return usage();
+  }
   OptimizerParams optimizer_params;
-  if (members_set || jobs_set) {
-    if (!is_portfolio_algorithm(algorithm)) {
-      std::cerr << "--members and --jobs require --algorithm portfolio\n";
-      return usage();
-    }
+  if (is_portfolio_algorithm(algorithm)) {
     PortfolioSpec portfolio;
     if (members_set) {
       // An explicitly empty list errors in parse_portfolio_members —
@@ -250,7 +247,7 @@ int solve_main(int argc, char** argv) {
       }
       portfolio.members = std::move(members).value();
     }
-    portfolio.jobs = jobs;
+    portfolio.jobs = evaluator_options.threads;
     optimizer_params = std::move(portfolio);
   }
 
@@ -526,7 +523,14 @@ int simulate_main(int argc, char** argv) {
   if (algorithm == "list") return list_algorithms();
   if (path.empty()) return usage();
 
-  auto optimizer = OptimizerRegistry::create(algorithm, OptimizerParams{});
+  // As in solve, a portfolio races its members on --threads workers.
+  OptimizerParams optimizer_params;
+  if (is_portfolio_algorithm(algorithm)) {
+    PortfolioSpec portfolio;
+    portfolio.jobs = evaluator_options.threads;
+    optimizer_params = std::move(portfolio);
+  }
+  auto optimizer = OptimizerRegistry::create(algorithm, optimizer_params);
   if (!optimizer.ok()) {
     std::cerr << optimizer.error().message << "\n";
     return 2;
