@@ -1,17 +1,21 @@
 // Steady-state evaluation bench and perf-regression gate: replays an
 // SA-style neighbour-move workload over the Fig. 9 smoke population
 // through the evaluator's hot path (CostEvaluator::evaluate_in_slot, memo
-// cache off) twice on one evaluator — a recording pass that warms the
-// component cache, binds the arena and grows scratch to capacity, then a
-// measured warm-replay pass over the bit-identical RNG stream.  The replay
-// is the steady state: it reports moves/sec and — when the operator new
-// interposer of src/util/alloc_probe.cpp is linked and active — asserts
-// that steady-state evaluations perform ZERO heap allocations per move.
+// cache off) three times on one evaluator — a recording pass that warms the
+// component cache, binds the arena and grows scratch to capacity; a
+// measured warm replay over the bit-identical RNG stream, whose tables are
+// all cached; and a measured cold-table replay after the component cache is
+// cleared, in which every geometry move builds its static-schedule table,
+// as real solves do on almost every evaluation.  The warm replay reports
+// moves/sec and — when the operator new interposer of
+// src/util/alloc_probe.cpp is linked and active — ZERO heap allocations per
+// move; the cold replay reports moves/sec and allocations per table build.
 //
 // The CI perf-smoke job runs this with --check: the run fails unless
-// steady-state allocations per move are exactly zero (Release builds with
-// the probe installed) and — when --min-moves-per-sec is given — aggregate
-// steady-state throughput clears the floor.  --out writes the
+// steady-state allocations per move are exactly zero and allocations per
+// cold table build stay at or below kMaxAllocationsPerBuild (Release builds
+// with the probe installed), and — when --min-moves-per-sec is given —
+// aggregate steady-state throughput clears the floor.  --out writes the
 // machine-readable BENCH_delta.json (schema documented in README.md).
 
 #include <chrono>
@@ -19,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -43,32 +48,50 @@ constexpr bool kReleaseBuild = true;
 constexpr bool kReleaseBuild = false;
 #endif
 
+/// Allocations an evaluation that builds its table may make on average, on
+/// each system: the StaticSchedule, its ScheduleComponent and the cache
+/// entry (everything else runs on the worker slot's ScheduleWorkspace).
+constexpr double kMaxAllocationsPerBuild = 100.0;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-struct SteadyResult {
-  int nodes = 0;
+/// One measured replay of the move chain.
+struct PassResult {
   long measured = 0;   ///< valid evaluations inside the counted window
   long invalid = 0;    ///< error-path evaluations (excluded from the alloc gate)
   long accepted = 0;
-  double eval_wall = 0.0;        ///< wall time inside evaluate_in_slot only
-  std::uint64_t allocations = 0; ///< heap allocations inside measured evaluations
+  double eval_wall = 0.0;         ///< wall time inside evaluate_in_slot only
+  std::uint64_t allocations = 0;  ///< heap allocations inside measured evaluations
+  long builds = 0;                ///< measured evaluations that built their table
+  std::uint64_t build_allocations = 0;  ///< heap allocations inside those
   EvaluatorWorkStats work;
+
+  [[nodiscard]] double moves_per_sec() const {
+    return eval_wall > 0.0 ? static_cast<double>(measured) / eval_wall : 0.0;
+  }
+};
+
+struct SteadyResult {
+  int nodes = 0;
+  PassResult steady;  ///< warm replay: every table cached
+  PassResult cold;    ///< cold-table replay: every geometry builds its table
 };
 
 /// The hot path under the SA move distribution, evaluated the way SA's
 /// neighbour loop does.
 ///
-/// The trajectory is replayed twice through the SAME evaluator.  The first
-/// (recording) pass is pure warm-up: every move geometry lands in the
+/// The trajectory is replayed three times through the SAME evaluator.  The
+/// first (recording) pass is pure warm-up: every move geometry lands in the
 /// component cache, worker slot 0's arena binds, and scratch containers
 /// grow to their high-water capacity.  The second pass re-seeds the RNGs
 /// and replays the bit-identical move/acceptance stream — by then every
 /// schedule lookup is a cache hit and every fixed point runs inside the
 /// arena, which is the steady state the zero-allocation contract covers
-/// (a long SA run revisits move geometries the same way).  Only the second
-/// pass is measured.
+/// (a long SA run revisits move geometries the same way).  The third pass
+/// replays it again after clearing the component cache, so every geometry
+/// builds its table once more on the warm slot's ScheduleWorkspace.
 SteadyResult run_steady_state(const Application& app, const BusParams& params, int nodes,
                               long moves) {
   SteadyResult r;
@@ -86,7 +109,8 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
   const std::vector<NodeId>& senders = start.st_senders;
   const DynBounds& bounds = start.bounds;
 
-  const auto run_pass = [&](bool measured) {
+  const auto run_pass = [&](PassResult* measured) {
+    const EvaluatorWorkStats before = evaluator.work_stats();
     BusConfig current = start.config;
     const CostEvaluator::Evaluation start_eval = evaluator.evaluate(current);
     double current_cost = start_eval.valid ? start_eval.cost.value : kInvalidConfigCost;
@@ -106,19 +130,24 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
       }
       if (!moved) continue;
 
+      const std::uint64_t builds_before = evaluator.work_stats().analysis.schedule_builds;
       const std::uint64_t a0 = alloc_probe::thread_allocations();
       const auto t0 = std::chrono::steady_clock::now();
       const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(neighbour);
       const double elapsed = seconds_since(t0);
       const std::uint64_t evaluation_allocs = alloc_probe::thread_allocations() - a0;
 
-      if (measured) {
-        r.eval_wall += elapsed;
+      if (measured != nullptr) {
+        measured->eval_wall += elapsed;
         if (eval.valid) {
-          ++r.measured;
-          r.allocations += evaluation_allocs;
+          ++measured->measured;
+          measured->allocations += evaluation_allocs;
+          if (evaluator.work_stats().analysis.schedule_builds != builds_before) {
+            ++measured->builds;
+            measured->build_allocations += evaluation_allocs;
+          }
         } else {
-          ++r.invalid;  // error strings allocate; outside the contract
+          ++measured->invalid;  // error strings allocate; outside the contract
         }
       }
 
@@ -128,15 +157,16 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
           accept_rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {
         current = std::move(neighbour);
         current_cost = cost;
-        if (measured) ++r.accepted;
+        if (measured != nullptr) ++measured->accepted;
       }
     }
+    if (measured != nullptr) measured->work = evaluator.work_stats().since(before);
   };
 
-  run_pass(/*measured=*/false);  // recording pass: warm caches, arena, scratch
-  const EvaluatorWorkStats before_replay = evaluator.work_stats();
-  run_pass(/*measured=*/true);  // warm replay: the measured steady state
-  r.work = evaluator.work_stats().since(before_replay);
+  run_pass(nullptr);    // recording pass: warm caches, arena, scratch
+  run_pass(&r.steady);  // warm replay: the measured steady state
+  evaluator.clear_cache();
+  run_pass(&r.cold);  // cold-table replay: every geometry builds again
   return r;
 }
 
@@ -188,42 +218,57 @@ int main(int argc, char** argv) {
   }
 
   const bool probe = alloc_probe::installed();
-  std::cout << "== Steady-state arena hot path (evaluate_in_slot, cache off) ==\n";
+  std::cout << "== Arena hot path (evaluate_in_slot, cache off) ==\n";
   std::cout << "alloc probe: " << (probe ? "installed" : "absent (sanitizer build)")
             << ", build: " << (kReleaseBuild ? "Release" : "Debug") << "\n";
-  Table steady_table(
-      {"nodes", "measured", "accepted", "eval (s)", "moves/s", "allocs", "allocs/move"});
-  long steady_moves = 0;
-  double steady_wall = 0.0;
-  std::uint64_t steady_allocs = 0;
+  const auto per = [](std::uint64_t count, std::uint64_t over) {
+    return over > 0 ? static_cast<double>(count) / static_cast<double>(over) : 0.0;
+  };
+  Table table({"nodes", "measured", "accepted", "moves/s", "allocs/move", "cold moves/s",
+               "builds", "allocs/build"});
+  PassResult steady_total;
+  PassResult cold_total;
+  double max_allocs_per_build = 0.0;  // worst system
   for (const SteadyResult& r : steady_results) {
-    const double mps = r.eval_wall > 0.0 ? static_cast<double>(r.measured) / r.eval_wall : 0.0;
-    const double apm =
-        r.measured > 0 ? static_cast<double>(r.allocations) / static_cast<double>(r.measured)
-                       : 0.0;
-    steady_table.add_row({std::to_string(r.nodes), std::to_string(r.measured),
-                          std::to_string(r.accepted), fmt_double(r.eval_wall, 3),
-                          fmt_double(mps, 0), std::to_string(r.allocations),
-                          fmt_double(apm, 3)});
-    steady_moves += r.measured;
-    steady_wall += r.eval_wall;
-    steady_allocs += r.allocations;
+    const double allocs_per_build = per(r.cold.build_allocations, r.cold.builds);
+    max_allocs_per_build = std::max(max_allocs_per_build, allocs_per_build);
+    table.add_row({std::to_string(r.nodes), std::to_string(r.steady.measured),
+                   std::to_string(r.steady.accepted), fmt_double(r.steady.moves_per_sec(), 0),
+                   fmt_double(per(r.steady.allocations, r.steady.measured), 3),
+                   fmt_double(r.cold.moves_per_sec(), 0), std::to_string(r.cold.builds),
+                   fmt_double(allocs_per_build, 1)});
+    for (auto [total, pass] : {std::pair{&steady_total, &r.steady}, {&cold_total, &r.cold}}) {
+      total->measured += pass->measured;
+      total->eval_wall += pass->eval_wall;
+      total->allocations += pass->allocations;
+      total->builds += pass->builds;
+      total->build_allocations += pass->build_allocations;
+    }
   }
-  steady_table.print(std::cout);
-  const double steady_mps =
-      steady_wall > 0.0 ? static_cast<double>(steady_moves) / steady_wall : 0.0;
+  table.print(std::cout);
+  const double steady_mps = steady_total.moves_per_sec();
 
-  // The allocation gate is exact — zero per steady-state move — but only
-  // binds when the interposer is linked and active and the hot path is not
-  // carrying the Debug cross-check.
+  // The allocation gates are exact — zero per steady-state move, a fixed
+  // count per cold table build — but only bind when the interposer is
+  // linked and active and the hot path is not carrying the Debug
+  // cross-check.
   const bool alloc_gate_active = probe && kReleaseBuild;
-  const bool alloc_pass = !alloc_gate_active || steady_allocs == 0;
+  const bool alloc_pass = !alloc_gate_active || steady_total.allocations == 0;
+  const bool build_alloc_pass =
+      !alloc_gate_active ||
+      (cold_total.builds > 0 && max_allocs_per_build <= kMaxAllocationsPerBuild);
   const bool throughput_pass = min_moves_per_sec <= 0.0 || steady_mps >= min_moves_per_sec;
-  const bool pass = alloc_pass && throughput_pass;
+  const bool pass = alloc_pass && build_alloc_pass && throughput_pass;
 
-  std::cout << "steady state: " << steady_moves << " measured moves in "
-            << fmt_double(steady_wall, 3) << " s (" << fmt_double(steady_mps, 0)
-            << " moves/s), " << steady_allocs << " allocations"
+  std::cout << "steady state: " << steady_total.measured << " measured moves in "
+            << fmt_double(steady_total.eval_wall, 3) << " s (" << fmt_double(steady_mps, 0)
+            << " moves/s), " << steady_total.allocations << " allocations"
+            << (alloc_gate_active ? "" : " [gate inactive]") << "\n";
+  std::cout << "cold tables: " << cold_total.measured << " measured moves in "
+            << fmt_double(cold_total.eval_wall, 3) << " s ("
+            << fmt_double(cold_total.moves_per_sec(), 0) << " moves/s), " << cold_total.builds
+            << " table builds, at most " << fmt_double(max_allocs_per_build, 1)
+            << " allocations per build on a system"
             << (alloc_gate_active ? "" : " [gate inactive]") << "\n";
 
   if (!out_path.empty()) {
@@ -234,41 +279,46 @@ int main(int argc, char** argv) {
         .field("moves_per_system", moves);
     json.key("systems").begin_array();
     for (const SteadyResult& st : steady_results) {
-      const double mps =
-          st.eval_wall > 0.0 ? static_cast<double>(st.measured) / st.eval_wall : 0.0;
       json.begin_object().field("nodes", st.nodes);
       json.key("steady")
           .begin_object()
-          .field("measured_moves", st.measured)
-          .field("invalid_moves", st.invalid)
-          .field("accepted_moves", st.accepted)
-          .field("eval_wall_seconds", st.eval_wall)
-          .field("moves_per_sec", mps)
-          .field("allocations", st.allocations)
-          .field("allocations_per_move",
-                 st.measured > 0 ? static_cast<double>(st.allocations) /
-                                       static_cast<double>(st.measured)
-                                 : 0.0)
-          .field("arena_binds", st.work.arena_binds)
-          .field("arena_reuses", st.work.arena_reuses)
+          .field("measured_moves", st.steady.measured)
+          .field("invalid_moves", st.steady.invalid)
+          .field("accepted_moves", st.steady.accepted)
+          .field("eval_wall_seconds", st.steady.eval_wall)
+          .field("moves_per_sec", st.steady.moves_per_sec())
+          .field("allocations", st.steady.allocations)
+          .field("allocations_per_move", per(st.steady.allocations, st.steady.measured))
+          .field("arena_binds", st.steady.work.arena_binds)
+          .field("arena_reuses", st.steady.work.arena_reuses)
+          .end_object();
+      json.key("cold")
+          .begin_object()
+          .field("measured_moves", st.cold.measured)
+          .field("eval_wall_seconds", st.cold.eval_wall)
+          .field("moves_per_sec", st.cold.moves_per_sec())
+          .field("table_builds", st.cold.builds)
+          .field("build_allocations", st.cold.build_allocations)
+          .field("allocations_per_build", per(st.cold.build_allocations, st.cold.builds))
           .end_object();
       json.end_object();
     }
     json.end_array();
     json.key("totals")
         .begin_object()
-        .field("steady_measured_moves", steady_moves)
-        .field("steady_eval_wall_seconds", steady_wall)
+        .field("steady_measured_moves", steady_total.measured)
+        .field("steady_eval_wall_seconds", steady_total.eval_wall)
         .field("steady_moves_per_sec", steady_mps)
-        .field("steady_allocations", steady_allocs)
-        .field("steady_allocations_per_move",
-               steady_moves > 0 ? static_cast<double>(steady_allocs) /
-                                      static_cast<double>(steady_moves)
-                                : 0.0)
+        .field("steady_allocations", steady_total.allocations)
+        .field("steady_allocations_per_move", per(steady_total.allocations, steady_total.measured))
+        .field("cold_moves_per_sec", cold_total.moves_per_sec())
+        .field("cold_table_builds", cold_total.builds)
+        .field("cold_max_allocations_per_build", max_allocs_per_build)
         .end_object();
     json.key("gate")
         .begin_object()
         .field("min_moves_per_sec", min_moves_per_sec)
+        .field("max_allocations_per_build", kMaxAllocationsPerBuild)
         .field("alloc_probe_installed", probe)
         .field("alloc_gate_active", alloc_gate_active)
         .field("pass", pass)
@@ -286,8 +336,13 @@ int main(int argc, char** argv) {
   if (check && !pass) {
     std::cerr << "perf gate FAILED:";
     if (!alloc_pass) {
-      std::cerr << " steady-state hot path allocated " << steady_allocs
+      std::cerr << " steady-state hot path allocated " << steady_total.allocations
                 << " times (contract: 0);";
+    }
+    if (!build_alloc_pass) {
+      std::cerr << " cold table builds allocated up to " << fmt_double(max_allocs_per_build, 1)
+                << " times each on average on a system, over " << cold_total.builds
+                << " builds (contract: <= " << fmt_double(kMaxAllocationsPerBuild, 0) << ");";
     }
     if (!throughput_pass) {
       std::cerr << " steady-state throughput " << fmt_double(steady_mps, 0)

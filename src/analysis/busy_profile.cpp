@@ -5,28 +5,30 @@
 
 namespace flexopt {
 
-std::vector<Interval> normalize_intervals(std::vector<Interval> intervals) {
-  std::erase_if(intervals, [](const Interval& iv) { return iv.length() <= 0; });
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) { return a.start < b.start; });
-  std::vector<Interval> merged;
-  for (const Interval& iv : intervals) {
-    if (!merged.empty() && iv.start <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, iv.end);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  return merged;
-}
-
-BusyProfile::BusyProfile(std::vector<Interval> intervals, Time period) : period_(period) {
-  assert(period > 0);
+void clamp_and_normalize(std::vector<Interval>& intervals, Time period) {
   for (Interval& iv : intervals) {
     iv.start = std::clamp<Time>(iv.start, 0, period);
     iv.end = std::clamp<Time>(iv.end, 0, period);
   }
-  intervals_ = normalize_intervals(std::move(intervals));
+  std::erase_if(intervals, [](const Interval& iv) { return iv.length() <= 0; });
+  std::sort(intervals.begin(), intervals.end(),
+            [](const Interval& a, const Interval& b) { return a.start < b.start; });
+  // Merge in place: `kept` intervals form the merged prefix.
+  std::size_t kept = 0;
+  for (const Interval& iv : intervals) {
+    if (kept > 0 && iv.start <= intervals[kept - 1].end) {
+      intervals[kept - 1].end = std::max(intervals[kept - 1].end, iv.end);
+    } else {
+      intervals[kept++] = iv;
+    }
+  }
+  intervals.resize(kept);
+}
+
+BusyProfile::BusyProfile(std::vector<Interval> intervals, Time period) : period_(period) {
+  assert(period > 0);
+  clamp_and_normalize(intervals, period);
+  intervals_ = std::move(intervals);
   rebuild_derived();
 }
 
@@ -35,7 +37,7 @@ void BusyProfile::assign_normalized(std::span<const Interval> merged, Time perio
 #ifndef NDEBUG
   for (std::size_t i = 0; i < merged.size(); ++i) {
     assert(merged[i].start >= 0 && merged[i].end <= period && merged[i].length() > 0);
-    // Strictly separated: normalize_intervals merges adjacency too.
+    // Strictly separated: clamp_and_normalize merges adjacency too.
     assert(i == 0 || merged[i].start > merged[i - 1].end);
   }
 #endif

@@ -6,43 +6,90 @@
 #include "flexopt/math/fixed_point.hpp"
 
 namespace flexopt {
+namespace {
 
-Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams> same_node,
-                       const BusyProfile& scs, Time horizon, int* fp_iterations, Time seed) {
-  if (is_infinite(task.jitter)) return kTimeInfinity;
+double load_of(const FpsTaskParams& j) {
+  return static_cast<double>(j.wcet) / static_cast<double>(j.period);
+}
+double load_of(const FpsInterferenceTable::Interferer& j) { return j.load; }
+
+/// The FPS recurrence (load test, body, iteration), the one definition
+/// behind both views: `for_each_interferer(f)` calls f(j) for every
+/// interferer j of the task in group order, where j is an FpsTaskParams
+/// (span view) or a prepared table entry.
+template <typename ForEachInterferer>
+Time fps_recurrence(Time wcet, Time jitter, double own_load,
+                    const ForEachInterferer& for_each_interferer, const BusyProfile& scs,
+                    Time horizon, int* fp_iterations, Time seed) {
+  if (is_infinite(jitter)) return kTimeInfinity;
   // Level-i load including the SCS share: if it exceeds 1, the level-i busy
   // period never ends and the least fixed point below (which only bounds
-  // the *first* job) is not a sound WCRT — report unbounded instead.
-  double load = static_cast<double>(task.wcet) / static_cast<double>(task.period) +
+  // the *first* job) is not a sound WCRT — report unbounded instead.  An
+  // interfering task with unbounded jitter makes the bound unbounded.
+  double load = own_load +
                 static_cast<double>(scs.busy_per_period()) / static_cast<double>(scs.period());
-  for (const FpsTaskParams& j : same_node) {
-    if (j.id == task.id || j.priority > task.priority) continue;
-    if (is_infinite(j.jitter)) {
-      // An interfering task with unbounded jitter makes the bound unbounded.
-      return kTimeInfinity;
-    }
-    load += static_cast<double>(j.wcet) / static_cast<double>(j.period);
-  }
-  if (load > 1.0 + 1e-12) return kTimeInfinity;
+  bool unbounded_jitter = false;
+  for_each_interferer([&](const auto& j) {
+    unbounded_jitter |= is_infinite(j.jitter);
+    load += load_of(j);
+  });
+  if (unbounded_jitter || load > 1.0 + 1e-12) return kTimeInfinity;
 
   const auto body = [&](Time w) -> Time {
-    Time total = task.wcet;
+    Time total = wcet;
     total = sat_add(total, scs.max_busy_in_window(w));
-    for (const FpsTaskParams& j : same_node) {
-      if (j.id == task.id || j.priority > task.priority) continue;
+    for_each_interferer([&](const auto& j) {
       const std::int64_t releases = ceil_div(w + j.jitter, j.period);
       total = sat_add(total, sat_mul(j.wcet, releases));
-    }
+    });
     return total;
   };
 
   const FixedPointResult fp = iterate_to_fixed_point(body, horizon, kFpsMaxIterations, seed);
   if (fp_iterations != nullptr) *fp_iterations += fp.iterations;
   if (!fp.converged) return kTimeInfinity;
-  return sat_add(task.jitter, fp.value);
+  return sat_add(jitter, fp.value);
 }
 
-Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
+}  // namespace
+
+void FpsInterferenceTable::assign(std::span<const FpsTaskParams> group) {
+  tasks_.clear();
+  interferers_.clear();
+  for (const FpsTaskParams& t : group) {
+    Task entry{t.wcet, t.jitter, load_of(t), static_cast<std::uint32_t>(interferers_.size()), 0};
+    for (const FpsTaskParams& j : group) {
+      if (j.id == t.id || j.priority > t.priority) continue;
+      interferers_.push_back(Interferer{j.wcet, j.period, j.jitter, load_of(j)});
+    }
+    entry.end = static_cast<std::uint32_t>(interferers_.size());
+    tasks_.push_back(entry);
+  }
+}
+
+Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams> same_node,
+                       const BusyProfile& scs, Time horizon, int* fp_iterations, Time seed) {
+  const auto for_each_interferer = [&](const auto& f) {
+    for (const FpsTaskParams& j : same_node) {
+      if (j.id == task.id || j.priority > task.priority) continue;
+      f(j);
+    }
+  };
+  return fps_recurrence(task.wcet, task.jitter, load_of(task), for_each_interferer, scs, horizon,
+                        fp_iterations, seed);
+}
+
+Time fps_response_time(const FpsInterferenceTable& table, std::size_t i,
+                       const BusyProfile& scs, Time horizon, int* fp_iterations, Time seed) {
+  const FpsInterferenceTable::Task& task = table.task(i);
+  const auto for_each_interferer = [&](const auto& f) {
+    for (const FpsInterferenceTable::Interferer& j : table.interferers(i)) f(j);
+  };
+  return fps_recurrence(task.wcet, task.jitter, task.load, for_each_interferer, scs, horizon,
+                        fp_iterations, seed);
+}
+
+Time fps_response_time_sum(const FpsInterferenceTable& table, const BusyProfile& scs,
                            Time horizon, std::span<const Time> seeds, Time cutoff,
                            std::span<Time> responses, int* fp_iterations) {
   // Lower bound of task i's summand: the candidate profile only adds
@@ -51,12 +98,12 @@ Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyP
   const auto floor_of = [&](std::size_t i) -> Time {
     if (seeds.empty()) return 0;
     if (is_infinite(seeds[i])) return horizon;
-    return std::min(horizon, sat_add(same_node[i].jitter, seeds[i]));
+    return std::min(horizon, sat_add(table.task(i).jitter, seeds[i]));
   };
   Time remaining = 0;  // summed floors of the tasks not yet analysed
-  for (std::size_t i = 0; i < same_node.size(); ++i) remaining = sat_add(remaining, floor_of(i));
+  for (std::size_t i = 0; i < table.size(); ++i) remaining = sat_add(remaining, floor_of(i));
   Time sum = 0;
-  for (std::size_t i = 0; i < same_node.size(); ++i) {
+  for (std::size_t i = 0; i < table.size(); ++i) {
     const Time bound = sat_add(sum, remaining);
     if (bound >= cutoff) return bound;
     remaining -= floor_of(i);
@@ -66,8 +113,7 @@ Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyP
       // interference, so this task's recurrence diverges here too.
       r = kTimeInfinity;
     } else {
-      r = fps_response_time(same_node[i], same_node, scs, horizon, fp_iterations,
-                            seeds.empty() ? 0 : seeds[i]);
+      r = fps_response_time(table, i, scs, horizon, fp_iterations, seeds.empty() ? 0 : seeds[i]);
     }
     if (!responses.empty()) responses[i] = r;
     sum = sat_add(sum, is_infinite(r) ? horizon : r);

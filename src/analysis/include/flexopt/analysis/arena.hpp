@@ -7,9 +7,15 @@
 /// holistic fixed point touches lives in a flat array indexed by the dense
 /// activity index (aid = task index for tasks, n_tasks + message index for
 /// messages), and re-binding to the same TaskStructure only clears —
-/// never reallocates — so a steady-state evaluation performs zero heap
-/// allocations (asserted by the alloc-probe test and gated by
-/// bench_delta_eval).
+/// never reallocates.  The arena also owns the slot's ScheduleWorkspace,
+/// the list scheduler's buffers for the tables the slot builds.
+///
+/// Allocation contract, asserted by arena_alloc_test and gated by
+/// bench_delta_eval: a steady-state evaluation whose schedule table is
+/// cached (and a memo hit) performs zero heap allocations; one that builds
+/// a new table allocates only the shared objects it hands to the component
+/// cache — the StaticSchedule and its ScheduleComponent — a bounded count
+/// per build.
 
 #include <cstdint>
 #include <memory>
@@ -17,6 +23,7 @@
 
 #include "flexopt/analysis/dyn_analysis.hpp"
 #include "flexopt/analysis/fps_analysis.hpp"
+#include "flexopt/analysis/list_scheduler.hpp"
 #include "flexopt/util/bitset.hpp"
 #include "flexopt/util/time.hpp"
 
@@ -59,6 +66,10 @@ struct AnalysisArena {
   std::vector<std::uint32_t> lf_begin;  ///< size n_dyn + 1
   std::vector<DynInterferer> lf_entries;
   DynScratch scratch;
+
+  /// Buffers for the static-schedule tables this slot builds on component
+  /// cache misses.
+  ScheduleWorkspace schedule_workspace;
 
   // ---- profiling -----------------------------------------------------------
   std::uint64_t binds = 0;   ///< full (re)binds: arrays resized

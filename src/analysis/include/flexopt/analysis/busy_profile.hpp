@@ -21,8 +21,11 @@ struct Interval {
   friend bool operator==(const Interval&, const Interval&) = default;
 };
 
-/// Merges overlapping/adjacent intervals and sorts by start.
-std::vector<Interval> normalize_intervals(std::vector<Interval> intervals);
+/// Clamps `intervals` to [0, period], drops empty ones, sorts them by start
+/// and merges overlapping or adjacent ones, in place within the vector's own
+/// buffer: the list BusyProfile's normalizing constructor would hold, in the
+/// shape BusyProfile::assign_normalized takes.
+void clamp_and_normalize(std::vector<Interval>& intervals, Time period);
 
 /// A set of busy intervals within [0, period), repeating forever with
 /// `period`.  Value-semantic: construct once, or re-`assign_normalized`
@@ -41,7 +44,7 @@ class BusyProfile {
 
   /// Rebuilds this profile from intervals that are ALREADY clamped to
   /// [0, period], sorted by start, positive-length, and merged (no overlap
-  /// or adjacency) — i.e. exactly the output shape of normalize_intervals.
+  /// or adjacency) — i.e. exactly the output shape of clamp_and_normalize.
   /// Produces the same profile as the normalizing constructor would for an
   /// equivalent interval set, reusing this object's buffers (no allocation
   /// once capacity is warm).

@@ -18,8 +18,15 @@
 /// instant, which makes the analysis sustainable (release-time independent)
 /// at the cost of some pessimism; the simulator-based property tests bound
 /// that pessimism.
+///
+/// The recurrence reads a node's group in one of two views: a span of
+/// FpsTaskParams, filtered per call (the holistic engine, whose jitters
+/// change every sweep), or an FpsInterferenceTable prepared once for many
+/// calls (the list scheduler's candidate ranking).
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "flexopt/analysis/busy_profile.hpp"
 #include "flexopt/model/ids.hpp"
@@ -62,10 +69,57 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
                        const BusyProfile& scs, Time horizon, int* fp_iterations = nullptr,
                        Time seed = 0);
 
-/// Sum of response times of all tasks in `same_node` (infinite responses
-/// are added as `horizon` each, keeping the sum finite and comparable).
-/// Used by the list scheduler to rank candidate SCS placements
-/// (Fig. 2, line 11).  `seeds` (optional, parallel to `same_node`) carries
+/// One node's FPS group prepared for repeated analysis against changing
+/// SCS profiles: for each task, its interferers — the other members whose
+/// priority is at or above its own, in group order — with C, T, J and C/T
+/// precomputed, so a recurrence neither filters the group nor divides for
+/// its load.  The list scheduler prepares one table per node per build and
+/// ranks every candidate placement of Fig. 2's line 11 on it.  Both views
+/// run the same recurrence (one definition, in fps_analysis.cpp, adding the
+/// same doubles in the same order), so every response and fixed-point
+/// evaluation count of the table equals the span form's.
+class FpsInterferenceTable {
+ public:
+  /// One interferer as the recurrence reads it.
+  struct Interferer {
+    Time wcet = 0;
+    Time period = 0;
+    Time jitter = 0;
+    double load = 0.0;  ///< wcet / period, as the span form computes it
+  };
+  /// One task of the group and its slice of the interferer list.
+  struct Task {
+    Time wcet = 0;
+    Time jitter = 0;
+    double load = 0.0;  ///< wcet / period
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
+  /// Rebuilds the table for `group` (one node's FPS tasks), reusing this
+  /// object's buffers.
+  void assign(std::span<const FpsTaskParams> group);
+
+  [[nodiscard]] std::size_t size() const { return tasks_.size(); }
+  [[nodiscard]] const Task& task(std::size_t i) const { return tasks_[i]; }
+  [[nodiscard]] std::span<const Interferer> interferers(std::size_t i) const {
+    return {interferers_.data() + tasks_[i].begin, tasks_[i].end - tasks_[i].begin};
+  }
+
+ private:
+  std::vector<Task> tasks_;
+  std::vector<Interferer> interferers_;
+};
+
+/// fps_response_time of task `i` of the table's group.
+Time fps_response_time(const FpsInterferenceTable& table, std::size_t i,
+                       const BusyProfile& scs, Time horizon, int* fp_iterations = nullptr,
+                       Time seed = 0);
+
+/// Sum of response times of all tasks in the table's group (infinite
+/// responses are added as `horizon` each, keeping the sum finite and
+/// comparable).  Used by the list scheduler to rank candidate SCS placements
+/// (Fig. 2, line 11).  `seeds` (optional, parallel to the table's tasks) carries
 /// per-task busy-value seeds computed against an interference *subset* —
 /// the base placement profile; an infinite seed short-circuits that task
 /// to an infinite response (exact: more interference can only grow a
@@ -77,11 +131,11 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 /// remaining tasks' seed bounds reaches `cutoff`, and returns that bound.
 /// The result therefore equals the full sum whenever the full sum is below
 /// `cutoff`, and is >= `cutoff` otherwise.  `responses` (optional, parallel
-/// to `same_node`) receives each analysed task's response time
+/// to the table's tasks) receives each analysed task's response time
 /// (kTimeInfinity when unbounded); it is complete when the result is below
 /// `cutoff`.  `fp_iterations` (optional) accumulates the fixed-point
 /// evaluations of the analysed tasks.
-Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
+Time fps_response_time_sum(const FpsInterferenceTable& table, const BusyProfile& scs,
                            Time horizon, std::span<const Time> seeds = {},
                            Time cutoff = kTimeInfinity, std::span<Time> responses = {},
                            int* fp_iterations = nullptr);

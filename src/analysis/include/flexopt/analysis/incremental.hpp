@@ -150,10 +150,12 @@ class AnalysisComponentCache {
  public:
   explicit AnalysisComponentCache(std::size_t max_entries = 4096);
 
-  /// Schedule component for the layout's geometry; built on a miss.
-  /// `counters` (optional) records the build or the reuse.
+  /// Schedule component for the layout's geometry; built on a miss, on
+  /// `workspace` (the calling thread's).  `counters` (optional) records the
+  /// build or the reuse.
   std::shared_ptr<const ScheduleComponent> schedule_for(const BusLayout& layout,
                                                         const AnalysisOptions& options,
+                                                        ScheduleWorkspace& workspace,
                                                         AnalysisWorkCounters* counters);
 
   /// Task-level structure of `app`; built on the first call.  Every call
@@ -193,8 +195,10 @@ class AnalysisComponentCache {
 /// The holistic analysis of `layout` (see the file comment), with all
 /// fixed-point state in `arena` (reused across calls) and the outcome
 /// written into `out` (whose vectors are reused too), so a steady-state call
-/// performs zero heap allocations.  This is the form CostEvaluator's worker
-/// threads drive; analyze_system wraps it with a one-shot arena.
+/// performs zero heap allocations when the schedule table is cached; a
+/// table built on a miss runs on the arena's ScheduleWorkspace.  This is
+/// the form CostEvaluator's worker threads drive; analyze_system wraps it
+/// with a one-shot arena.
 /// `external_task_jitter` and `dyn_message_caps` are analyze_system's
 /// cross-cluster and exact-backend hooks.  On error, `out` is left
 /// unspecified and must not be read.

@@ -5,8 +5,16 @@
 /// tasks and ST messages over one hyper-period, driven by a modified
 /// critical-path priority, with SCS placement chosen to minimise the impact
 /// on FPS schedulability (line 11).
+///
+/// Line 11 ranks each SCS job's candidate gaps by the sum of the node's FPS
+/// response times, on a per-node FpsInterferenceTable prepared once per
+/// build (flexopt/analysis/fps_analysis.hpp).  A build keeps every working
+/// buffer — job states, ready heap, timelines, ST-slot occupancy, ranking
+/// scratch, FPS tables — in a ScheduleWorkspace; reusing one across builds
+/// leaves only the returned StaticSchedule to allocate.
 
 #include <cstdint>
+#include <memory>
 
 #include "flexopt/analysis/static_schedule.hpp"
 #include "flexopt/util/expected.hpp"
@@ -33,11 +41,36 @@ struct SchedulerOptions {
   std::int64_t max_slot_search_cycles = 4096;
 };
 
+/// Reusable working buffers of build_static_schedule.  A build resets
+/// everything it reads, so a workspace may serve any sequence of layouts
+/// and applications, and every table equals a fresh build's.  Not
+/// thread-safe: one workspace per thread (AnalysisArena owns one per
+/// evaluator worker slot).
+class ScheduleWorkspace {
+ public:
+  // Defined where Buffers is complete.
+  ScheduleWorkspace();
+  ~ScheduleWorkspace();
+
+ private:
+  friend Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
+                                                        const SchedulerOptions& options,
+                                                        ScheduleWorkspace& workspace);
+  struct Buffers;
+  std::unique_ptr<Buffers> buffers_;  ///< created by the first build
+};
+
 /// Builds the static schedule table for all SCS tasks and ST messages.
 /// Fails when precedence cannot be satisfied (should not happen for a
-/// finalized application) or when an ST message cannot be placed within the
-/// search bound.
+/// finalized application), when an ST message cannot be placed within the
+/// search bound, or when four hyper-periods (the FPS ranking's response
+/// horizon) overflow Time.  Runs on a call-local workspace.
 Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
                                                const SchedulerOptions& options = {});
+
+/// The same build on `workspace`'s buffers; bit-identical to the form above.
+Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
+                                               const SchedulerOptions& options,
+                                               ScheduleWorkspace& workspace);
 
 }  // namespace flexopt

@@ -20,6 +20,7 @@ struct ScheduledTask {
   Time release = 0;
   Time start = 0;
   Time finish = 0;
+  friend bool operator==(const ScheduledTask&, const ScheduledTask&) = default;
 };
 
 struct ScheduledMessage {
@@ -32,6 +33,7 @@ struct ScheduledMessage {
   /// Absolute transmission window on the bus.
   Time start = 0;
   Time finish = 0;
+  friend bool operator==(const ScheduledMessage&, const ScheduledMessage&) = default;
 };
 
 /// Immutable result of static scheduling.  Indexed lookups are by the dense
@@ -40,6 +42,12 @@ class StaticSchedule {
  public:
   StaticSchedule(Time hyperperiod, std::size_t node_count, std::size_t task_count,
                  std::size_t message_count);
+
+  /// Room for `count` entries of one task, message or node, so that a
+  /// builder that knows its job counts appends without regrowing.
+  void reserve_task_entries(TaskId t, std::size_t count);
+  void reserve_message_entries(MessageId m, std::size_t count);
+  void reserve_node_entries(std::size_t node_index, std::size_t count);
 
   void add_task_entry(ScheduledTask entry, std::size_t node_index);
   void add_message_entry(ScheduledMessage entry);
@@ -70,6 +78,9 @@ class StaticSchedule {
 
   /// Sorts per-node entries and builds the busy profiles.
   void finalize();
+  /// The same, building every profile through `buffer` (caller-owned
+  /// scratch, reused across nodes and calls).
+  void finalize(std::vector<Interval>& buffer);
 
  private:
   Time hyperperiod_;

@@ -138,7 +138,8 @@ struct AnalysisResult {
 };
 
 /// Response-time horizon: max(hyper-period, max effective deadline) *
-/// kHorizonFactor.  Fails when the hyper-period overflows.
+/// kHorizonFactor.  Fails when the hyper-period overflows, and with a
+/// diagnostic naming the hyper-period when the product does.
 Expected<Time> analysis_horizon(const Application& app);
 
 /// Runs GlobalSchedulingAlgorithm (Fig. 2) + holistic response-time

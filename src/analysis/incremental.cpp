@@ -28,7 +28,8 @@ bool same_geometry(const ScheduleComponent& component, const BusConfig& config) 
 }
 
 ScheduleComponent build_schedule_component(const BusLayout& layout,
-                                           const AnalysisOptions& options) {
+                                           const AnalysisOptions& options,
+                                           ScheduleWorkspace& workspace) {
   const Application& app = layout.application();
   const BusConfig& config = layout.config();
   ScheduleComponent component;
@@ -37,7 +38,7 @@ ScheduleComponent build_schedule_component(const BusLayout& layout,
   component.static_slot_owner = config.static_slot_owner;
   component.minislot_count = config.minislot_count;
 
-  auto schedule_result = build_static_schedule(layout, options.scheduler);
+  auto schedule_result = build_static_schedule(layout, options.scheduler, workspace);
   if (!schedule_result.ok()) {
     component.error = schedule_result.error().message;
     return component;
@@ -106,7 +107,8 @@ AnalysisComponentCache::AnalysisComponentCache(std::size_t max_entries)
     : max_entries_(max_entries) {}
 
 std::shared_ptr<const ScheduleComponent> AnalysisComponentCache::schedule_for(
-    const BusLayout& layout, const AnalysisOptions& options, AnalysisWorkCounters* counters) {
+    const BusLayout& layout, const AnalysisOptions& options, ScheduleWorkspace& workspace,
+    AnalysisWorkCounters* counters) {
   const std::uint64_t key = config_subhashes(layout.config()).geometry_key;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -120,8 +122,8 @@ std::shared_ptr<const ScheduleComponent> AnalysisComponentCache::schedule_for(
     }
   }
   if (counters != nullptr) ++counters->schedule_builds;
-  auto component =
-      std::make_shared<const ScheduleComponent>(build_schedule_component(layout, options));
+  auto component = std::make_shared<const ScheduleComponent>(
+      build_schedule_component(layout, options, workspace));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Concurrent misses of the same geometry build redundantly (the build
@@ -305,7 +307,8 @@ Expected<bool> analyze_system_into(const BusLayout& layout, const AnalysisOption
   if (!structure->valid) return make_error(structure->error);
   const Time horizon = structure->horizon;
 
-  const auto schedule_component = cache.schedule_for(layout, options, counters);
+  const auto schedule_component =
+      cache.schedule_for(layout, options, arena.schedule_workspace, counters);
   if (!schedule_component->valid) return make_error(schedule_component->error);
 
   arena.bind(structure);

@@ -3,12 +3,13 @@
 #include "flexopt/flexray/bus_layout.hpp"
 
 #include <algorithm>
-#include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "flexopt/analysis/fps_analysis.hpp"
 #include "flexopt/analysis/sat_time.hpp"
+#include "flexopt/math/hyperperiod.hpp"
 
 namespace flexopt {
 namespace {
@@ -16,18 +17,42 @@ namespace {
 /// Gap candidates evaluated per SCS task under Placement::MinimizeFpsImpact.
 constexpr int kPlacementCandidates = 4;
 
-/// A time-triggered job: one hyper-period instance of an SCS task or an ST
-/// message.
-struct Job {
+/// The FPS ranking's response horizon, in hyper-periods.
+constexpr Time kRankingHorizonFactor = 4;
+
+/// A time-triggered job — one hyper-period instance of an SCS task or an ST
+/// message — and its construction state.
+struct JobState {
   ActivityRef activity;
   int instance = 0;
   Time release = 0;
+  std::uint32_t unscheduled_tt_preds = 0;
+  Time asap = 0;  // max finish over scheduled TT predecessors, and release
+  Time finish = kTimeNone;
+};
+
+/// Ready pool order: critical path desc, release asc, slot asc, instance
+/// asc.  Keys are unique, so the pop order of the binary heap below is
+/// total — it matches the old std::set iteration order exactly.
+struct ReadyKey {
+  Time path;
+  Time release;
+  std::size_t slot;
+  int instance;
+  bool operator<(const ReadyKey& o) const {
+    if (path != o.path) return path > o.path;
+    if (release != o.release) return release < o.release;
+    if (slot != o.slot) return slot < o.slot;
+    return instance < o.instance;
+  }
 };
 
 /// Per-node CPU timeline during construction: sorted disjoint busy
 /// intervals, linear gap search (tables have at most a few hundred jobs).
 class Timeline {
  public:
+  void clear() { busy_.clear(); }
+
   /// Up to `max_candidates` gap start times >= asap where a job of length
   /// `len` fits, written into `out` (cleared first; caller-owned scratch).
   /// The final candidate list always contains at least one entry (the gap
@@ -71,15 +96,86 @@ class Timeline {
   std::vector<Interval> busy_;
 };
 
+/// ST slot occupancy: transmission time used per (bus cycle, slot), in an
+/// open-addressing table.  A build writes at most one new pair per ST job,
+/// so reset() sizes the table to keep its load at or below one half.
+class SlotOccupancy {
+ public:
+  /// Empties the table and sizes it for `max_pairs` distinct pairs.
+  void reset(std::size_t max_pairs) {
+    std::size_t capacity = 16;
+    while (capacity < 2 * max_pairs) capacity *= 2;
+    entries_.assign(capacity, Entry{});
+    mask_ = capacity - 1;
+  }
+
+  /// Time already used in (cycle, slot); 0 when nothing was placed there.
+  [[nodiscard]] Time used(std::int64_t cycle, int slot) const {
+    for (std::size_t i = home(cycle, slot);; i = (i + 1) & mask_) {
+      const Entry& e = entries_[i];
+      if (e.slot < 0) return 0;
+      if (e.cycle == cycle && e.slot == slot) return e.used;
+    }
+  }
+
+  void add(std::int64_t cycle, int slot, Time duration) {
+    for (std::size_t i = home(cycle, slot);; i = (i + 1) & mask_) {
+      Entry& e = entries_[i];
+      if (e.slot < 0) e = Entry{cycle, slot, 0};
+      if (e.cycle == cycle && e.slot == slot) {
+        e.used += duration;
+        return;
+      }
+    }
+  }
+
+ private:
+  struct Entry {
+    std::int64_t cycle = 0;
+    int slot = -1;  ///< -1: empty
+    Time used = 0;
+  };
+
+  [[nodiscard]] std::size_t home(std::int64_t cycle, int slot) const {
+    std::uint64_t h = static_cast<std::uint64_t>(cycle) * 0x9e3779b97f4a7c15ull +
+                      static_cast<std::uint64_t>(slot);
+    h ^= h >> 32;
+    h *= 0xd6e8feb86659fd93ull;
+    h ^= h >> 32;
+    return static_cast<std::size_t>(h) & mask_;
+  }
+
+  std::vector<Entry> entries_;
+  std::size_t mask_ = 0;
+};
+
+/// Per node: the FPS responses against `profile` (a clamped, merged
+/// interval list) — the ranking's base seeds while the node's timeline
+/// still merges to exactly that list.  `from_zero_bound` bounds the
+/// fixed-point evaluations an unseeded analysis against `profile` needs
+/// for any of the tasks (see the reuse condition in schedule_tt_task).
+struct NodeSeeds {
+  std::vector<Interval> profile;
+  std::vector<Time> responses;
+  int from_zero_bound = 0;
+
+  void clear() {
+    profile.clear();
+    responses.clear();
+    from_zero_bound = 0;
+  }
+};
+
 /// Modified critical-path priority [12]: longest remaining path (task WCETs
-/// plus message communication times) from the activity to a graph sink.
-/// `message_reserve` is added per message hop; 0 gives the pure priority
-/// metric, one bus cycle gives the ALAP delay bound (a message may have to
-/// wait almost a full cycle for its next owned slot).
-std::vector<Time> critical_paths(const BusLayout& layout, Time message_reserve) {
+/// plus message communication times) from the activity to a graph sink,
+/// written into `path` (per activity slot).  `message_reserve` is added per
+/// message hop; 0 gives the pure priority metric, one bus cycle gives the
+/// ALAP delay bound (a message may have to wait almost a full cycle for its
+/// next owned slot).
+void critical_paths(const BusLayout& layout, Time message_reserve, std::vector<Time>& path) {
   const Application& app = layout.application();
   const auto& topo = app.topological_order();
-  std::vector<Time> path(app.activity_count(), 0);
+  path.assign(app.activity_count(), 0);
   auto slot = [&](ActivityRef a) {
     return a.is_task() ? a.index : app.task_count() + a.index;
   };
@@ -94,7 +190,6 @@ std::vector<Time> critical_paths(const BusLayout& layout, Time message_reserve) 
     }
     path[slot(*it)] = best_succ + cost_of(*it);
   }
-  return path;
 }
 
 bool is_tt(const Application& app, ActivityRef a) {
@@ -102,110 +197,58 @@ bool is_tt(const Application& app, ActivityRef a) {
                      : app.message(a.as_message()).cls == MessageClass::Static;
 }
 
+/// Clamps `sorted` (busy intervals ordered by start) to [0, H], drops empty
+/// intervals, merges overlap/adjacency, and splices in the optional `extra`
+/// interval at its sorted position — producing exactly the interval list
+/// that BusyProfile's normalizing constructor would for the same input,
+/// without the per-candidate copy + sort.
+void clamp_merge_into(Time H, std::span<const Interval> sorted, std::vector<Interval>& out,
+                      const Interval* extra) {
+  out.clear();
+  const auto clamped = [H](Interval iv) {
+    iv.start = std::clamp<Time>(iv.start, 0, H);
+    iv.end = std::clamp<Time>(iv.end, 0, H);
+    return iv;
+  };
+  const auto emit = [&out](const Interval& iv) {
+    if (iv.length() <= 0) return;
+    if (!out.empty() && iv.start <= out.back().end) {
+      out.back().end = std::max(out.back().end, iv.end);
+    } else {
+      out.push_back(iv);
+    }
+  };
+  Interval pending{};
+  bool has_pending = extra != nullptr;
+  if (has_pending) pending = clamped(*extra);
+  for (const Interval& raw : sorted) {
+    const Interval iv = clamped(raw);
+    if (has_pending && pending.start <= iv.start) {
+      emit(pending);
+      has_pending = false;
+    }
+    emit(iv);
+  }
+  if (has_pending) emit(pending);
+}
+
 }  // namespace
 
-Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
-                                               const SchedulerOptions& options) {
-  const Application& app = layout.application();
-  const auto hp = app.hyperperiod();
-  if (!hp.ok()) return hp.error();
-  const Time H = hp.value();
-
-  StaticSchedule schedule(H, app.node_count(), app.task_count(), app.message_count());
-
-  auto slot_of = [&](ActivityRef a) {
-    return a.is_task() ? a.index : app.task_count() + a.index;
-  };
-
-  // Enumerate TT jobs: one per instance of each SCS task / ST message.
-  // Job key: (activity slot, instance).
-  struct JobState {
-    Job job;
-    std::size_t unscheduled_tt_preds = 0;
-    Time asap = 0;        // max finish over scheduled TT predecessors, and release
-    Time finish = kTimeNone;
-  };
-  // jobs indexed by (slot, instance) via map from slot -> vector.
-  std::vector<std::vector<JobState>> jobs(app.activity_count());
-  for (const ActivityRef a : app.topological_order()) {
-    if (!is_tt(app, a)) continue;
-    const Time period = app.period_of(a);
-    const auto instances = static_cast<int>(H / period);
-    auto& vec = jobs[slot_of(a)];
-    vec.reserve(static_cast<std::size_t>(instances));
-    for (int k = 0; k < instances; ++k) {
-      JobState js;
-      js.job = Job{a, k, static_cast<Time>(k) * period};
-      js.asap = js.job.release;
-      if (a.is_task()) js.asap += app.task(a.as_task()).release_offset;
-      for (const ActivityRef p : app.predecessors(a)) {
-        // ET predecessors of TT activities are rejected by finalize(); all
-        // predecessors here are TT and constrain readiness.
-        if (is_tt(app, p)) ++js.unscheduled_tt_preds;
-      }
-      vec.push_back(js);
-    }
-  }
-
-  const std::vector<Time> priority = critical_paths(layout, 0);
-  // Delay budget for FPS-aware placement: reserve a full bus cycle per
-  // downstream message hop (worst-case slot wait) so delaying an SCS task
-  // cannot by itself sink its TT chain.
-  const std::vector<Time> alap_reserve = critical_paths(layout, layout.cycle_len());
-
-  // Ready pool ordered by (critical path desc, release asc, slot asc,
-  // instance asc).
-  struct ReadyKey {
-    Time path;
-    Time release;
-    std::size_t slot;
-    int instance;
-    bool operator<(const ReadyKey& o) const {
-      if (path != o.path) return path > o.path;
-      if (release != o.release) return release < o.release;
-      if (slot != o.slot) return slot < o.slot;
-      return instance < o.instance;
-    }
-  };
-  // Binary heap (keys are unique, so pop order matches the old std::set
-  // iteration order exactly) — avoids a node allocation per push.
-  std::vector<ReadyKey> ready;
-  const auto ready_after = [](const ReadyKey& a, const ReadyKey& b) { return b < a; };
-  auto ready_push = [&](const ReadyKey& k) {
-    ready.push_back(k);
-    std::push_heap(ready.begin(), ready.end(), ready_after);
-  };
-  auto make_key = [&](const JobState& js) {
-    return ReadyKey{priority[slot_of(js.job.activity)], js.job.release,
-                    slot_of(js.job.activity), js.job.instance};
-  };
-  std::size_t total_jobs = 0;
-  for (auto& vec : jobs) {
-    for (auto& js : vec) {
-      ++total_jobs;
-      if (js.unscheduled_tt_preds == 0) ready_push(make_key(js));
-    }
-  }
-
-  // Per-node CPU timelines and FPS task parameter lists (zero jitter during
-  // table construction; the holistic loop refines jitters afterwards).
-  std::vector<Timeline> timelines(app.node_count());
-  std::vector<std::vector<FpsTaskParams>> fps_on_node(app.node_count());
-  for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-    const Task& task = app.tasks()[t];
-    if (task.policy != TaskPolicy::Fps) continue;
-    fps_on_node[index_of(task.node)].push_back(FpsTaskParams{
-        static_cast<TaskId>(t), task.wcet, app.graph(task.graph).period, 0, task.priority});
-  }
-
-  // ST slot occupancy: used transmission time per (cycle, slot).
-  std::map<std::pair<std::int64_t, int>, Time> slot_used;
-  const Time cycle_len = layout.cycle_len();
-  const Time slot_len = layout.config().static_slot_len;
-
-  // Scratch for the candidate ranking below, reused across all jobs of this
-  // build so the hot loop allocates only while growing to its high-water
-  // capacity.
+struct ScheduleWorkspace::Buffers {
+  std::vector<JobState> jobs;          ///< every TT job, grouped by activity slot
+  std::vector<std::size_t> job_begin;  ///< per activity slot; size activity_count + 1
+  std::vector<ReadyKey> ready;         ///< binary heap (no node allocation per push)
+  std::vector<Time> priority;          ///< critical path per activity slot
+  std::vector<Time> alap_reserve;      ///< ALAP delay bound per activity slot
+  std::vector<Timeline> timelines;     ///< per node
+  std::vector<std::size_t> node_jobs;  ///< SCS jobs per node
+  SlotOccupancy slot_used;
+  /// Per node: its FPS tasks (zero jitter during table construction; the
+  /// holistic loop refines jitters afterwards) as a ranking table.
+  std::vector<FpsInterferenceTable> fps_tables;
+  std::vector<FpsTaskParams> fps_group;  ///< one node's group while its table is built
+  std::vector<NodeSeeds> node_seeds;     ///< per node
+  // Candidate ranking scratch (Fig. 2 line 11).
   std::vector<Time> starts;
   std::vector<Interval> base_merged;
   std::vector<Interval> cand_merged;
@@ -214,61 +257,145 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
   BusyProfile cand_profile;
   std::vector<Time> cand_responses;
   std::vector<Time> best_responses;
-  // Per node: the FPS responses against `profile` (a clamped, merged
-  // interval list) — the ranking's base seeds while the node's timeline
-  // still merges to exactly that list.  `from_zero_bound` bounds the
-  // fixed-point evaluations an unseeded analysis against `profile` needs
-  // for any of the tasks (see the reuse condition below).
-  struct NodeSeeds {
-    std::vector<Interval> profile;
-    std::vector<Time> responses;
-    int from_zero_bound = 0;
-  };
-  std::vector<NodeSeeds> node_seeds(app.node_count());
+  std::vector<Interval> profile_buffer;  ///< StaticSchedule::finalize's scratch
+};
 
-  // Clamps `sorted` (busy intervals ordered by start) to [0, H], drops empty
-  // intervals, merges overlap/adjacency, and splices in the optional `extra`
-  // interval at its sorted position — producing exactly the interval list
-  // that BusyProfile's normalizing constructor would for the same input,
-  // without the per-candidate copy + sort.
-  const auto clamp_merge_into = [H](std::span<const Interval> sorted,
-                                    std::vector<Interval>& out, const Interval* extra) {
-    out.clear();
-    const auto clamped = [H](Interval iv) {
-      iv.start = std::clamp<Time>(iv.start, 0, H);
-      iv.end = std::clamp<Time>(iv.end, 0, H);
-      return iv;
-    };
-    const auto emit = [&out](const Interval& iv) {
-      if (iv.length() <= 0) return;
-      if (!out.empty() && iv.start <= out.back().end) {
-        out.back().end = std::max(out.back().end, iv.end);
-      } else {
-        out.push_back(iv);
-      }
-    };
-    Interval pending{};
-    bool has_pending = extra != nullptr;
-    if (has_pending) pending = clamped(*extra);
-    for (const Interval& raw : sorted) {
-      const Interval iv = clamped(raw);
-      if (has_pending && pending.start <= iv.start) {
-        emit(pending);
-        has_pending = false;
-      }
-      emit(iv);
-    }
-    if (has_pending) emit(pending);
+ScheduleWorkspace::ScheduleWorkspace() = default;
+ScheduleWorkspace::~ScheduleWorkspace() = default;
+
+Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
+                                               const SchedulerOptions& options) {
+  ScheduleWorkspace workspace;
+  return build_static_schedule(layout, options, workspace);
+}
+
+Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
+                                               const SchedulerOptions& options,
+                                               ScheduleWorkspace& workspace) {
+  const Application& app = layout.application();
+  const auto hp = app.hyperperiod();
+  if (!hp.ok()) return hp.error();
+  const Time H = hp.value();
+  const auto horizon_result = checked_mul(H, kRankingHorizonFactor);
+  if (!horizon_result.ok()) {
+    return make_error("list scheduler: hyper-period " + std::to_string(H) +
+                      " ns is too long to schedule: the FPS ranking's response horizon, " +
+                      std::to_string(kRankingHorizonFactor) +
+                      " x hyper-period, overflows 64-bit nanoseconds");
+  }
+  const Time horizon = horizon_result.value();
+
+  if (!workspace.buffers_) workspace.buffers_ = std::make_unique<ScheduleWorkspace::Buffers>();
+  ScheduleWorkspace::Buffers& ws = *workspace.buffers_;
+  const std::size_t node_count = app.node_count();
+  const std::size_t task_count = app.task_count();
+  const std::size_t activity_count = app.activity_count();
+
+  StaticSchedule schedule(H, node_count, task_count, app.message_count());
+
+  auto slot_of = [&](ActivityRef a) {
+    return a.is_task() ? a.index : task_count + a.index;
   };
+  auto activity_at = [&](std::size_t slot) {
+    return slot < task_count ? ActivityRef::task(static_cast<TaskId>(slot))
+                             : ActivityRef::message(static_cast<MessageId>(slot - task_count));
+  };
+
+  // Enumerate TT jobs: one per instance of each SCS task / ST message,
+  // flat and grouped by activity slot (ET activities own no jobs).
+  ws.job_begin.assign(activity_count + 1, 0);
+  ws.node_jobs.assign(node_count, 0);
+  std::size_t st_jobs = 0;
+  for (std::size_t slot = 0; slot < activity_count; ++slot) {
+    const ActivityRef a = activity_at(slot);
+    std::size_t instances = 0;
+    if (is_tt(app, a)) {
+      instances = static_cast<std::size_t>(H / app.period_of(a));
+      if (a.is_task()) {
+        schedule.reserve_task_entries(a.as_task(), instances);
+        ws.node_jobs[index_of(app.task(a.as_task()).node)] += instances;
+      } else {
+        schedule.reserve_message_entries(a.as_message(), instances);
+        st_jobs += instances;
+      }
+    }
+    ws.job_begin[slot + 1] = ws.job_begin[slot] + instances;
+  }
+  for (std::size_t n = 0; n < node_count; ++n) schedule.reserve_node_entries(n, ws.node_jobs[n]);
+  const std::size_t total_jobs = ws.job_begin[activity_count];
+  ws.jobs.resize(total_jobs);
+  for (std::size_t slot = 0; slot < activity_count; ++slot) {
+    if (ws.job_begin[slot] == ws.job_begin[slot + 1]) continue;
+    const ActivityRef a = activity_at(slot);
+    const Time period = app.period_of(a);
+    std::uint32_t tt_preds = 0;
+    for (const ActivityRef p : app.predecessors(a)) {
+      // ET predecessors of TT activities are rejected by finalize(); all
+      // predecessors here are TT and constrain readiness.
+      if (is_tt(app, p)) ++tt_preds;
+    }
+    for (std::size_t j = ws.job_begin[slot]; j < ws.job_begin[slot + 1]; ++j) {
+      JobState& js = ws.jobs[j];
+      js.activity = a;
+      js.instance = static_cast<int>(j - ws.job_begin[slot]);
+      js.release = static_cast<Time>(js.instance) * period;
+      js.unscheduled_tt_preds = tt_preds;
+      js.asap = js.release;
+      if (a.is_task()) js.asap += app.task(a.as_task()).release_offset;
+      js.finish = kTimeNone;
+    }
+  }
+
+  critical_paths(layout, 0, ws.priority);
+  // Delay budget for FPS-aware placement: reserve a full bus cycle per
+  // downstream message hop (worst-case slot wait) so delaying an SCS task
+  // cannot by itself sink its TT chain.
+  critical_paths(layout, layout.cycle_len(), ws.alap_reserve);
+
+  const auto ready_after = [](const ReadyKey& a, const ReadyKey& b) { return b < a; };
+  auto ready_push = [&](const JobState& js) {
+    const std::size_t slot = slot_of(js.activity);
+    ws.ready.push_back(ReadyKey{ws.priority[slot], js.release, slot, js.instance});
+    std::push_heap(ws.ready.begin(), ws.ready.end(), ready_after);
+  };
+  ws.ready.clear();
+  for (const JobState& js : ws.jobs) {
+    if (js.unscheduled_tt_preds == 0) ready_push(js);
+  }
+
+  // Per-node CPU timelines, FPS ranking tables and base seeds: nothing
+  // carries over from an earlier build.
+  ws.timelines.resize(node_count);
+  ws.fps_tables.resize(node_count);
+  ws.node_seeds.resize(node_count);
+  for (std::size_t n = 0; n < node_count; ++n) {
+    ws.timelines[n].clear();
+    ws.node_seeds[n].clear();
+    ws.fps_group.clear();
+    for (std::size_t t = 0; t < task_count; ++t) {
+      const Task& task = app.tasks()[t];
+      if (task.policy != TaskPolicy::Fps || index_of(task.node) != n) continue;
+      ws.fps_group.push_back(FpsTaskParams{static_cast<TaskId>(t), task.wcet,
+                                           app.graph(task.graph).period, 0, task.priority});
+    }
+    ws.fps_tables[n].assign(ws.fps_group);
+  }
+
+  // ST slot occupancy: used transmission time per (cycle, slot).
+  ws.slot_used.reset(st_jobs);
+  const Time cycle_len = layout.cycle_len();
+  const Time slot_len = layout.config().static_slot_len;
 
   auto schedule_tt_task = [&](JobState& js) {
-    const Task& task = app.task(js.job.activity.as_task());
+    const Task& task = app.task(js.activity.as_task());
     const std::size_t node = index_of(task.node);
-    Timeline& tl = timelines[node];
+    Timeline& tl = ws.timelines[node];
+    const FpsInterferenceTable& fps = ws.fps_tables[node];
+    std::vector<Time>& starts = ws.starts;
 
     const int candidates = options.placement == Placement::Asap ? 1 : kPlacementCandidates;
     tl.gap_candidates(js.asap, task.wcet, candidates, starts);
-    if (options.placement == Placement::MinimizeFpsImpact && !fps_on_node[node].empty()) {
+    if (options.placement == Placement::MinimizeFpsImpact && fps.size() > 0) {
       // The first-fit gaps all hug the existing SCS clump, which is exactly
       // what hurts FPS tasks (one long busy window).  Add deliberately
       // *delayed* placements spread over the remaining laxity so the
@@ -278,9 +405,8 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       // critical-path remainder (successor tasks, plus one bus cycle of
       // slot wait per message hop) is reserved, so no placement choice can
       // by itself push this task's TT chain past its deadline.
-      const Time deadline = app.effective_deadline(js.job.activity);
-      const Time latest =
-          js.job.release + deadline - alap_reserve[slot_of(js.job.activity)];
+      const Time deadline = app.effective_deadline(js.activity);
+      const Time latest = js.release + deadline - ws.alap_reserve[slot_of(js.activity)];
       const Time span = latest - js.asap;
       if (span > 0) {
         for (int j = 1; j < kPlacementCandidates; ++j) {
@@ -297,14 +423,13 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
     }
     Time chosen = starts.front();
     if (options.placement == Placement::MinimizeFpsImpact && starts.size() > 1 &&
-        !fps_on_node[node].empty()) {
-      const std::span<const FpsTaskParams> fps(fps_on_node[node]);
+        fps.size() > 0) {
       // Every candidate profile is the base timeline plus one interval, so
       // each task's converged busy value against the *base* profile is a
       // least-fixed-point lower bound for its candidate recurrence — a safe
       // seed (see fps_analysis.hpp), and a lower bound on its summand that
       // lets a candidate's sum stop once it cannot beat the incumbent.
-      // (fps_on_node jitters are all zero here, so a response equals the
+      // (The table's jitters are all zero here, so a response equals the
       // pre-jitter busy value the seed contract requires.)
       //
       // The base responses are the unseeded analyses against the base
@@ -320,29 +445,29 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       // analysis adds the whole cap, so every reused infinite response
       // stems from a load above 1 or a horizon overrun, which more
       // interference keeps.
-      clamp_merge_into(tl.intervals(), base_merged, nullptr);
-      NodeSeeds& seeds = node_seeds[node];
-      if (seeds.responses.empty() || seeds.profile != base_merged ||
+      clamp_merge_into(H, tl.intervals(), ws.base_merged, nullptr);
+      NodeSeeds& seeds = ws.node_seeds[node];
+      if (seeds.responses.empty() || seeds.profile != ws.base_merged ||
           seeds.from_zero_bound >= kFpsMaxIterations) {
-        base_profile.assign_normalized(base_merged, H);
+        ws.base_profile.assign_normalized(ws.base_merged, H);
         seeds.responses.clear();
         seeds.from_zero_bound = 0;
-        for (const FpsTaskParams& t : fps) {
+        for (std::size_t i = 0; i < fps.size(); ++i) {
           seeds.responses.push_back(
-              fps_response_time(t, fps, base_profile, 4 * H, &seeds.from_zero_bound));
+              fps_response_time(fps, i, ws.base_profile, horizon, &seeds.from_zero_bound));
         }
-        seeds.profile.assign(base_merged.begin(), base_merged.end());
+        seeds.profile.assign(ws.base_merged.begin(), ws.base_merged.end());
       }
-      cand_responses.resize(fps.size());
+      ws.cand_responses.resize(fps.size());
       Time best_cost = kTimeInfinity;
       int best_iterations = 0;
       for (const Time s : starts) {
         const Interval extra{s % H, s % H + task.wcet};
-        clamp_merge_into(tl.intervals(), cand_merged, &extra);
-        cand_profile.assign_normalized(cand_merged, H);
+        clamp_merge_into(H, tl.intervals(), ws.cand_merged, &extra);
+        ws.cand_profile.assign_normalized(ws.cand_merged, H);
         int iterations = 0;
-        const Time cost = fps_response_time_sum(fps, cand_profile, 4 * H, seeds.responses,
-                                                best_cost, cand_responses, &iterations);
+        const Time cost = fps_response_time_sum(fps, ws.cand_profile, horizon, seeds.responses,
+                                                best_cost, ws.cand_responses, &iterations);
         // Prefer lower FPS impact; ties go to the earlier start so the
         // schedule stays as compact as ASAP placement allows.  A pruned
         // sum is >= best_cost, so it never wins.
@@ -350,28 +475,26 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
           best_cost = cost;
           chosen = s;
           best_iterations = iterations;
-          best_merged.swap(cand_merged);
-          best_responses.swap(cand_responses);
-          cand_responses.resize(fps.size());
+          ws.best_merged.swap(ws.cand_merged);
+          ws.best_responses.swap(ws.cand_responses);
+          ws.cand_responses.resize(fps.size());
         }
       }
       if (!is_infinite(best_cost)) {
-        seeds.profile.swap(best_merged);
-        seeds.responses.swap(best_responses);
+        seeds.profile.swap(ws.best_merged);
+        seeds.responses.swap(ws.best_responses);
         seeds.from_zero_bound += best_iterations;
       }
     }
     tl.insert(chosen, task.wcet);
     js.finish = chosen + task.wcet;
     schedule.add_task_entry(
-        ScheduledTask{js.job.activity.as_task(), js.job.instance, js.job.release, chosen,
-                      js.finish},
-        node);
+        ScheduledTask{js.activity.as_task(), js.instance, js.release, chosen, js.finish}, node);
     return true;
   };
 
   auto schedule_st_msg = [&](JobState& js) -> bool {
-    const MessageId mid = js.job.activity.as_message();
+    const MessageId mid = js.activity.as_message();
     const Message& msg = app.message(mid);
     const NodeId sender_node = app.task(msg.sender).node;
     const auto& owned_slots = layout.static_slots_of(sender_node);
@@ -386,16 +509,16 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       for (const int s : owned_slots) {
         const Time slot_start = cycle * cycle_len + layout.static_slot_start(s);
         if (slot_start < js.asap) continue;
-        Time& used = slot_used[{cycle, s}];
+        const Time used = ws.slot_used.used(cycle, s);
         if (used + duration > slot_len) continue;
         const Time start = slot_start + used;
-        used += duration;
+        ws.slot_used.add(cycle, s, duration);
         // Frame semantics: the receiver CHI exposes the payload at the end
         // of the slot, so delivery (finish) is the slot boundary even when
         // several messages are packed into one frame.
         js.finish = slot_start + slot_len;
-        schedule.add_message_entry(ScheduledMessage{mid, js.job.instance, js.job.release,
-                                                    cycle, s, start, js.finish});
+        schedule.add_message_entry(
+            ScheduledMessage{mid, js.instance, js.release, cycle, s, start, js.finish});
         return true;
       }
     }
@@ -403,26 +526,26 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
   };
 
   std::size_t scheduled = 0;
-  while (!ready.empty()) {
-    std::pop_heap(ready.begin(), ready.end(), ready_after);
-    const ReadyKey key = ready.back();
-    ready.pop_back();
-    JobState& js = jobs[key.slot][static_cast<std::size_t>(key.instance)];
+  while (!ws.ready.empty()) {
+    std::pop_heap(ws.ready.begin(), ws.ready.end(), ready_after);
+    const ReadyKey key = ws.ready.back();
+    ws.ready.pop_back();
+    JobState& js = ws.jobs[ws.job_begin[key.slot] + static_cast<std::size_t>(key.instance)];
 
-    const bool ok = js.job.activity.is_task() ? schedule_tt_task(js) : schedule_st_msg(js);
+    const bool ok = js.activity.is_task() ? schedule_tt_task(js) : schedule_st_msg(js);
     if (!ok) {
       return make_error("list scheduler: no ST slot found for message '" +
-                        app.activity_name(js.job.activity) + "' within the search bound");
+                        app.activity_name(js.activity) + "' within the search bound");
     }
     ++scheduled;
 
     // Release successors (same instance index; graphs are self-contained).
-    for (const ActivityRef succ : app.successors(js.job.activity)) {
-      auto& svec = jobs[slot_of(succ)];
-      if (svec.empty()) continue;  // ET successor: not part of the table
-      JobState& sjs = svec[static_cast<std::size_t>(js.job.instance)];
+    for (const ActivityRef succ : app.successors(js.activity)) {
+      const std::size_t s = slot_of(succ);
+      if (ws.job_begin[s] == ws.job_begin[s + 1]) continue;  // ET successor: not in the table
+      JobState& sjs = ws.jobs[ws.job_begin[s] + static_cast<std::size_t>(js.instance)];
       sjs.asap = std::max(sjs.asap, js.finish);
-      if (--sjs.unscheduled_tt_preds == 0) ready_push(make_key(sjs));
+      if (--sjs.unscheduled_tt_preds == 0) ready_push(sjs);
     }
   }
 
@@ -430,7 +553,7 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
     return make_error("list scheduler: precedence deadlock (internal error)");
   }
 
-  schedule.finalize();
+  schedule.finalize(ws.profile_buffer);
   return schedule;
 }
 

@@ -11,6 +11,18 @@ StaticSchedule::StaticSchedule(Time hyperperiod, std::size_t node_count,
       per_message_(message_count),
       per_node_(node_count) {}
 
+void StaticSchedule::reserve_task_entries(TaskId t, std::size_t count) {
+  per_task_[index_of(t)].reserve(count);
+}
+
+void StaticSchedule::reserve_message_entries(MessageId m, std::size_t count) {
+  per_message_[index_of(m)].reserve(count);
+}
+
+void StaticSchedule::reserve_node_entries(std::size_t node_index, std::size_t count) {
+  per_node_[node_index].reserve(count);
+}
+
 void StaticSchedule::add_task_entry(ScheduledTask entry, std::size_t node_index) {
   per_task_[index_of(entry.task)].push_back(entry);
   per_node_[node_index].push_back(entry);
@@ -37,25 +49,30 @@ Time StaticSchedule::message_wcrt(MessageId m) const {
 }
 
 void StaticSchedule::finalize() {
-  profiles_.clear();
-  profiles_.reserve(per_node_.size());
-  for (auto& entries : per_node_) {
+  std::vector<Interval> buffer;
+  finalize(buffer);
+}
+
+void StaticSchedule::finalize(std::vector<Interval>& buffer) {
+  profiles_.resize(per_node_.size());
+  for (std::size_t n = 0; n < per_node_.size(); ++n) {
+    auto& entries = per_node_[n];
     std::sort(entries.begin(), entries.end(),
               [](const ScheduledTask& a, const ScheduledTask& b) { return a.start < b.start; });
-    std::vector<Interval> busy;
-    busy.reserve(entries.size());
+    buffer.clear();
     for (const auto& e : entries) {
       // Wrap entries into [0, H): the table repeats with the hyper-period.
       const Time s = e.start % hyperperiod_;
       const Time f = s + (e.finish - e.start);
       if (f <= hyperperiod_) {
-        busy.push_back({s, f});
+        buffer.push_back({s, f});
       } else {
-        busy.push_back({s, hyperperiod_});
-        busy.push_back({0, f - hyperperiod_});
+        buffer.push_back({s, hyperperiod_});
+        buffer.push_back({0, f - hyperperiod_});
       }
     }
-    profiles_.emplace_back(std::move(busy), hyperperiod_);
+    clamp_and_normalize(buffer, hyperperiod_);
+    profiles_[n].assign_normalized(buffer, hyperperiod_);
   }
 }
 

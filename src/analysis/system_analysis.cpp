@@ -1,9 +1,11 @@
 #include "flexopt/analysis/system_analysis.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "flexopt/analysis/arena.hpp"
 #include "flexopt/analysis/incremental.hpp"
+#include "flexopt/math/hyperperiod.hpp"
 
 namespace flexopt {
 
@@ -18,7 +20,14 @@ Expected<Time> analysis_horizon(const Application& app) {
     max_deadline = std::max(max_deadline,
                             app.effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
   }
-  return std::max(H, max_deadline) * kHorizonFactor;
+  const auto horizon = checked_mul(std::max(H, max_deadline), kHorizonFactor);
+  if (!horizon.ok()) {
+    return make_error("hyper-period " + std::to_string(H) +
+                      " ns is too long to analyse: the response horizon, " +
+                      std::to_string(kHorizonFactor) + " x max(hyper-period, max deadline " +
+                      std::to_string(max_deadline) + " ns), overflows 64-bit nanoseconds");
+  }
+  return horizon.value();
 }
 
 Expected<AnalysisResult> analyze_system(const BusLayout& layout, const AnalysisOptions& options,

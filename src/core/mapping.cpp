@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "flexopt/core/obc.hpp"
@@ -43,7 +44,7 @@ Expected<Application> LogicalApplication::materialize(std::span<const int> mappi
   }
 
   Application app;
-  for (int n = 0; n < node_count; ++n) app.add_node("N" + std::to_string(n));
+  for (int n = 0; n < node_count; ++n) app.add_node(std::string("N").append(std::to_string(n)));
   std::vector<GraphId> graph_ids;
   graph_ids.reserve(graphs.size());
   for (const LogicalGraph& g : graphs) {

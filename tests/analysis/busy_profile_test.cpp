@@ -2,18 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace flexopt {
 namespace {
 
 TEST(NormalizeIntervals, MergesAndSorts) {
-  auto merged = normalize_intervals({{5, 8}, {1, 3}, {2, 4}, {8, 9}});
+  std::vector<Interval> merged{{5, 8}, {1, 3}, {2, 4}, {8, 9}};
+  clamp_and_normalize(merged, 10);
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0], (Interval{1, 4}));
   EXPECT_EQ(merged[1], (Interval{5, 9}));
 }
 
 TEST(NormalizeIntervals, DropsEmpty) {
-  auto merged = normalize_intervals({{3, 3}, {5, 4}});
+  std::vector<Interval> merged{{3, 3}, {5, 4}};
+  clamp_and_normalize(merged, 10);
   EXPECT_TRUE(merged.empty());
 }
 

@@ -92,7 +92,9 @@ TEST(FpsAnalysis, SumTreatsInfiniteAsHorizon) {
       FpsTaskParams{TaskId{0}, timeunits::us(10), timeunits::us(10), 0, 0},
       FpsTaskParams{TaskId{1}, timeunits::us(5), timeunits::us(100), 0, 1},
   };
-  const Time sum = fps_response_time_sum(tasks, idle, kHorizon);
+  FpsInterferenceTable table;
+  table.assign(tasks);
+  const Time sum = fps_response_time_sum(table, idle, kHorizon);
   EXPECT_EQ(sum, timeunits::us(10) + kHorizon);
 }
 
@@ -120,10 +122,12 @@ TEST(FpsAnalysis, CutoffSumIsExactBelowTheCutoff) {
   ASSERT_EQ(seeds[2], kTimeInfinity);
   ASSERT_NE(seeds[0], kTimeInfinity);
 
-  const Time full = fps_response_time_sum(tasks, candidate, kHorizon);
+  FpsInterferenceTable table;
+  table.assign(tasks);
+  const Time full = fps_response_time_sum(table, candidate, kHorizon);
   std::array<Time, 4> responses{};
   int iterations = 0;
-  const Time seeded_full = fps_response_time_sum(tasks, candidate, kHorizon, seeds,
+  const Time seeded_full = fps_response_time_sum(table, candidate, kHorizon, seeds,
                                                  kTimeInfinity, responses, &iterations);
   EXPECT_EQ(seeded_full, full);
   int task_iterations = 0;
@@ -144,7 +148,7 @@ TEST(FpsAnalysis, CutoffSumIsExactBelowTheCutoff) {
   for (const Time cutoff : cutoffs) {
     for (const bool seeded : {true, false}) {
       const std::span<const Time> used = seeded ? seeds : std::span<const Time>{};
-      const Time sum = fps_response_time_sum(tasks, candidate, kHorizon, used, cutoff);
+      const Time sum = fps_response_time_sum(table, candidate, kHorizon, used, cutoff);
       if (full < cutoff) {
         EXPECT_EQ(sum, full) << "cutoff " << cutoff << " seeded " << seeded;
       } else {

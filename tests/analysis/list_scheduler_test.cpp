@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "flexopt/analysis/list_scheduler.hpp"
 #include "helpers.hpp"
 
@@ -133,9 +135,10 @@ TEST(ListScheduler, FailsWhenSlotsHopelesslyOversubscribed) {
   const NodeId n1 = app.add_node("N1");
   const GraphId g = app.add_graph("g", timeunits::us(100), timeunits::us(100));
   for (int i = 0; i < 20; ++i) {
-    const TaskId s = app.add_task(g, "s" + std::to_string(i), n0, 1, TaskPolicy::Scs);
-    const TaskId r = app.add_task(g, "r" + std::to_string(i), n1, 1, TaskPolicy::Scs);
-    app.add_message(g, "m" + std::to_string(i), s, r, 4, MessageClass::Static);
+    const std::string index = std::to_string(i);
+    const TaskId s = app.add_task(g, std::string("s").append(index), n0, 1, TaskPolicy::Scs);
+    const TaskId r = app.add_task(g, std::string("r").append(index), n1, 1, TaskPolicy::Scs);
+    app.add_message(g, std::string("m").append(index), s, r, 4, MessageClass::Static);
   }
   ASSERT_TRUE(app.finalize().ok());
   BusConfig config;

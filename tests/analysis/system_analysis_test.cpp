@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "flexopt/analysis/system_analysis.hpp"
+#include "flexopt/core/config_builder.hpp"
+#include "flexopt/io/system_format.hpp"
 #include "helpers.hpp"
 
 namespace flexopt {
@@ -11,6 +16,63 @@ namespace {
 
 using testing::make_layout;
 using testing::TinySystem;
+
+/// A two-graph system (TT control chain, ET telemetry pair) whose graphs
+/// both have period `period`, in the text format the CLI reads.
+ParsedSystem two_graph_system(const std::string& period) {
+  auto parsed = parse_system_text(
+      "node engine\nnode brake\n"
+      "graph control tt period=" + period + " deadline=10ms\n"
+      "task sample graph=control node=engine wcet=400us\n"
+      "task compute graph=control node=brake wcet=900us\n"
+      "task actuate graph=control node=engine wcet=300us\n"
+      "message setpoint from=sample to=compute bytes=8\n"
+      "message torque from=compute to=actuate bytes=6\n"
+      "graph telemetry et period=" + period + " deadline=20ms\n"
+      "task collect graph=telemetry node=brake wcet=500us prio=1\n"
+      "task display graph=telemetry node=engine wcet=700us prio=2\n"
+      "message speed from=collect to=display bytes=16\n");
+  if (!parsed.ok()) throw std::runtime_error(parsed.error().message);
+  return std::move(parsed).value();
+}
+
+// A hyper-period of 2.5e18 ns fits Time, but the response horizon, four
+// times it, does not.  Unchecked, the product wrapped and every FPS bound
+// came out unbounded, so a schedulable system read as unschedulable.
+TEST(SystemAnalysis, OverflowingHorizonFailsNamingTheHyperPeriod) {
+  const ParsedSystem sys = two_graph_system("2500000000s");
+  const std::string hyperperiod = "hyper-period 2500000000000000000 ns";
+  const auto horizon = analysis_horizon(sys.app);
+  ASSERT_FALSE(horizon.ok());
+  EXPECT_NE(horizon.error().message.find(hyperperiod), std::string::npos)
+      << horizon.error().message;
+
+  const StartConfig start = minimal_start_config(sys.app, sys.params);
+  const BusLayout layout = make_layout(sys.app, sys.params, start.config);
+  const auto result = analyze_system(layout);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find(hyperperiod), std::string::npos)
+      << result.error().message;
+  const auto schedule = build_static_schedule(layout);
+  ASSERT_FALSE(schedule.ok());
+  EXPECT_NE(schedule.error().message.find("list scheduler: " + hyperperiod), std::string::npos)
+      << schedule.error().message;
+}
+
+// 2e18 ns: four times it (8e18 ns) still fits, and the analysis bounds the
+// FPS task the overflowing variant reported unbounded.
+TEST(SystemAnalysis, LongestFittingHorizonIsAnalysed) {
+  const ParsedSystem sys = two_graph_system("2000000000s");
+  ASSERT_TRUE(analysis_horizon(sys.app).ok());
+  const StartConfig start = minimal_start_config(sys.app, sys.params);
+  const BusLayout layout = make_layout(sys.app, sys.params, start.config);
+  const auto result = analyze_system(layout);
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  std::size_t collect = 0;
+  while (collect < sys.app.task_count() && sys.app.tasks()[collect].name != "collect") ++collect;
+  ASSERT_LT(collect, sys.app.task_count());
+  EXPECT_EQ(result.value().task_completion[collect], timeunits::us(1400));
+}
 
 TEST(SystemAnalysis, TinySystemIsSchedulable) {
   TinySystem sys;

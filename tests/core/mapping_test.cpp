@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "flexopt/core/mapping.hpp"
 #include "flexopt/core/solver.hpp"
@@ -19,10 +20,12 @@ LogicalApplication small_logical() {
   l.graphs.push_back({"tt", timeunits::ms(10), timeunits::ms(10), true});
   l.graphs.push_back({"et", timeunits::ms(20), timeunits::ms(20), false});
   for (int i = 0; i < 3; ++i) {
-    l.tasks.push_back({"t" + std::to_string(i), 0, timeunits::us(300 + 100 * i), i});
+    const std::string index = std::to_string(i);
+    l.tasks.push_back({std::string("t").append(index), 0, timeunits::us(300 + 100 * i), i});
   }
   for (int i = 0; i < 3; ++i) {
-    l.tasks.push_back({"e" + std::to_string(i), 1, timeunits::us(200 + 100 * i), i});
+    const std::string index = std::to_string(i);
+    l.tasks.push_back({std::string("e").append(index), 1, timeunits::us(200 + 100 * i), i});
   }
   l.flows.push_back({0, 1, 8, 0});
   l.flows.push_back({1, 2, 8, 1});

@@ -49,6 +49,7 @@
 #include <string>
 
 #include "flexopt/analysis/multicluster.hpp"
+#include "flexopt/analysis/system_analysis.hpp"
 #include "flexopt/campaign/report.hpp"
 #include "flexopt/campaign/spec_format.hpp"
 #include "flexopt/core/portfolio.hpp"
@@ -116,6 +117,21 @@ bool parse_double_arg(const char* text, double& out) {
 int numeric_arg_error(const std::string& flag) {
   std::cerr << "invalid numeric value for " << flag << "\n";
   return usage();
+}
+
+/// Checks that the analysis can run on every cluster of `model`: a
+/// hyper-period so long that the response horizon overflows Time is an
+/// input error, not an unschedulable system.  Prints the diagnostic and
+/// returns false otherwise.
+bool check_analysable(const SystemModel& model) {
+  for (std::size_t c = 0; c < model.cluster_count(); ++c) {
+    const auto horizon = analysis_horizon(*model.cluster_app(c));
+    if (!horizon.ok()) {
+      std::cerr << "cluster " << c << ": " << horizon.error().message << "\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 int list_algorithms() {
@@ -219,7 +235,8 @@ int solve_main(int argc, char** argv) {
   }
   if (request.max_evaluations < 0 || request.max_wall_seconds < 0.0 ||
       evaluator_options.threads < 0) {
-    std::cerr << "--budget, --time-limit and --threads must be positive\n";
+    std::cerr << "--budget, --time-limit and --threads must be >= 0 (0 means the algorithm's "
+                 "own budget, no time limit, and hardware concurrency)\n";
     return usage();
   }
   if (algorithm == "list") return list_algorithms();
@@ -289,6 +306,7 @@ int solve_main(int argc, char** argv) {
     std::cerr << "system projection: " << model.error().message << "\n";
     return 2;
   }
+  if (!check_analysable(model.value())) return 2;
 
   if (show_progress) {
     request.progress = [](const SolveProgress& p) {
@@ -513,7 +531,8 @@ int simulate_main(int argc, char** argv) {
   }
   if (request.max_evaluations < 0 || request.max_wall_seconds < 0.0 ||
       evaluator_options.threads < 0) {
-    std::cerr << "--budget, --time-limit and --threads must be positive\n";
+    std::cerr << "--budget, --time-limit and --threads must be >= 0 (0 means the algorithm's "
+                 "own budget, no time limit, and hardware concurrency)\n";
     return usage();
   }
   if (sim_options.hyperperiods < 1) {
@@ -560,6 +579,7 @@ int simulate_main(int argc, char** argv) {
     std::cerr << "system projection: " << model.error().message << "\n";
     return 2;
   }
+  if (!check_analysable(model.value())) return 2;
   const SystemModel& sys = model.value();
   std::cout << "system: " << app.task_count() << " tasks, " << app.message_count()
             << " messages, " << sys.cluster_count() << " cluster"
