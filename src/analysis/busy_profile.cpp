@@ -68,6 +68,10 @@ void BusyProfile::rebuild_derived() {
     largest_gap_ = std::max(largest_gap_,
                             period_ - intervals_.back().end + intervals_.front().start);
   }
+  longest_interval_ = 0;
+  for (const Interval& iv : intervals_) {
+    longest_interval_ = std::max(longest_interval_, iv.length());
+  }
 }
 
 Time BusyProfile::prefix(Time t) const {
@@ -92,8 +96,8 @@ Time BusyProfile::busy_between(Time from, Time to) const {
   return (total_busy_ - prefix(from_local)) + full_periods * total_busy_ + prefix(to_local);
 }
 
-Time BusyProfile::max_busy_in_window(Time w) const {
-  if (w <= 0 || intervals_.empty()) return 0;
+WindowBusy BusyProfile::busiest_window_with_run(Time w, Time run_start, Time run_end) const {
+  if (w <= 0 || intervals_.empty()) return {0, longest_interval_};
   // Window i is [start_i, start_i + w): its busy time is U(start_i + w) -
   // prefix_at_start_[i], with U(t) the busy time of the unrolled profile in
   // [0, t).  Window ends grow with i and span less than one period, so one
@@ -107,6 +111,10 @@ Time BusyProfile::max_busy_in_window(Time w) const {
   Time base_busy = first_end / period_ * total_busy_;
   std::size_t next = 0;  // intervals of the cursor's period starting at or before the end
   Time best = 0;
+  // The first busiest window's end, in its period, and its cursor: its
+  // busy run gives the stretch (ties are not searched further).
+  Time best_local = 0;
+  std::size_t best_next = 0;
   for (std::size_t i = 0; i < n; ++i) {
     Time local = intervals_[i].start + w - base;
     if (local >= period_) {
@@ -121,7 +129,110 @@ Time BusyProfile::max_busy_in_window(Time w) const {
       const Interval& last = intervals_[next - 1];
       busy += prefix_at_start_[next - 1] + std::min(local, last.end) - last.start;
     }
+    const bool above = busy > best;
+    best_local = above ? local : best_local;
+    best_next = above ? next : best_next;
     best = std::max(best, busy);
+  }
+  Time left = 0;
+  if (best_next > 0) {
+    left = std::max<Time>(0, intervals_[best_next - 1].end - best_local);
+  }
+  if (best_local >= run_start && best_local < run_end) left = std::max(left, run_end - best_local);
+  return {best, left};
+}
+
+ProfileWithExtra::ProfileWithExtra(const BusyProfile& base, Interval extra)
+    : base_(&base), busy_per_period_(base.busy_per_period()) {
+  const Time period = base.period();
+  const Time e_start = std::clamp<Time>(extra.start, 0, period);
+  const Time e_end = std::clamp<Time>(extra.end, 0, period);
+  if (e_end <= e_start) return;
+  // The base intervals that overlap or touch E merge with it into K (base
+  // intervals never touch each other, so no others join).  Ends ascend
+  // with starts.
+  const std::vector<Interval>& ivs = base.intervals_;
+  const auto first = std::partition_point(
+      ivs.begin(), ivs.end(), [e_start](const Interval& iv) { return iv.end < e_start; });
+  auto last = first;
+  while (last != ivs.end() && last->start <= e_end) ++last;
+  first_absorbed_ = first - ivs.begin();
+  end_absorbed_ = last - ivs.begin();
+  k_start_ = first == last ? e_start : std::min(e_start, first->start);
+  k_end_ = first == last ? e_end : std::max(e_end, (last - 1)->end);
+  const auto prefix_at = [&](std::ptrdiff_t i) {
+    return i < static_cast<std::ptrdiff_t>(ivs.size()) ? base.prefix_at_start_[i]
+                                                       : base.total_busy_;
+  };
+  extra_busy_ = (k_end_ - k_start_) - (prefix_at(end_absorbed_) - prefix_at(first_absorbed_));
+  busy_per_period_ += extra_busy_;
+  // The base intervals just before and after K, one period round when K
+  // is at an end of the list (the same interval when K absorbed all).
+  if (ivs.empty()) {
+    reach_ = kTimeInfinity;
+    return;
+  }
+  const Interval& after = last == ivs.end() ? ivs.front() : *last;
+  const Interval& before = first == ivs.begin() ? ivs.back() : *(first - 1);
+  gap_after_ = after.start + (last == ivs.end() ? period : 0) - k_end_;
+  next_length_ = after.length();
+  reach_ = std::min(gap_after_, k_start_ - (before.end - (first == ivs.begin() ? period : 0)));
+}
+
+WindowBusy ProfileWithExtra::extra_window_scan(Time r) const {
+  const BusyProfile& b = *base_;
+  const auto n = static_cast<std::ptrdiff_t>(b.intervals_.size());
+  // Base interval u of the unrolled sequence (u may be negative or >= n),
+  // with U(start), where U(t) is the base's busy time in [0, t).  The
+  // windows below reach at most one period either side of K.
+  struct Unrolled {
+    Time start;
+    Time end;
+    Time busy_before;
+  };
+  const Time period = b.period_;
+  const auto at = [&](std::ptrdiff_t u) {
+    Time shift = 0;
+    Time busy_shift = 0;
+    for (; u < 0; u += n) shift -= period, busy_shift -= b.total_busy_;
+    for (; u >= n; u -= n) shift += period, busy_shift += b.total_busy_;
+    const Interval& iv = b.intervals_[static_cast<std::size_t>(u)];
+    return Unrolled{iv.start + shift, iv.end + shift,
+                    b.prefix_at_start_[static_cast<std::size_t>(u)] + busy_shift};
+  };
+  // The merged profile's windows of length r that meet K and start at one
+  // of its interval starts: at K's start, or at a base interval start less
+  // than r before it.  Visited by descending start, their ends descend
+  // too, so one cursor tracks the base interval at each end past K.
+  const Time busy_to_k = at(first_absorbed_).busy_before;  // U(K's start)
+  const Time first_end = k_start_ + r;
+  std::ptrdiff_t v = end_absorbed_ - 1;  // starts at or before K's end
+  while (at(v + 1).start <= first_end) ++v;
+  Unrolled cell = at(v);
+  WindowBusy best;
+  const auto visit = [&](Time start_busy, Time end) {
+    Time busy;
+    Time left;
+    if (end < k_end_) {  // ends inside K, busy from K's start on
+      busy = busy_to_k - start_busy + (end - k_start_);
+      left = k_end_ - end;
+    } else {  // contains K
+      while (cell.start > end) cell = at(--v);
+      busy = cell.busy_before + std::min(end, cell.end) - cell.start - start_busy + extra_busy_;
+      left = std::max<Time>(0, cell.end - end);
+    }
+    if (busy > best.busy) {
+      best = WindowBusy{busy, left};
+    } else if (busy == best.busy) {
+      best.stretch = std::max(best.stretch, left);
+    }
+  };
+  visit(busy_to_k, first_end);
+  const Time lowest = k_start_ - r;  // windows starting after this meet K
+  for (std::ptrdiff_t u = first_absorbed_ - 1;; --u) {
+    const Unrolled start = at(u);
+    if (start.start <= lowest) break;
+    visit(start.busy_before, start.start + r);
   }
   return best;
 }

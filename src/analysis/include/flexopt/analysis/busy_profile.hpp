@@ -4,8 +4,17 @@
 /// Periodic CPU-busy profile induced by the static schedule table on one
 /// node.  FPS tasks execute only in the slack of this profile (Section 2),
 /// so their response-time analysis needs "the maximum SCS busy time inside
-/// any window of length w" — `max_busy_in_window`.
+/// any window of length w" — `max_busy_in_window`, or `busiest_window`,
+/// which also reports how long that maximum keeps growing at slope 1 (the
+/// stretch the FPS fixed point skips across).
+///
+/// The list scheduler's ranking (Fig. 2, line 11) scores each candidate
+/// placement on the base profile plus one interval.  ProfileWithExtra
+/// answers the same window query for that union from the base profile and
+/// the interval alone, without merging or rebuilding a profile.
 
+#include <algorithm>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -19,6 +28,14 @@ struct Interval {
   Time end = 0;
   [[nodiscard]] Time length() const { return end - start; }
   friend bool operator==(const Interval&, const Interval&) = default;
+};
+
+/// The busiest window of length w in a profile: its busy time S(w), and a
+/// stretch Δ >= 0 with S(w + δ) = S(w) + δ for every 0 <= δ <= Δ (the end of
+/// a busiest window lies inside a busy interval that runs on for Δ more).
+struct WindowBusy {
+  Time busy = 0;
+  Time stretch = 0;
 };
 
 /// Clamps `intervals` to [0, period], drops empty ones, sorts them by start
@@ -64,7 +81,17 @@ class BusyProfile {
   /// maximum is attained with the window starting at some interval start
   /// (standard sliding-window argument), so only |intervals| candidates are
   /// evaluated.
-  [[nodiscard]] Time max_busy_in_window(Time w) const;
+  [[nodiscard]] Time max_busy_in_window(Time w) const { return busiest_window(w).busy; }
+
+  /// max_busy_in_window(w) with its stretch: the busy time still left in
+  /// the interval holding the end of the busiest window with the lowest
+  /// start, 0 if that end is idle; and at w = 0, the longest interval.
+  /// (An interval ending at the period may run on into the next period's
+  /// first one; the stretch stops at the period, which is still a true
+  /// one.)
+  [[nodiscard]] WindowBusy busiest_window(Time w) const {
+    return busiest_window_with_run(w, 0, 0);
+  }
 
   /// Earliest instant t >= from such that [t, t + len) is completely idle
   /// within the periodic profile.  Returns kTimeInfinity if len exceeds the
@@ -72,6 +99,15 @@ class BusyProfile {
   [[nodiscard]] Time earliest_gap(Time from, Time len) const;
 
  private:
+  friend class ProfileWithExtra;
+
+  /// busiest_window(w), read for the busy run [run_start, run_end) of a
+  /// profile that contains this one (0 <= run_start < period): a window
+  /// ending inside it has at least run_end − end busy time left.  (The
+  /// stretch of one busiest window is one S(w) has, so ties are not
+  /// searched for a longer one.)
+  [[nodiscard]] WindowBusy busiest_window_with_run(Time w, Time run_start, Time run_end) const;
+
   /// Busy time in [0, t) for t in [0, period].
   [[nodiscard]] Time prefix(Time t) const;
 
@@ -83,6 +119,105 @@ class BusyProfile {
   Time period_ = 1;
   Time total_busy_ = 0;
   Time largest_gap_ = 0;
+  Time longest_interval_ = 0;  ///< the stretch of S at w = 0
+};
+
+/// A BusyProfile plus one extra busy interval E, read as the profile that
+/// merging them would build (`clamp_and_normalize` of the base intervals and
+/// E clamped to [0, period]) without building it.  E may lie in a gap, touch
+/// base intervals, overlap any number of them, or straddle the period's end.
+///
+/// Let K be the merged interval that contains E, E' = E minus the base, and
+/// q = floor(w / H), r = w mod H for the period H.  A window that misses
+/// every copy of E' keeps its base busy time, and adding E lowers no
+/// window's busy time, so
+///
+///   S(w) = max(S_base(w) + q·|E'|,  q·(B_base + |E'|) + H_K(r)),
+///
+/// where H_K(r) is the busiest window of length r that meets K.  Windows
+/// starting at the merged profile's interval starts dominate all others,
+/// in busy time and in stretch (the sliding-window argument), so H_K takes
+/// those that meet K: the one starting at K's start (busy throughout when
+/// r <= |K|), and those starting at a base interval start less than r
+/// before it.  One containing K has the base's busy time plus |E'|; one
+/// ending inside K is busy from K's start on.  H_K therefore reads only the
+/// base intervals within r of K — a local query — while S_base(w) is the
+/// base's own window scan.  Constructing the view is local too: it finds K
+/// among the base intervals by binary search.  The view holds a reference
+/// to `base`, which must outlive it.
+class ProfileWithExtra {
+ public:
+  /// `base` alone (no extra interval): every query is the base's.
+  ProfileWithExtra(const BusyProfile& base)  // NOLINT: implicit by design
+      : base_(&base), busy_per_period_(base.busy_per_period()) {}
+
+  /// `base` plus `extra`, clamped to [0, base.period()].
+  ProfileWithExtra(const BusyProfile& base, Interval extra);
+
+  [[nodiscard]] const BusyProfile& base() const { return *base_; }
+  [[nodiscard]] Time period() const { return base_->period(); }
+  /// Busy time per period of the merged profile: the base's plus |E'|.
+  [[nodiscard]] Time busy_per_period() const { return busy_per_period_; }
+
+  /// The merged profile's busiest_window(w): one base window scan plus the
+  /// local query H_K.
+  [[nodiscard]] WindowBusy busiest_window(Time w) const {
+    if (extra_busy_ == 0) return base_->busiest_window(w);
+    return combine(w, base_->busiest_window_with_run(w, k_start_, k_end_));
+  }
+
+  /// max_busy_in_window(w) of the merged profile for a w whose base value
+  /// `base_busy` = base().max_busy_in_window(w) is already known: the local
+  /// query only, no base scan.
+  [[nodiscard]] Time max_busy_given_base(Time w, Time base_busy) const {
+    if (extra_busy_ == 0) return base_busy;
+    return combine(w, WindowBusy{base_busy, 0}).busy;
+  }
+
+ private:
+  /// H_K(r) for 0 <= r < period, with the stretch of its busiest window.
+  [[nodiscard]] WindowBusy extra_window(Time r) const {
+    const Time k_len = k_end_ - k_start_;
+    if (r <= k_len) return {r, k_len - r};  // inside K: busy throughout
+    // A window containing K with at most `reach_` to spare meets no other
+    // base interval, and one starting at the interval before K ends inside
+    // K at best: they tie at |K|.  The one starting at K's start ends on
+    // the next interval's start when the spare equals the gap after K.
+    const Time slack = r - k_len;
+    if (slack > reach_) return extra_window_scan(r);
+    return {k_len, slack == gap_after_ ? next_length_ : 0};
+  }
+  /// extra_window over the base intervals within r of K.
+  [[nodiscard]] WindowBusy extra_window_scan(Time r) const;
+  /// Splits w into q·period + r and combines the base term with H_K(r):
+  /// q periods add q·|E'| to every base window, and a window meeting K
+  /// gains q·busy_per_period_ over H_K(r).
+  [[nodiscard]] WindowBusy combine(Time w, WindowBusy base) const {
+    const Time period = base_->period();
+    Time q = 0;
+    Time r = w;
+    if (w >= period) {
+      q = w / period;
+      r = w - q * period;
+    }
+    base.busy += q * extra_busy_;
+    WindowBusy extra = extra_window(r);
+    extra.busy += q * busy_per_period_;
+    if (extra.busy > base.busy) return extra;
+    if (extra.busy == base.busy) base.stretch = std::max(base.stretch, extra.stretch);
+    return base;
+  }
+
+  const BusyProfile* base_;
+  Time busy_per_period_ = 0;
+  Time extra_busy_ = 0;  ///< |E'|: 0 when E adds nothing to the base
+  Time k_start_ = 0;     ///< K = [k_start_, k_end_)
+  Time k_end_ = 0;
+  Time reach_ = 0;        ///< the smaller idle gap next to K (unbounded without intervals)
+  Time gap_after_ = 0;    ///< idle gap from K's end to the next base interval
+  Time next_length_ = 0;  ///< that interval's length
+  std::ptrdiff_t first_absorbed_ = 0;  ///< base intervals inside K: [first, end)
+  std::ptrdiff_t end_absorbed_ = 0;
 };
 
 }  // namespace flexopt

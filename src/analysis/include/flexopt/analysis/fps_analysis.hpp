@@ -23,6 +23,19 @@
 /// FpsTaskParams, filtered per call (the holistic engine, whose jitters
 /// change every sweep), or an FpsInterferenceTable prepared once for many
 /// calls (the list scheduler's candidate ranking).
+///
+/// Every view iterates with iterate_over_stretches: where S(w) has slope 1
+/// and no interferer's release count steps, f(w) − w is constant and the
+/// iteration skips the whole stretch at once, counting each skipped step,
+/// so every response and fixed-point iteration count equals the
+/// step-by-step iteration's.
+///
+/// The ranking scores each candidate on the node's base profile plus one
+/// interval (a ProfileWithExtra), never on a merged candidate profile.  Its
+/// recurrences start at the base responses, and the first step from a base
+/// response R_b reads only the window busy time the base analysis recorded
+/// there, S_base(R_b): f_cand(R_b) = R_b + S_cand(R_b) − S_base(R_b), a
+/// local query without interferer loop.
 
 #include <cstdint>
 #include <span>
@@ -45,7 +58,7 @@ struct FpsTaskParams {
   int priority = 0;
 };
 
-/// Fixed-point evaluations after which fps_response_time gives up on a
+/// Fixed-point iterations after which fps_response_time gives up on a
 /// recurrence that is still growing and reports it unbounded.
 inline constexpr int kFpsMaxIterations = 10'000;
 
@@ -54,17 +67,19 @@ inline constexpr int kFpsMaxIterations = 10'000;
 /// skipped) in the slack of `scs`.  Tasks with priority <= task.priority
 /// interfere (equal priorities are mutually interfering — conservative
 /// FIFO-agnostic treatment).  Returns kTimeInfinity if the recurrence
-/// exceeds `horizon`, is still growing after kFpsMaxIterations evaluations,
+/// exceeds `horizon`, is still growing after kFpsMaxIterations iterations,
 /// or any contributing jitter is infinite.
 /// `fp_iterations` (optional) accumulates the fixed-point iteration count
-/// (the profiling counters' work axis).  `seed` is a pre-jitter seed for
-/// the busy-window iteration (see iterate_to_fixed_point): it must be a
-/// least-fixed-point lower bound, e.g. the converged busy value of the
-/// same task against a subset of the SCS interference.  The returned
-/// response is identical to the unseeded call whenever the unseeded
-/// iteration ends within kFpsMaxIterations evaluations; only the iteration
-/// count shrinks.  (Where the unseeded iteration hits that cap, a seeded one
-/// may still converge: the seed can skip the slow climb.)
+/// (the profiling counters' work axis): logical steps, stretches skipped
+/// included, so it is the step-by-step iteration's count.  `seed` is a
+/// pre-jitter seed for the busy-window iteration (see
+/// iterate_over_stretches): it must be a least-fixed-point lower bound,
+/// e.g. the converged busy value of the same task against a subset of the
+/// SCS interference.  The returned response is identical to the unseeded
+/// call whenever the unseeded iteration ends within kFpsMaxIterations
+/// iterations; only the iteration count shrinks.  (Where the unseeded
+/// iteration hits that cap, a seeded one may still converge: the seed can
+/// skip the slow climb.)
 Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams> same_node,
                        const BusyProfile& scs, Time horizon, int* fp_iterations = nullptr,
                        Time seed = 0);
@@ -77,7 +92,7 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 /// ranks every candidate placement of Fig. 2's line 11 on it.  Both views
 /// run the same recurrence (one definition, in fps_analysis.cpp, adding the
 /// same doubles in the same order), so every response and fixed-point
-/// evaluation count of the table equals the span form's.
+/// iteration count of the table equals the span form's.
 class FpsInterferenceTable {
  public:
   /// One interferer as the recurrence reads it.
@@ -111,10 +126,12 @@ class FpsInterferenceTable {
   std::vector<Interferer> interferers_;
 };
 
-/// fps_response_time of task `i` of the table's group.
+/// fps_response_time of task `i` of the table's group.  `response_busy`
+/// (optional) receives scs.max_busy_in_window at the busy-window fixed point
+/// when the response is finite.
 Time fps_response_time(const FpsInterferenceTable& table, std::size_t i,
                        const BusyProfile& scs, Time horizon, int* fp_iterations = nullptr,
-                       Time seed = 0);
+                       Time seed = 0, Time* response_busy = nullptr);
 
 /// Sum of response times of all tasks in the table's group (infinite
 /// responses are added as `horizon` each, keeping the sum finite and
@@ -134,10 +151,21 @@ Time fps_response_time(const FpsInterferenceTable& table, std::size_t i,
 /// to the table's tasks) receives each analysed task's response time
 /// (kTimeInfinity when unbounded); it is complete when the result is below
 /// `cutoff`.  `fp_iterations` (optional) accumulates the fixed-point
-/// evaluations of the analysed tasks.
-Time fps_response_time_sum(const FpsInterferenceTable& table, const BusyProfile& scs,
+/// iterations of the analysed tasks.
+///
+/// `scs` is a BusyProfile, or a base profile plus one candidate interval.
+/// `seed_busy` (optional, parallel to `seeds`) makes each first step local:
+/// for every finite seed it holds scs.base().max_busy_in_window(seeds[i]),
+/// and then seeds[i] must be a fixed point of task i's busy-window
+/// recurrence against scs.base() — a base response, as the list scheduler
+/// passes them (its table's jitters are zero).  `response_busy` (optional,
+/// parallel to the table's tasks) receives scs's window busy time at each
+/// finite analysed response: the seed_busy of a later ranking whose base is
+/// this candidate's merged profile.
+Time fps_response_time_sum(const FpsInterferenceTable& table, const ProfileWithExtra& scs,
                            Time horizon, std::span<const Time> seeds = {},
                            Time cutoff = kTimeInfinity, std::span<Time> responses = {},
-                           int* fp_iterations = nullptr);
+                           int* fp_iterations = nullptr, std::span<const Time> seed_busy = {},
+                           std::span<Time> response_busy = {});
 
 }  // namespace flexopt

@@ -8,10 +8,19 @@
 ///
 /// Line 11 ranks each SCS job's candidate gaps by the sum of the node's FPS
 /// response times, on a per-node FpsInterferenceTable prepared once per
-/// build (flexopt/analysis/fps_analysis.hpp).  A build keeps every working
-/// buffer — job states, ready heap, timelines, ST-slot occupancy, ranking
-/// scratch, FPS tables — in a ScheduleWorkspace; reusing one across builds
-/// leaves only the returned StaticSchedule to allocate.
+/// build (flexopt/analysis/fps_analysis.hpp).  A ranking builds one profile,
+/// the node's base timeline, and reads each candidate as that profile plus
+/// the job's interval (a ProfileWithExtra): no candidate profile is merged
+/// or built.  Per node, the workspace keeps the ranking's seeds: each FPS
+/// task's busy-window fixed point against the base profile, and the
+/// profile's busiest window there, from which a candidate recurrence takes
+/// its first step without a window scan or interferer loop.  After a
+/// ranking the winner's fixed points and window busy times, with its merged
+/// interval list, become the next ranking's seeds when the node's timeline
+/// merges to exactly that list.  A build keeps every working buffer — job
+/// states, ready heap, timelines, ST-slot occupancy, ranking scratch, FPS
+/// tables, seeds — in a ScheduleWorkspace; reusing one across builds leaves
+/// only the returned StaticSchedule to allocate.
 
 #include <cstdint>
 #include <memory>

@@ -151,17 +151,21 @@ class SlotOccupancy {
 
 /// Per node: the FPS responses against `profile` (a clamped, merged
 /// interval list) — the ranking's base seeds while the node's timeline
-/// still merges to exactly that list.  `from_zero_bound` bounds the
-/// fixed-point evaluations an unseeded analysis against `profile` needs
-/// for any of the tasks (see the reuse condition in schedule_tt_task).
+/// still merges to exactly that list — and, per task, the profile's
+/// busiest window at the response, which makes each candidate's first
+/// step local.  `from_zero_bound` bounds the fixed-point iterations an
+/// unseeded analysis against `profile` needs for any of the tasks (see the
+/// reuse condition in schedule_tt_task).
 struct NodeSeeds {
   std::vector<Interval> profile;
   std::vector<Time> responses;
+  std::vector<Time> busy;
   int from_zero_bound = 0;
 
   void clear() {
     profile.clear();
     responses.clear();
+    busy.clear();
     from_zero_bound = 0;
   }
 };
@@ -251,12 +255,11 @@ struct ScheduleWorkspace::Buffers {
   // Candidate ranking scratch (Fig. 2 line 11).
   std::vector<Time> starts;
   std::vector<Interval> base_merged;
-  std::vector<Interval> cand_merged;
-  std::vector<Interval> best_merged;
   BusyProfile base_profile;
-  BusyProfile cand_profile;
   std::vector<Time> cand_responses;
+  std::vector<Time> cand_busy;
   std::vector<Time> best_responses;
+  std::vector<Time> best_busy;
   std::vector<Interval> profile_buffer;  ///< StaticSchedule::finalize's scratch
 };
 
@@ -430,7 +433,9 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       // seed (see fps_analysis.hpp), and a lower bound on its summand that
       // lets a candidate's sum stop once it cannot beat the incumbent.
       // (The table's jitters are all zero here, so a response equals the
-      // pre-jitter busy value the seed contract requires.)
+      // pre-jitter busy value the seed contract requires.)  A candidate is
+      // read as the base profile plus its interval, never merged; with the
+      // base's busiest window at each seed, its first step is local.
       //
       // The base responses are the unseeded analyses against the base
       // profile.  When the node's timeline merges to exactly the previous
@@ -438,36 +443,37 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       // they equal the unseeded ones unless those would hit the
       // kFpsMaxIterations cap.  An unseeded iteration against the winner's
       // profile dominates the one against its base: it passes the base
-      // response (the winner's seed) within the base's evaluations, then
-      // the winner's value within the winner's seeded evaluations.  Summing
+      // response (the winner's seed) within the base's iterations, then
+      // the winner's value within the winner's seeded iterations.  Summing
       // those counts along the chain of reuses therefore bounds it, and the
       // responses are recomputed once the sum reaches the cap.  A capped
       // analysis adds the whole cap, so every reused infinite response
       // stems from a load above 1 or a horizon overrun, which more
       // interference keeps.
       clamp_merge_into(H, tl.intervals(), ws.base_merged, nullptr);
+      ws.base_profile.assign_normalized(ws.base_merged, H);
       NodeSeeds& seeds = ws.node_seeds[node];
       if (seeds.responses.empty() || seeds.profile != ws.base_merged ||
           seeds.from_zero_bound >= kFpsMaxIterations) {
-        ws.base_profile.assign_normalized(ws.base_merged, H);
-        seeds.responses.clear();
+        seeds.responses.resize(fps.size());
+        seeds.busy.resize(fps.size());
         seeds.from_zero_bound = 0;
         for (std::size_t i = 0; i < fps.size(); ++i) {
-          seeds.responses.push_back(
-              fps_response_time(fps, i, ws.base_profile, horizon, &seeds.from_zero_bound));
+          seeds.responses[i] = fps_response_time(fps, i, ws.base_profile, horizon,
+                                                 &seeds.from_zero_bound, 0, &seeds.busy[i]);
         }
         seeds.profile.assign(ws.base_merged.begin(), ws.base_merged.end());
       }
       ws.cand_responses.resize(fps.size());
+      ws.cand_busy.resize(fps.size());
       Time best_cost = kTimeInfinity;
       int best_iterations = 0;
       for (const Time s : starts) {
-        const Interval extra{s % H, s % H + task.wcet};
-        clamp_merge_into(H, tl.intervals(), ws.cand_merged, &extra);
-        ws.cand_profile.assign_normalized(ws.cand_merged, H);
+        const ProfileWithExtra candidate(ws.base_profile, Interval{s % H, s % H + task.wcet});
         int iterations = 0;
-        const Time cost = fps_response_time_sum(fps, ws.cand_profile, horizon, seeds.responses,
-                                                best_cost, ws.cand_responses, &iterations);
+        const Time cost =
+            fps_response_time_sum(fps, candidate, horizon, seeds.responses, best_cost,
+                                  ws.cand_responses, &iterations, seeds.busy, ws.cand_busy);
         // Prefer lower FPS impact; ties go to the earlier start so the
         // schedule stays as compact as ASAP placement allows.  A pruned
         // sum is >= best_cost, so it never wins.
@@ -475,14 +481,17 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
           best_cost = cost;
           chosen = s;
           best_iterations = iterations;
-          ws.best_merged.swap(ws.cand_merged);
           ws.best_responses.swap(ws.cand_responses);
+          ws.best_busy.swap(ws.cand_busy);
           ws.cand_responses.resize(fps.size());
+          ws.cand_busy.resize(fps.size());
         }
       }
       if (!is_infinite(best_cost)) {
-        seeds.profile.swap(ws.best_merged);
+        const Interval winner{chosen % H, chosen % H + task.wcet};
+        clamp_merge_into(H, tl.intervals(), seeds.profile, &winner);
         seeds.responses.swap(ws.best_responses);
+        seeds.busy.swap(ws.best_busy);
         seeds.from_zero_bound += best_iterations;
       }
     }

@@ -218,7 +218,20 @@ CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
 }
 
 const CostEvaluator::Evaluation& CostEvaluator::evaluate_in_slot(const BusConfig& config) {
-  return evaluate_focused(*slots_[0], config);
+  const Evaluation& out = evaluate_focused(*slots_[0], config);
+  note_failure(out);
+  return out;
+}
+
+void CostEvaluator::note_failure(const Evaluation& eval) {
+  if (eval.valid) return;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (first_failure_.empty()) first_failure_ = eval.error;
+}
+
+std::string CostEvaluator::first_failure() const {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  return first_failure_;
 }
 
 const CostEvaluator::Evaluation& CostEvaluator::evaluate_focused(WorkerSlot& s,
@@ -301,8 +314,11 @@ const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(WorkerSlot& s,
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate_system(const SystemConfig& config) {
-  if (const auto hit = cached_system(config)) return *hit;
-  return *analyze_system_entry(*slots_[0], config);
+  const auto hit = cached_system(config);
+  const std::shared_ptr<const Evaluation> entry =
+      hit ? hit : analyze_system_entry(*slots_[0], config);
+  note_failure(*entry);
+  return *entry;
 }
 
 std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::analyze_system_entry(
@@ -379,6 +395,7 @@ std::vector<CostEvaluator::Evaluation> CostEvaluator::evaluate_many(
   parallel_for(configs.size(), static_cast<int>(workers), [&](std::size_t i, std::size_t worker) {
     out[i] = evaluate_focused(*slots_[worker], configs[i]);
   });
+  for (const Evaluation& eval : out) note_failure(eval);
   return out;
 }
 

@@ -233,6 +233,10 @@ class CostEvaluator {
   [[nodiscard]] EvaluatorWorkStats work_stats() const;
   void clear_cache();
 
+  /// The error of the first invalid Evaluation this evaluator returned
+  /// (evaluate_many's in input order); empty while every one was valid.
+  [[nodiscard]] std::string first_failure() const;
+
  private:
   /// Per-worker evaluation state: the analysis arena, a reusable BusLayout
   /// and memo key, the Evaluation evaluate_in_slot returns by reference,
@@ -287,6 +291,10 @@ class CostEvaluator {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
   mutable std::mutex cache_mutex_;
+  /// See first_failure(); written once, under cache_mutex_.
+  std::string first_failure_;
+  /// Records `eval`'s error when it is the first invalid one returned.
+  void note_failure(const Evaluation& eval);
   /// The memo cache: per-cluster configuration products, each entry in
   /// the evaluate_system shape.
   std::unordered_map<SystemConfig, std::shared_ptr<const Evaluation>, SystemConfigHash>
@@ -319,6 +327,10 @@ struct OptimizationOutcome {
   long evaluations = 0;
   double wall_seconds = 0.0;
   std::string algorithm;
+  /// When no analysable configuration was found: why, as the error of the
+  /// first evaluation that failed (CostEvaluator::first_failure).  Empty
+  /// otherwise.  Not part of any report schema.
+  std::string error;
 };
 
 }  // namespace flexopt

@@ -327,23 +327,47 @@ SolveReport solve_single_tsn(CostEvaluator& evaluator, const SolveRequest& reque
   return report;
 }
 
+/// Why the minimal start configuration, which every search starts from,
+/// is not analysable: for a solve that never ran a failing evaluation (its
+/// searches rejected every candidate up front).  Evaluated on a sibling
+/// evaluator, so the solve's caches and counters stay as they are.
+std::string seed_failure(const CostEvaluator& evaluator) {
+  const SystemModel& model = evaluator.system_model();
+  SystemConfig seed;
+  for (std::size_t c = 0; c < model.cluster_count(); ++c) {
+    const Application& app = *model.cluster_app(c);
+    seed.clusters.push_back(minimal_start_cluster_config(app, evaluator.params(),
+                                                         app.cluster_backend(ClusterId{0})));
+  }
+  CostEvaluator sibling(evaluator, EvaluatorOptions{});
+  return sibling.evaluate_system(seed).error;
+}
+
 }  // namespace
 
 SolveReport Optimizer::solve(CostEvaluator& evaluator, const SolveRequest& request) {
+  SolveReport report;
   if (evaluator.focused()) {
     // One FlexRay coordinate: a single-cluster bus, or a cluster a caller
     // focused.
-    SolveReport report = solve_cluster(evaluator, request);
+    report = solve_cluster(evaluator, request);
     if (report.outcome.system.clusters.empty()) {
       report.outcome.system = evaluator.focus_context();
       report.outcome.system.clusters[static_cast<std::size_t>(evaluator.focus_cluster())] =
           ClusterConfig::flexray_bus(report.outcome.config);
     }
-    return report;
+  } else if (evaluator.cluster_count() == 1) {
+    // Unfocused: a single-cluster evaluator is focused unless its bus is TSN.
+    report = solve_single_tsn(evaluator, request);
+  } else {
+    report = solve_multicluster(*this, evaluator, request);
   }
-  // Unfocused: a single-cluster evaluator is focused unless its bus is TSN.
-  if (evaluator.cluster_count() == 1) return solve_single_tsn(evaluator, request);
-  return solve_multicluster(*this, evaluator, request);
+  // A portfolio's members fail on their own evaluators: keep their reason.
+  if (report.outcome.cost.value >= kInvalidConfigCost && report.outcome.error.empty()) {
+    report.outcome.error = evaluator.first_failure();
+    if (report.outcome.error.empty()) report.outcome.error = seed_failure(evaluator);
+  }
+  return report;
 }
 
 // ---- OptimizerRegistry -----------------------------------------------------

@@ -50,31 +50,38 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
   long measured = 0;
   std::uint64_t allocations = 0;
   const auto run_chain = [&](bool count) {
+    // A walk over valid neighbours: each step retries its move, a bounded
+    // number of times, until the evaluation is valid, as a descent keeps
+    // only valid incumbents (error paths allocate strings).
     BusConfig current = start.config;
     Rng move_rng(0x5eedu);
     for (int step = 0; step < 64; ++step) {
-      BusConfig neighbour = current;
-      bool moved = false;
-      for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
-        moved = random_neighbour_move(neighbour, app, params, move_rng, start.st_senders,
-                                      start.bounds.min_minislots, SpecLimits::kMaxMinislots);
-      }
-      if (!moved) continue;
+      for (int retry = 0; retry < 16; ++retry) {
+        BusConfig neighbour = current;
+        bool moved = false;
+        for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
+          moved = random_neighbour_move(neighbour, app, params, move_rng, start.st_senders,
+                                        start.bounds.min_minislots, SpecLimits::kMaxMinislots);
+        }
+        if (!moved) continue;
 
-      const std::uint64_t a0 = alloc_probe::thread_allocations();
-      const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(neighbour);
-      const std::uint64_t evaluation_allocs = alloc_probe::thread_allocations() - a0;
-      if (count && eval.valid) {
-        ++measured;
-        allocations += evaluation_allocs;  // error paths allocate strings
+        const std::uint64_t a0 = alloc_probe::thread_allocations();
+        const CostEvaluator::Evaluation& eval = evaluator.evaluate_in_slot(neighbour);
+        const std::uint64_t evaluation_allocs = alloc_probe::thread_allocations() - a0;
+        if (!eval.valid) continue;
+        if (count) {
+          ++measured;
+          allocations += evaluation_allocs;
+        }
+        current = std::move(neighbour);
+        break;
       }
-      current = std::move(neighbour);  // walk every move
     }
   };
 
   run_chain(/*count=*/false);  // recording pass: warm caches, arena, scratch
   run_chain(/*count=*/true);   // replay of the identical RNG stream
-  ASSERT_GT(measured, 0);
+  ASSERT_GE(measured, 48);
 
   if (!alloc_probe::installed()) {
     GTEST_SKIP() << "alloc probe displaced (sanitizer build)";

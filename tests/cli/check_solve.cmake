@@ -7,7 +7,8 @@
 # schedulable) — a crash or a usage error fails even after printing — and
 # its standard output matches EXPECT, which spans the report's WCRT rows.
 # With EXIT, passes only when the CLI exits with exactly that code and its
-# standard error matches EXPECT (a rejected command line).
+# standard error matches EXPECT (a rejected command line, or a system with
+# no analysable configuration).
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
   COMMAND "${CLI}" solve "${SYSTEM}" ${args}

@@ -1,6 +1,9 @@
 // Property tests: BusyProfile's analytic queries must agree with a
 // brute-force per-tick reference over randomly generated periodic profiles
-// of up to 64 intervals, for windows of up to 4.5 periods.
+// of up to 64 intervals, for windows of up to 4.5 periods.  The window
+// scan's stretch must be one S really has, and a profile plus one extra
+// interval, queried as a ProfileWithExtra, must answer exactly what the
+// merged profile does.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +11,9 @@
 #include <vector>
 
 #include "flexopt/analysis/busy_profile.hpp"
+#include "flexopt/analysis/fps_analysis.hpp"
 #include "flexopt/util/rng.hpp"
+#include "property/fps_random_case.hpp"
 
 namespace flexopt {
 namespace {
@@ -133,6 +138,54 @@ TEST_P(BusyProfileProperty, EarliestGapIsIdleAndEarliest) {
     for (Time x = from; x < found; ++x) {
       EXPECT_NE(brute.busy(x, x + len), 0)
           << "earlier idle window at " << x << " missed (found " << found << ")";
+    }
+  }
+}
+
+/// S has slope 1 over a reported stretch: S(w + Δ) = S(w) + Δ (S is
+/// non-decreasing and 1-Lipschitz, so the ends decide it).
+void expect_true_stretch(const BusyProfile& profile, Time w, WindowBusy window) {
+  EXPECT_EQ(profile.max_busy_in_window(w + window.stretch), window.busy + window.stretch)
+      << "w=" << w << " stretch " << window.stretch;
+}
+
+TEST_P(BusyProfileProperty, BusiestWindowStretchIsTrue) {
+  const RandomProfile p = make_profile(GetParam());
+  const BusyProfile profile(p.intervals, p.period);
+  if (profile.busy_per_period() == p.period) return;  // busy throughout: S(w) = w
+  Rng rng(GetParam() ^ 0x7e7u);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Time w = trial == 0 ? 0 : rng.uniform_int(1, 9 * p.period / 2);
+    const WindowBusy window = profile.busiest_window(w);
+    EXPECT_EQ(window.busy, profile.max_busy_in_window(w));
+    expect_true_stretch(profile, w, window);
+  }
+}
+
+TEST_P(BusyProfileProperty, CandidateViewMatchesTheMergedProfile) {
+  const RandomProfile p = make_profile(GetParam());
+  const BusyProfile base(p.intervals, p.period);
+  Rng rng(GetParam() ^ 0xca9du);
+  for (int kind = 0; kind < testing::kExtraKinds; ++kind) {
+    const Interval extra = testing::random_extra(rng, base.intervals(), p.period,
+                                                 static_cast<testing::ExtraKind>(kind));
+    const ProfileWithExtra view(base, extra);
+    const BusyProfile merged = testing::merged_profile(base.intervals(), extra, p.period);
+    ASSERT_EQ(view.busy_per_period(), merged.busy_per_period()) << "kind " << kind;
+    // Window lengths: 0, 1, random, at and past the period, and the base
+    // fixed point R_b of a random FPS task (a candidate's first step).
+    std::vector<Time> windows{0, 1, rng.uniform_int(1, p.period), p.period,
+                              p.period + rng.uniform_int(0, 3 * p.period)};
+    const FpsTaskParams task{TaskId{0}, rng.uniform_int(1, std::max<Time>(1, p.period / 4)),
+                             p.period, 0, 0};
+    const Time r_b = fps_response_time(task, {}, base, 4 * p.period);
+    if (r_b != kTimeInfinity) windows.push_back(r_b);
+    for (const Time w : windows) {
+      const WindowBusy window = view.busiest_window(w);
+      ASSERT_EQ(window.busy, merged.max_busy_in_window(w)) << "kind " << kind << " w=" << w;
+      ASSERT_EQ(view.max_busy_given_base(w, base.max_busy_in_window(w)), window.busy)
+          << "kind " << kind << " w=" << w;
+      if (merged.busy_per_period() < p.period) expect_true_stretch(merged, w, window);
     }
   }
 }

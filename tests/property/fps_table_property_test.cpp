@@ -1,12 +1,15 @@
 // Property test: the list scheduler's ranking kernel — FPS recurrences run
 // on a prepared FpsInterferenceTable — agrees with the span view of the FPS
-// analysis on every response and every fixed-point evaluation count, over
+// analysis on every response and every fixed-point iteration count, over
 // random node groups (1-8 tasks, equal and distinct priorities, zero,
 // non-zero and unbounded jitters), random profiles whose busy windows wrap
 // the period, seeds from a subset profile, and varying cutoffs.  The table's
-// candidate sums, with their responses and evaluation counts, are checked
+// candidate sums, with their responses and iteration counts, are checked
 // against an independent reference assembled from span fps_response_time
-// calls under the documented cutoff contract.
+// calls under the documented cutoff contract.  The ranking's candidate view
+// (a base profile plus one interval, never merged, with each first step
+// taken from the base's busiest window at the seed) is checked against
+// plain step-by-step iterations on the merged profile.
 
 #include <gtest/gtest.h>
 
@@ -18,51 +21,13 @@
 #include "flexopt/analysis/fps_analysis.hpp"
 #include "flexopt/analysis/sat_time.hpp"
 #include "flexopt/util/rng.hpp"
+#include "property/fps_random_case.hpp"
 
 namespace flexopt {
 namespace {
 
-struct RandomCase {
-  std::vector<FpsTaskParams> group;
-  Time period = 0;                 ///< the profiles' period (hyper-period)
-  std::vector<Interval> subset;    ///< base profile: a subset of `intervals`
-  std::vector<Interval> intervals;
-  Time horizon = 0;
-};
-
-RandomCase make_case(std::uint64_t seed) {
-  Rng rng(seed);
-  RandomCase c;
-  c.period = rng.uniform_int(200, 5000);
-  c.horizon = 4 * c.period;
-  const int n = static_cast<int>(rng.uniform_int(1, 8));
-  const bool distinct = rng.uniform_int(0, 1) == 1;
-  const bool jittered = rng.uniform_int(0, 1) == 1;
-  for (int i = 0; i < n; ++i) {
-    FpsTaskParams t;
-    t.id = static_cast<TaskId>(i);
-    t.wcet = rng.uniform_int(1, std::max<Time>(1, c.period / (3 * n)));
-    t.period = c.period / rng.uniform_int(1, 4);
-    t.jitter = jittered ? rng.uniform_int(0, c.period / 4) : 0;
-    if (jittered && rng.uniform_int(0, 15) == 0) t.jitter = kTimeInfinity;
-    t.priority = distinct ? i : static_cast<int>(rng.uniform_int(0, 2));
-    c.group.push_back(t);
-  }
-  rng.shuffle(c.group);  // group order is not priority order
-  // Busy intervals anywhere in [0, period], some touching either end so the
-  // merged profile wraps from the period's end into its start.
-  const int m = static_cast<int>(rng.uniform_int(0, 8));
-  for (int i = 0; i < m; ++i) {
-    Time start = rng.uniform_int(0, c.period - 1);
-    if (rng.uniform_int(0, 5) == 0) start = 0;
-    Time end = std::min(c.period, start + rng.uniform_int(1, c.period / 6));
-    if (rng.uniform_int(0, 5) == 0) end = c.period;
-    const Interval iv{start, end};
-    c.intervals.push_back(iv);
-    if (rng.uniform_int(0, 1) == 1) c.subset.push_back(iv);
-  }
-  return c;
-}
+using testing::make_case;
+using testing::RandomCase;
 
 /// fps_response_time_sum's contract, assembled from span-view recurrences:
 /// tasks are analysed in group order; before task i the partial sum plus
@@ -155,6 +120,84 @@ TEST(FpsTableProperty, TableViewMatchesSpanView) {
   // The population exercises pruning and unbounded responses.
   EXPECT_GT(pruned, kCases / 2);
   EXPECT_GT(unbounded, 0);
+}
+
+/// A ranking candidate read as the base profile plus one interval: each
+/// seeded first step equals the full body on the merged profile, and every
+/// response, iteration count, pruned sum and recorded busy time equals a
+/// plain iteration's on the merged profile.
+TEST(FpsTableProperty, CandidateViewMatchesTheMergedProfile) {
+  constexpr int kCases = 3000;
+  int first_steps = 0;
+  int confirmed_at_once = 0;
+  for (int k = 0; k < kCases; ++k) {
+    const RandomCase c = make_case(0xca9du + static_cast<std::uint64_t>(k));
+    const BusyProfile base(c.intervals, c.period);
+    FpsInterferenceTable table;
+    table.assign(c.group);
+    // Base seeds: each task's busy-window fixed point and the base's
+    // busiest window there.
+    std::vector<Time> seeds(c.group.size());
+    std::vector<Time> seed_busy(c.group.size(), kTimeNone);
+    for (std::size_t i = 0; i < c.group.size(); ++i) {
+      const Time r = fps_response_time(table, i, base, c.horizon, nullptr, 0, &seed_busy[i]);
+      seeds[i] = is_infinite(r) ? kTimeInfinity : r - c.group[i].jitter;
+      if (!is_infinite(r)) {
+        ASSERT_EQ(seed_busy[i], base.max_busy_in_window(seeds[i])) << k;
+      }
+    }
+    Rng rng(static_cast<std::uint64_t>(k) ^ 0xe7u);
+    const auto kind = static_cast<testing::ExtraKind>(k % testing::kExtraKinds);
+    const Interval extra = testing::random_extra(rng, base.intervals(), c.period, kind);
+    const ProfileWithExtra candidate(base, extra);
+    const BusyProfile merged = testing::merged_profile(base.intervals(), extra, c.period);
+    ASSERT_EQ(candidate.busy_per_period(), merged.busy_per_period()) << k;
+
+    std::vector<Time> plain(c.group.size(), kTimeNone);
+    int plain_iterations = 0;
+    Time full = 0;
+    for (std::size_t i = 0; i < c.group.size(); ++i) {
+      if (is_infinite(seeds[i])) {
+        plain[i] = kTimeInfinity;
+      } else {
+        // The first step from the base fixed point.
+        const Time w = seeds[i];
+        const Time step = w + candidate.max_busy_given_base(w, seed_busy[i]) - seed_busy[i];
+        ASSERT_EQ(step, testing::plain_fps_body(c.group[i], c.group, merged, w))
+            << "case " << k << " task " << i;
+        ++first_steps;
+        confirmed_at_once += step == w ? 1 : 0;
+        const testing::PlainResponse p =
+            testing::plain_fps_response(c.group[i], c.group, merged, c.horizon, w);
+        plain[i] = p.response;
+        plain_iterations += p.iterations;
+      }
+      full = sat_add(full, is_infinite(plain[i]) ? c.horizon : plain[i]);
+    }
+    for (const Time cutoff : {kTimeInfinity, full, full + 1}) {
+      std::vector<Time> responses(c.group.size(), kTimeNone);
+      std::vector<Time> busy(c.group.size(), kTimeNone);
+      int iterations = 0;
+      const Time sum = fps_response_time_sum(table, candidate, c.horizon, seeds, cutoff,
+                                             responses, &iterations, seed_busy, busy);
+      if (full >= cutoff) {
+        ASSERT_GE(sum, cutoff) << "case " << k;
+        continue;
+      }
+      ASSERT_EQ(sum, full) << "case " << k;
+      ASSERT_EQ(responses, plain) << "case " << k;
+      ASSERT_EQ(iterations, plain_iterations) << "case " << k;
+      for (std::size_t i = 0; i < c.group.size(); ++i) {
+        if (is_infinite(responses[i])) continue;
+        ASSERT_EQ(busy[i], merged.max_busy_in_window(responses[i] - c.group[i].jitter))
+            << "case " << k << " task " << i;
+      }
+    }
+  }
+  // Both first-step outcomes occur: the base response confirmed at once,
+  // and a step onwards.
+  EXPECT_GT(confirmed_at_once, 0);
+  EXPECT_LT(confirmed_at_once, first_steps);
 }
 
 }  // namespace

@@ -406,7 +406,8 @@ int solve_main(int argc, char** argv) {
     members.print(std::cout);
   }
   if (outcome.cost.value >= kInvalidConfigCost) {
-    std::cerr << "no analysable configuration found\n";
+    std::cerr << "no analysable configuration found"
+              << (outcome.error.empty() ? "" : ": " + outcome.error) << "\n";
     return 1;
   }
 
@@ -593,7 +594,8 @@ int simulate_main(int argc, char** argv) {
             << fmt_double(outcome.cost.value, 1) << " us, " << outcome.evaluations
             << " analyses\n";
   if (outcome.cost.value >= kInvalidConfigCost) {
-    std::cerr << "no analysable configuration found; nothing to simulate\n";
+    std::cerr << "no analysable configuration found"
+              << (outcome.error.empty() ? "" : ": " + outcome.error) << "; nothing to simulate\n";
     return 1;
   }
 
