@@ -96,7 +96,7 @@ Time BusyProfile::busy_between(Time from, Time to) const {
   return (total_busy_ - prefix(from_local)) + full_periods * total_busy_ + prefix(to_local);
 }
 
-WindowBusy BusyProfile::busiest_window_with_run(Time w, Time run_start, Time run_end) const {
+WindowBusy BusyProfile::busiest_window(Time w) const {
   if (w <= 0 || intervals_.empty()) return {0, longest_interval_};
   // Window i is [start_i, start_i + w): its busy time is U(start_i + w) -
   // prefix_at_start_[i], with U(t) the busy time of the unrolled profile in
@@ -138,7 +138,6 @@ WindowBusy BusyProfile::busiest_window_with_run(Time w, Time run_start, Time run
   if (best_next > 0) {
     left = std::max<Time>(0, intervals_[best_next - 1].end - best_local);
   }
-  if (best_local >= run_start && best_local < run_end) left = std::max(left, run_end - best_local);
   return {best, left};
 }
 
@@ -166,22 +165,15 @@ ProfileWithExtra::ProfileWithExtra(const BusyProfile& base, Interval extra)
   };
   extra_busy_ = (k_end_ - k_start_) - (prefix_at(end_absorbed_) - prefix_at(first_absorbed_));
   busy_per_period_ += extra_busy_;
-  // The base intervals just before and after K, one period round when K
-  // is at an end of the list (the same interval when K absorbed all).
-  if (ivs.empty()) {
-    reach_ = kTimeInfinity;
-    return;
-  }
-  const Interval& after = last == ivs.end() ? ivs.front() : *last;
-  const Interval& before = first == ivs.begin() ? ivs.back() : *(first - 1);
-  gap_after_ = after.start + (last == ivs.end() ? period : 0) - k_end_;
-  next_length_ = after.length();
-  reach_ = std::min(gap_after_, k_start_ - (before.end - (first == ivs.begin() ? period : 0)));
 }
 
-WindowBusy ProfileWithExtra::extra_window_scan(Time r) const {
+WindowBusy ProfileWithExtra::extra_window(Time r) const {
+  const Time k_len = k_end_ - k_start_;
+  if (r <= k_len) return {r, k_len - r};  // inside K: busy throughout
   const BusyProfile& b = *base_;
   const auto n = static_cast<std::ptrdiff_t>(b.intervals_.size());
+  // Without base intervals K is alone in its period, and r < period.
+  if (n == 0) return {k_len, 0};
   // Base interval u of the unrolled sequence (u may be negative or >= n),
   // with U(start), where U(t) is the base's busy time in [0, t).  The
   // windows below reach at most one period either side of K.

@@ -65,10 +65,15 @@ Time fps_recurrence(Time wcet, Time jitter, double own_load,
     Time total = sat_add(wcet, window.busy);
     Time stretch = window.stretch;
     for_each_interferer([&](const auto& j) {
+      // ceil((w + J) / T) and the distance to its next step, from one
+      // division: unlike (w + J + T − 1) / T and releases · T, neither
+      // overflows when w + J is within T of the largest Time.
       const Time released_by = w + j.jitter;
-      const std::int64_t releases = ceil_div(released_by, j.period);
+      const std::int64_t whole = released_by / j.period;
+      const Time past_step = released_by - whole * j.period;
+      const std::int64_t releases = whole + (past_step != 0 ? 1 : 0);
       total = sat_add(total, sat_mul(j.wcet, releases));
-      stretch = std::min(stretch, releases * j.period - released_by);
+      stretch = std::min(stretch, past_step != 0 ? j.period - past_step : 0);
     });
     return {total, is_infinite(total) ? 0 : stretch};
   };

@@ -88,10 +88,9 @@ class BusyProfile {
   /// start, 0 if that end is idle; and at w = 0, the longest interval.
   /// (An interval ending at the period may run on into the next period's
   /// first one; the stretch stops at the period, which is still a true
-  /// one.)
-  [[nodiscard]] WindowBusy busiest_window(Time w) const {
-    return busiest_window_with_run(w, 0, 0);
-  }
+  /// one.  The stretch of one busiest window is one S(w) has, so ties are
+  /// not searched for a longer one.)
+  [[nodiscard]] WindowBusy busiest_window(Time w) const;
 
   /// Earliest instant t >= from such that [t, t + len) is completely idle
   /// within the periodic profile.  Returns kTimeInfinity if len exceeds the
@@ -100,13 +99,6 @@ class BusyProfile {
 
  private:
   friend class ProfileWithExtra;
-
-  /// busiest_window(w), read for the busy run [run_start, run_end) of a
-  /// profile that contains this one (0 <= run_start < period): a window
-  /// ending inside it has at least run_end − end busy time left.  (The
-  /// stretch of one busiest window is one S(w) has, so ties are not
-  /// searched for a longer one.)
-  [[nodiscard]] WindowBusy busiest_window_with_run(Time w, Time run_start, Time run_end) const;
 
   /// Busy time in [0, t) for t in [0, period].
   [[nodiscard]] Time prefix(Time t) const;
@@ -160,10 +152,12 @@ class ProfileWithExtra {
   [[nodiscard]] Time busy_per_period() const { return busy_per_period_; }
 
   /// The merged profile's busiest_window(w): one base window scan plus the
-  /// local query H_K.
+  /// local query H_K.  Where the base term wins, the base window's stretch
+  /// is a true one of the merged S too: as that window grows it keeps its
+  /// q copies of E' and gains the base busy time.
   [[nodiscard]] WindowBusy busiest_window(Time w) const {
     if (extra_busy_ == 0) return base_->busiest_window(w);
-    return combine(w, base_->busiest_window_with_run(w, k_start_, k_end_));
+    return combine(w, base_->busiest_window(w));
   }
 
   /// max_busy_in_window(w) of the merged profile for a w whose base value
@@ -175,20 +169,9 @@ class ProfileWithExtra {
   }
 
  private:
-  /// H_K(r) for 0 <= r < period, with the stretch of its busiest window.
-  [[nodiscard]] WindowBusy extra_window(Time r) const {
-    const Time k_len = k_end_ - k_start_;
-    if (r <= k_len) return {r, k_len - r};  // inside K: busy throughout
-    // A window containing K with at most `reach_` to spare meets no other
-    // base interval, and one starting at the interval before K ends inside
-    // K at best: they tie at |K|.  The one starting at K's start ends on
-    // the next interval's start when the spare equals the gap after K.
-    const Time slack = r - k_len;
-    if (slack > reach_) return extra_window_scan(r);
-    return {k_len, slack == gap_after_ ? next_length_ : 0};
-  }
-  /// extra_window over the base intervals within r of K.
-  [[nodiscard]] WindowBusy extra_window_scan(Time r) const;
+  /// H_K(r) for 0 <= r < period, with the stretch of its busiest window,
+  /// over the base intervals within r of K.
+  [[nodiscard]] WindowBusy extra_window(Time r) const;
   /// Splits w into q·period + r and combines the base term with H_K(r):
   /// q periods add q·|E'| to every base window, and a window meeting K
   /// gains q·busy_per_period_ over H_K(r).
@@ -213,9 +196,6 @@ class ProfileWithExtra {
   Time extra_busy_ = 0;  ///< |E'|: 0 when E adds nothing to the base
   Time k_start_ = 0;     ///< K = [k_start_, k_end_)
   Time k_end_ = 0;
-  Time reach_ = 0;        ///< the smaller idle gap next to K (unbounded without intervals)
-  Time gap_after_ = 0;    ///< idle gap from K's end to the next base interval
-  Time next_length_ = 0;  ///< that interval's length
   std::ptrdiff_t first_absorbed_ = 0;  ///< base intervals inside K: [first, end)
   std::ptrdiff_t end_absorbed_ = 0;
 };

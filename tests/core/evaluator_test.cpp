@@ -206,6 +206,73 @@ TEST(CostEvaluator, SlotFormReportsTheLayoutError) {
   EXPECT_EQ(evaluator.evaluations(), 1);
 }
 
+// A solve that finds nothing analysable reports why from
+// first_failure(): the error of the first invalid Evaluation the evaluator
+// returned, through the slot form, evaluate_many (the first in input
+// order, whichever worker ran it) or evaluate_system.  Later failures,
+// memo hits included, leave it as it is.
+TEST(CostEvaluator, KeepsTheFirstFailedEvaluationsError) {
+  TinySystem sys;
+  BusConfig no_minislots = sys.config;
+  no_minislots.minislot_count = -1;
+  BusConfig no_slot_length = sys.config;
+  no_slot_length.static_slot_len = 0;
+  BusConfig st_with_frame_id = sys.config;
+  st_with_frame_id.frame_id[index_of(sys.st_msg)] = 2;
+
+  CostEvaluator slot_form(sys.app, sys.params, AnalysisOptions{});
+  ASSERT_TRUE(slot_form.evaluate_in_slot(sys.config).valid);
+  EXPECT_EQ(slot_form.first_failure(), "");
+  const std::string first = slot_form.evaluate_in_slot(no_minislots).error;
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(slot_form.first_failure(), first);
+  const std::string second = slot_form.evaluate_in_slot(no_slot_length).error;
+  ASSERT_FALSE(second.empty());
+  ASSERT_NE(second, first);
+  EXPECT_FALSE(slot_form.evaluate(st_with_frame_id).valid);
+  EXPECT_FALSE(slot_form.evaluate_in_slot(no_slot_length).valid);  // a memo hit
+  EXPECT_EQ(slot_form.first_failure(), first);
+
+  // Valid neighbours around the first failure, later failures of other
+  // kinds, on four workers.
+  std::vector<BusConfig> batch;
+  for (int k = 0; k < 12; ++k) {
+    BusConfig c = sys.config;
+    c.minislot_count += k;
+    batch.push_back(c);
+  }
+  batch[5] = no_slot_length;
+  batch[6] = no_minislots;
+  batch[9] = st_with_frame_id;
+  for (const bool cached : {true, false}) {
+    EvaluatorOptions options;
+    options.cache_enabled = cached;
+    options.threads = 4;
+    CostEvaluator many(sys.app, sys.params, AnalysisOptions{}, options);
+    const std::vector<CostEvaluator::Evaluation> out = many.evaluate_many(batch);
+    ASSERT_EQ(out.size(), batch.size());
+    ASSERT_TRUE(out[0].valid);
+    ASSERT_FALSE(out[5].valid);
+    EXPECT_EQ(many.first_failure(), out[5].error) << "cached " << cached;
+    EXPECT_EQ(many.first_failure(), second);
+    (void)many.evaluate_many(std::vector<BusConfig>{st_with_frame_id, no_minislots});
+    EXPECT_EQ(many.first_failure(), second) << "cached " << cached;
+  }
+
+  CostEvaluator system_form(sys.app, sys.params, AnalysisOptions{});
+  SystemConfig broken;
+  broken.clusters.push_back(ClusterConfig::flexray_bus(st_with_frame_id));
+  const CostEvaluator::Evaluation rejected = system_form.evaluate_system(broken);
+  ASSERT_FALSE(rejected.valid);
+  EXPECT_EQ(system_form.first_failure(), rejected.error);
+  SystemConfig other;
+  other.clusters.push_back(ClusterConfig::flexray_bus(no_minislots));
+  EXPECT_FALSE(system_form.evaluate_system(other).valid);
+  EXPECT_FALSE(system_form.evaluate_in_slot(no_slot_length).valid);
+  EXPECT_FALSE(system_form.evaluate_system(broken).valid);  // a memo hit
+  EXPECT_EQ(system_form.first_failure(), rejected.error);
+}
+
 TEST(CostEvaluator, AnalysisResultExposed) {
   TinySystem sys;
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});

@@ -10,6 +10,7 @@
 
 #include "flexopt/core/solver.hpp"
 #include "flexopt/gen/cruise_control.hpp"
+#include "flexopt/io/system_format.hpp"
 #include "helpers.hpp"
 
 namespace flexopt {
@@ -234,6 +235,40 @@ TEST(Solver, ReportCarriesCacheCounters) {
   // SA revisits configurations; the cache must have absorbed some of them.
   EXPECT_GT(report.cache_misses, 0u);
   EXPECT_EQ(report.cache_misses, evaluator.cache_stats().misses);
+}
+
+// Every layout of this system builds, but every analysis fails: its
+// hyper-period, 2.5e18 ns, is too long for a response horizon of four times
+// it.  Each solve spends analyses and finds nothing analysable; its outcome
+// says why with the first failed evaluation's error, the one its
+// evaluator kept.
+TEST(Solver, NamesTheFirstFailureWhenEveryAnalysisFails) {
+  auto parsed = parse_system_text(
+      "node engine\nnode brake\n"
+      "graph control tt period=2500000000s deadline=10ms\n"
+      "task sample graph=control node=engine wcet=400us\n"
+      "task compute graph=control node=brake wcet=900us\n"
+      "message setpoint from=sample to=compute bytes=8\n"
+      "graph telemetry et period=2500000000s deadline=20ms\n"
+      "task collect graph=telemetry node=brake wcet=500us prio=1\n"
+      "task display graph=telemetry node=engine wcet=700us prio=2\n"
+      "message speed from=collect to=display bytes=16\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  const ParsedSystem& sys = parsed.value();
+  for (const char* key : {"bbc", "obc-ee", "obc-cf", "sa"}) {
+    auto optimizer = OptimizerRegistry::create(key);
+    ASSERT_TRUE(optimizer.ok()) << key;
+    CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
+    SolveRequest request;
+    request.max_evaluations = 40;
+    const SolveReport report = optimizer.value()->solve(evaluator, request);
+    EXPECT_GE(report.outcome.cost.value, kInvalidConfigCost) << key;
+    EXPECT_GT(report.outcome.evaluations, 0) << key;
+    EXPECT_FALSE(evaluator.first_failure().empty()) << key;
+    EXPECT_EQ(report.outcome.error, evaluator.first_failure()) << key;
+    EXPECT_NE(report.outcome.error.find("hyper-period 2500000000000000000 ns"), std::string::npos)
+        << key << ": " << report.outcome.error;
+  }
 }
 
 /// A front-end-defined optimizer: registration is open, not builtin-only.

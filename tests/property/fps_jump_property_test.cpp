@@ -152,6 +152,32 @@ TEST(FpsJumpProperty, InterfererStepsAtTheStretchsLastPoint) {
   }
 }
 
+TEST(FpsJumpProperty, ReleaseStepsNearTheLargestTime) {
+  // The longest hyper-period whose response horizon, 4 H, still fits Time
+  // (SystemAnalysis.LongestFittingHorizonIsAnalysed), with a same-node
+  // interferer of period H whose jitter puts w + J at or past the
+  // horizon: w + J + T − 1 passes the largest Time from the first step,
+  // and the release count times T does once w + J passes 4 T.  The
+  // sanitize job runs this under UBSan.
+  const Time period = 2'000'000'000'000'000'000;
+  const Time horizon = 4 * period;
+  const BusyProfile scs({Interval{0, timeunits::sec(1)}}, period);
+  for (const Time jitter : {horizon - 1, horizon, horizon + 1, horizon + timeunits::sec(1),
+                            kTimeInfinity - timeunits::sec(10)}) {
+    const std::array<FpsTaskParams, 2> group{
+        FpsTaskParams{TaskId{0}, timeunits::sec(2), period, 0, 1},
+        FpsTaskParams{TaskId{1}, timeunits::sec(1), period, jitter, 0}};
+    for (const Time seed : {Time{0}, timeunits::sec(3), timeunits::sec(8) - 1}) {
+      const std::string where = "jitter " + std::to_string(jitter) + " seed " +
+                                std::to_string(seed);
+      expect_views_match(group, 0, scs, horizon, seed, where);
+      EXPECT_FALSE(is_infinite(testing::plain_fps_response(group[0], group, scs, horizon, seed)
+                                   .response))
+          << where;
+    }
+  }
+}
+
 TEST(FpsJumpProperty, ShiftedCrawlsMatchThePlainIteration) {
   // Crawls of 1-3 ns per step through gaps of random size and position,
   // with random interferers, horizons and seeds: the skipping must track

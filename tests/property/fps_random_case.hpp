@@ -150,13 +150,16 @@ inline bool interferes(const FpsTaskParams& j, const FpsTaskParams& task) {
 }
 
 /// The FPS body f(w) = C + S(w) + sum ceil((w + J) / T) * C, with S read
-/// from the profile's window scan.
+/// from the profile's window scan.  The ceiling is taken as quotient plus
+/// remainder test, which holds for w + J up to the largest Time.
 inline Time plain_fps_body(const FpsTaskParams& task, std::span<const FpsTaskParams> group,
                            const BusyProfile& scs, Time w) {
   Time total = sat_add(task.wcet, scs.max_busy_in_window(w));
   for (const FpsTaskParams& j : group) {
     if (!interferes(j, task)) continue;
-    total = sat_add(total, sat_mul(j.wcet, ceil_div(w + j.jitter, j.period)));
+    const Time released_by = w + j.jitter;
+    const Time releases = released_by / j.period + (released_by % j.period == 0 ? 0 : 1);
+    total = sat_add(total, sat_mul(j.wcet, releases));
   }
   return total;
 }
