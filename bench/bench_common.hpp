@@ -6,8 +6,8 @@
 /// Every bench prints the paper-style rows it regenerates.  By default the
 /// workloads are scaled down to finish in CI time; set FLEXOPT_BENCH_FULL=1
 /// to run the full Section 7 sweep (25 systems per node count, 2..7 nodes,
-/// long SA runs).  Each bench prints the active scale so EXPERIMENTS.md can
-/// record it.
+/// long SA runs).  Each bench prints the active scale next to its rows, so
+/// a quoted number carries the scale it was measured at.
 
 #include <cstdlib>
 #include <iostream>

@@ -3,7 +3,8 @@
 // Regenerates the three-scenario comparison: the same two-node system under
 // (a) two minimal ST slots, (b) three slots, (c) two longer slots with
 // frame packing.  The paper reports R3 = 16 / 12 / 10; our frame timing
-// reproduces those numbers exactly (see EXPERIMENTS.md).
+// reproduces those numbers exactly, and this bench prints them side by side
+// with the paper's.
 
 #include <iostream>
 

@@ -47,14 +47,13 @@ void clamp_to_holistic(const Application& app, AnalysisResult& refined,
 }
 
 /// Runs the exploration preconditions and, when they hold, the exploration
-/// itself — through `cache`'s exact-space store when one is available (a
-/// hit replays the stored frontier outcome verbatim, bit-identical to a
-/// cold run); returns the caps to feed the re-run (empty on fallback) and
-/// records the outcome in `info`.  `converged` is the system-wide holistic
-/// fixed point's verdict.
+/// itself — through `cache`'s exact-space store (a hit replays the stored
+/// frontier outcome verbatim, bit-identical to a cold run); returns the
+/// caps to feed the re-run (empty on fallback) and records the outcome in
+/// `info`.  `converged` is the system-wide holistic fixed point's verdict.
 std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult& holistic,
                                   bool converged, const AnalysisOptions& options,
-                                  ExactClusterInfo& info, AnalysisComponentCache* cache,
+                                  ExactClusterInfo& info, AnalysisComponentCache& cache,
                                   AnalysisWorkCounters* counters) {
   const Application& app = layout.application();
   // Validated at entry: a zero budget must be a loud diagnostic, not a
@@ -80,26 +79,15 @@ std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult&
     info.fallback = ExactFallback::NotConverged;
     return {};
   }
-  ScheduleSpaceResult space;
-  if (cache != nullptr) {
-    space = cache
-                ->schedule_space_for(layout, holistic.message_jitter, horizon.value(),
-                                     options.exact, counters)
-                ->space;
-  } else {
-    space = explore_dyn_schedule_space(layout, holistic.message_jitter, horizon.value(),
-                                       options.exact);
-    if (counters != nullptr) {
-      counters->exact_states_explored += space.explored_states;
-      counters->exact_states_deduped += space.merged_states;
-    }
-  }
+  const auto component = cache.schedule_space_for(layout, holistic.message_jitter, horizon.value(),
+                                                   options.exact, counters);
+  const ScheduleSpaceResult& space = component->space;
   info.explored_states = space.explored_states;
   info.merged_states = space.merged_states;
   info.transitions = space.transitions;
   info.fallback = space.fallback;
   if (space.fallback != ExactFallback::None) return {};
-  return std::move(space.worst_completion);
+  return space.worst_completion;
 }
 
 }  // namespace
@@ -127,9 +115,8 @@ Expected<MulticlusterResult> detail::analyze_multicluster_exact(
       info.fallback = ExactFallback::UnsupportedBackend;
       continue;
     }
-    AnalysisComponentCache* cache = c < caches.size() ? caches[c] : nullptr;
     caps[c] = explore_cluster(layouts[c].flexray(), base.clusters[c], base.converged, options,
-                              info, cache, counters);
+                              info, *caches[c], counters);
     any_caps = any_caps || info.fallback == ExactFallback::None;
   }
 

@@ -2,20 +2,21 @@
 
 /// \file arena.hpp
 /// Preallocated structure-of-arrays state for the holistic analysis hot
-/// path.  One AnalysisArena belongs to one evaluator worker slot and is
-/// reused across evaluations: every per-task / per-message quantity the
-/// holistic fixed point touches lives in a flat array indexed by the dense
-/// activity index (aid = task index for tasks, n_tasks + message index for
-/// messages), and re-binding to the same TaskStructure only clears —
-/// never reallocates.  The arena also owns the slot's ScheduleWorkspace,
-/// the list scheduler's buffers for the tables the slot builds.
+/// path.  One AnalysisArena belongs to one FlexRay cluster of a worker
+/// slot's MulticlusterWorkspace and is reused across evaluations: every
+/// per-task / per-message quantity the holistic fixed point touches lives
+/// in a flat array indexed by the dense activity index (aid = task index
+/// for tasks, n_tasks + message index for messages), and re-binding to the
+/// same TaskStructure only clears — never reallocates.  The arena also owns
+/// the ScheduleWorkspace, the list scheduler's buffers for the tables built
+/// on it.
 ///
 /// Allocation contract, asserted by arena_alloc_test and gated by
-/// bench_delta_eval: a steady-state evaluation whose schedule table is
-/// cached (and a memo hit) performs zero heap allocations; one that builds
-/// a new table allocates only the shared objects it hands to the component
-/// cache — the StaticSchedule and its ScheduleComponent — a bounded count
-/// per build.
+/// bench_delta_eval: a steady-state evaluation whose schedule tables are
+/// cached (and a memo hit) performs zero heap allocations, on one FlexRay
+/// cluster or several; one that builds a new table allocates only the
+/// shared objects it hands to the component cache — the StaticSchedule and
+/// its ScheduleComponent — a bounded count per build.
 
 #include <cstdint>
 #include <memory>

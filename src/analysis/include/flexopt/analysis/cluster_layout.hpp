@@ -20,22 +20,16 @@ class ClusterLayout {
  public:
   ClusterLayout() = default;
 
-  /// Validates the payload selected by `config.kind` against `app`; the
-  /// other payload stays default-constructed.
-  static Expected<ClusterLayout> build(const Application& app, const BusParams& params,
-                                       const ClusterConfig& config) {
-    ClusterLayout out;
-    out.kind_ = config.kind;
-    if (config.kind == ClusterBackendKind::Tsn) {
-      auto tsn = TsnLayout::build(app, config.tsn);
-      if (!tsn.ok()) return tsn.error();
-      out.tsn_ = std::move(tsn).value();
-    } else {
-      auto flexray = BusLayout::build(app, params, config.flexray);
-      if (!flexray.ok()) return flexray.error();
-      out.flexray_ = std::move(flexray).value();
-    }
-    return out;
+  /// Validates the payload selected by `config.kind` against `app`, in
+  /// place: re-assigning a layout of the same application performs zero
+  /// heap allocations at steady state (error paths excepted).  The other
+  /// payload is left as it was.  On error the layout is unspecified and
+  /// must be assigned again before use.
+  Expected<bool> assign(const Application& app, const BusParams& params,
+                        const ClusterConfig& config) {
+    kind_ = config.kind;
+    return config.kind == ClusterBackendKind::Tsn ? tsn_.assign(app, config.tsn)
+                                                  : flexray_.assign(app, params, config.flexray);
   }
 
   [[nodiscard]] ClusterBackendKind kind() const { return kind_; }

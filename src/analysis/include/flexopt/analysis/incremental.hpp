@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file incremental.hpp
-/// The holistic analysis engine (Section 5) and its component cache.  The
-/// analysis splits into separately cacheable components keyed by
-/// sub-hashes of the BusConfig decision variables, so neighbouring
-/// configurations share whatever their decision variables leave intact:
+/// The component cache of the holistic analysis (Section 5).  The analysis
+/// splits into separately cacheable components keyed by sub-hashes of the
+/// BusConfig decision variables, so neighbouring configurations share
+/// whatever their decision variables leave intact:
 ///
 ///  * the static-segment schedule table (+ the TT completions it fixes),
 ///    keyed by the schedule's inputs: ST slot count / length / ownership
@@ -18,24 +18,8 @@
 ///    horizon), which depends on the mapping only and is built once per
 ///    application.
 ///
-/// analyze_system_into runs the holistic fixed point as a chaotic
-/// (Gauss-Seidel-style) relaxation: one merged jitter + response pass per
-/// sweep in topological order, so a completion updated early in a sweep
-/// feeds the jitters computed later in the same sweep, and a recurrence is
-/// recomputed only when a jitter it reads moved since its last
-/// recomputation.  The iteration is monotone from below, so every fair
-/// update order reaches the same least fixed point; a Jacobi schedule
-/// (every jitter from the previous sweep's completions) gets there too, but
-/// needs one sweep per dependency hop.  Every run starts cold: TT
-/// completions from the table, ET completions and all jitters at 0.  A run
-/// still moving after AnalysisOptions::max_holistic_iterations sweeps pins
-/// every ET completion to infinity — a non-stabilised monotone value is
-/// not a safe bound.  Where a Jacobi schedule would stop at that cap, the
-/// relaxation may still converge and then returns the least fixed point.
-/// The per-recurrence caps (kFpsMaxIterations for FPS) depend on the order
-/// too: the jitters an FPS recurrence sees on its way up decide whether it
-/// crawls into its cap, so the relaxation and a Jacobi schedule can each
-/// report unbounded a task the other bounds.
+/// The engine that reads them is private to the analysis module; callers
+/// reach it through analyze_system and analyze_multicluster.
 
 #include <cstdint>
 #include <memory>
@@ -45,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "flexopt/analysis/arena.hpp"
 #include "flexopt/analysis/exact/schedule_space.hpp"
 #include "flexopt/analysis/fps_analysis.hpp"
 #include "flexopt/analysis/system_analysis.hpp"
@@ -191,21 +174,5 @@ class AnalysisComponentCache {
   std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<const ExactSpaceComponent>>>
       exact_spaces_;
 };
-
-/// The holistic analysis of `layout` (see the file comment), with all
-/// fixed-point state in `arena` (reused across calls) and the outcome
-/// written into `out` (whose vectors are reused too), so a steady-state call
-/// performs zero heap allocations when the schedule table is cached; a
-/// table built on a miss runs on the arena's ScheduleWorkspace.  This is
-/// the form CostEvaluator's worker threads drive; analyze_system wraps it
-/// with a one-shot arena.
-/// `external_task_jitter` and `dyn_message_caps` are analyze_system's
-/// cross-cluster and exact-backend hooks.  On error, `out` is left
-/// unspecified and must not be read.
-Expected<bool> analyze_system_into(const BusLayout& layout, const AnalysisOptions& options,
-                                   AnalysisComponentCache& cache, AnalysisArena& arena,
-                                   AnalysisResult& out, AnalysisWorkCounters* counters = nullptr,
-                                   std::span<const Time> external_task_jitter = {},
-                                   std::span<const Time> dyn_message_caps = {});
 
 }  // namespace flexopt

@@ -60,6 +60,8 @@ class ScheduleWorkspace {
   // Defined where Buffers is complete.
   ScheduleWorkspace();
   ~ScheduleWorkspace();
+  ScheduleWorkspace(ScheduleWorkspace&&) noexcept;
+  ScheduleWorkspace& operator=(ScheduleWorkspace&&) noexcept;
 
  private:
   friend Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,

@@ -5,7 +5,9 @@
 /// system (Section 5): builds the static schedule table, then iterates
 /// response-time analysis for FPS tasks and DYN messages with jitter
 /// propagation along the task graphs until a global fixed point.  The
-/// fixed point itself is the engine in flexopt/analysis/incremental.hpp.
+/// fixed point itself is an engine private to the analysis module, on the
+/// component cache of flexopt/analysis/incremental.hpp; analyze_system
+/// and analyze_multicluster (flexopt/analysis/multicluster.hpp) run it.
 
 #include <cstdint>
 #include <memory>
@@ -22,7 +24,6 @@
 namespace flexopt {
 
 class BusLayout;  // flexopt/flexray/bus_layout.hpp (kept out of cluster-generic includes)
-class AnalysisComponentCache;  // flexopt/analysis/incremental.hpp
 
 /// Response-time horizon as a multiple of max(hyper-period, max deadline);
 /// any recurrence exceeding it is reported unbounded.
@@ -148,16 +149,15 @@ Expected<Time> analysis_horizon(const Application& app);
 /// positive cost.
 ///
 /// Reentrancy guarantee: the analysis reads `layout` and `options` only and
-/// keeps its fixed-point state on the stack — concurrent calls
-/// (CostEvaluator::evaluate_many fans candidate configurations across
-/// threads) are safe as long as each call gets its own BusLayout.
+/// keeps its fixed-point state on the stack — concurrent calls are safe as
+/// long as each call gets its own BusLayout.
 /// `counters` (optional) accumulates the work performed.
 /// `external_task_jitter` (optional, indexed by TaskId; empty = none) adds
 /// a release-jitter floor per task on top of precedence-induced jitter —
-/// the hook the cross-cluster fixed point (flexopt/analysis/
-/// multicluster.hpp) uses to feed gateway forwarding relays the completion
-/// bounds of their upstream hops.  An empty span leaves the analysis
-/// bit-identical to the pre-cluster behaviour.
+/// the engine hook through which the cross-cluster fixed point
+/// (flexopt/analysis/multicluster.hpp) feeds gateway forwarding relays the
+/// completion bounds of their upstream hops.  An empty span leaves the
+/// analysis bit-identical to the pre-cluster behaviour.
 /// `dyn_message_caps` (optional, indexed by MessageId; empty = none) clamps
 /// each DYN message's response-time recurrence to min(recurrence, cap)
 /// inside the fixed point — the hook the exact backend uses to fold its
@@ -165,9 +165,6 @@ Expected<Time> analysis_horizon(const Application& app);
 /// minimum of two sound monotone bounds is sound and monotone, so the
 /// capped fixed point converges and every completion (tasks included,
 /// through the tightened jitters) is <= its uncapped counterpart.
-/// `cache` (optional) serves the schedule table and the task structure
-/// (thread-safe, shared by concurrent calls on one application); without
-/// one the call builds both into a call-local cache.
 /// The analysis is holistic only: options.mode == AnalysisMode::Exact is
 /// rejected with a diagnostic naming analyze_multicluster, the exact
 /// backend's entry point at every cluster count (a single bus is the
@@ -176,7 +173,6 @@ Expected<AnalysisResult> analyze_system(const BusLayout& layout,
                                         const AnalysisOptions& options = {},
                                         AnalysisWorkCounters* counters = nullptr,
                                         std::span<const Time> external_task_jitter = {},
-                                        std::span<const Time> dyn_message_caps = {},
-                                        AnalysisComponentCache* cache = nullptr);
+                                        std::span<const Time> dyn_message_caps = {});
 
 }  // namespace flexopt

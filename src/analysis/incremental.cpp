@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "engine.hpp"
 #include "flexopt/analysis/dyn_analysis.hpp"
 #include "flexopt/analysis/list_scheduler.hpp"
 #include "flexopt/analysis/sat_time.hpp"

@@ -265,6 +265,8 @@ struct ScheduleWorkspace::Buffers {
 
 ScheduleWorkspace::ScheduleWorkspace() = default;
 ScheduleWorkspace::~ScheduleWorkspace() = default;
+ScheduleWorkspace::ScheduleWorkspace(ScheduleWorkspace&&) noexcept = default;
+ScheduleWorkspace& ScheduleWorkspace::operator=(ScheduleWorkspace&&) noexcept = default;
 
 Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
                                                const SchedulerOptions& options) {

@@ -4,25 +4,29 @@
 #include <string>
 #include <utility>
 
+#include "engine.hpp"
 #include "exact/exact_dispatch.hpp"
 
 namespace flexopt {
 namespace {
 
-Expected<AnalysisResult> analyze_one(const ClusterLayout& layout, const AnalysisOptions& options,
-                                     AnalysisComponentCache* cache,
-                                     AnalysisWorkCounters* counters,
-                                     std::span<const Time> external_task_jitter,
-                                     std::span<const Time> dyn_message_caps) {
+Expected<bool> analyze_one(const ClusterLayout& layout, const AnalysisOptions& options,
+                           AnalysisComponentCache& cache, AnalysisArena& arena,
+                           AnalysisResult& result, AnalysisWorkCounters* counters,
+                           std::span<const Time> external_task_jitter,
+                           std::span<const Time> dyn_message_caps) {
   if (layout.kind() == ClusterBackendKind::Tsn) {
     // The TSN backend has no component cache; its schedule build is a
     // plain topological sweep, cheap enough to recompute per evaluation.
     // Response caps never target TSN clusters (the exact backend records
     // ExactFallback::UnsupportedBackend instead of producing any).
-    return analyze_tsn_cluster(layout.tsn(), options, counters, external_task_jitter);
+    auto tsn = analyze_tsn_cluster(layout.tsn(), options, counters, external_task_jitter);
+    if (!tsn.ok()) return tsn.error();
+    result = std::move(tsn).value();
+    return true;
   }
-  return analyze_system(layout.flexray(), options, counters, external_task_jitter,
-                        dyn_message_caps, cache);
+  return analyze_system_into(layout.flexray(), options, cache, arena, result, counters,
+                             external_task_jitter, dyn_message_caps);
 }
 
 }  // namespace
@@ -30,13 +34,21 @@ Expected<AnalysisResult> analyze_one(const ClusterLayout& layout, const Analysis
 Expected<std::vector<ClusterLayout>> build_system_layouts(const SystemModel& model,
                                                           const BusParams& params,
                                                           const SystemConfig& config) {
+  std::vector<ClusterLayout> layouts;
+  auto assigned = assign_system_layouts(model, params, config, layouts);
+  if (!assigned.ok()) return assigned.error();
+  return layouts;
+}
+
+Expected<bool> assign_system_layouts(const SystemModel& model, const BusParams& params,
+                                     const SystemConfig& config,
+                                     std::vector<ClusterLayout>& layouts) {
   if (config.cluster_count() != model.cluster_count()) {
     return make_error("system config has " + std::to_string(config.cluster_count()) +
                       " cluster configs, the system model has " +
                       std::to_string(model.cluster_count()) + " clusters");
   }
-  std::vector<ClusterLayout> layouts;
-  layouts.reserve(model.cluster_count());
+  layouts.resize(model.cluster_count());
   for (std::size_t c = 0; c < model.cluster_count(); ++c) {
     const Application& app = *model.cluster_app(c);
     const ClusterBackendKind declared = app.cluster_backend(ClusterId{0});
@@ -46,64 +58,76 @@ Expected<std::vector<ClusterLayout>> build_system_layouts(const SystemModel& mod
                         "' does not match the cluster's declared backend '" +
                         to_string(declared) + "'");
     }
-    auto layout = ClusterLayout::build(app, params, config.clusters[c]);
-    if (!layout.ok()) {
-      return make_error("cluster " + std::to_string(c) + ": " + layout.error().message);
+    auto assigned = layouts[c].assign(app, params, config.clusters[c]);
+    if (!assigned.ok()) {
+      return make_error("cluster " + std::to_string(c) + ": " + assigned.error().message);
     }
-    layouts.push_back(std::move(layout).value());
   }
-  return layouts;
+  return true;
 }
 
 Expected<MulticlusterResult> analyze_multicluster(
     const SystemModel& model, std::span<const ClusterLayout> layouts,
     const AnalysisOptions& options, std::span<AnalysisComponentCache* const> caches,
     AnalysisWorkCounters* counters, std::span<const std::vector<Time>> dyn_message_caps) {
+  std::vector<AnalysisComponentCache> call_local(caches.empty() ? model.cluster_count() : 0);
+  std::vector<AnalysisComponentCache*> call_local_ptrs;
+  for (AnalysisComponentCache& cache : call_local) call_local_ptrs.push_back(&cache);
+  if (caches.empty()) caches = call_local_ptrs;
+  MulticlusterWorkspace workspace;
+  auto analysis = analyze_multicluster(model, layouts, options, caches, workspace, counters,
+                                       dyn_message_caps);
+  if (!analysis.ok()) return analysis.error();
+  return std::move(workspace.result);
+}
+
+Expected<bool> analyze_multicluster(const SystemModel& model,
+                                    std::span<const ClusterLayout> layouts,
+                                    const AnalysisOptions& options,
+                                    std::span<AnalysisComponentCache* const> caches,
+                                    MulticlusterWorkspace& workspace,
+                                    AnalysisWorkCounters* counters,
+                                    std::span<const std::vector<Time>> dyn_message_caps) {
+  MulticlusterResult& result = workspace.result;
   const std::size_t C = model.cluster_count();
-  if (caches.empty() && C > 0) {
-    std::vector<AnalysisComponentCache> call_local(C);
-    std::vector<AnalysisComponentCache*> call_local_ptrs(C);
-    for (std::size_t c = 0; c < C; ++c) call_local_ptrs[c] = &call_local[c];
-    return analyze_multicluster(model, layouts, options, call_local_ptrs, counters,
-                                dyn_message_caps);
+  if (caches.size() != C) {
+    return make_error("analyze_multicluster: component cache count does not match cluster count");
   }
   // Exact mode dispatches to the schedule-space backend, which re-enters
-  // this function with mode == Holistic (and, on the second pass, with the
+  // the value form with mode == Holistic (and, on the second pass, with the
   // explored caps) — the caps.empty() guard keeps the re-entry direct.
   if (options.mode == AnalysisMode::Exact && dyn_message_caps.empty()) {
-    return detail::analyze_multicluster_exact(model, layouts, options, caches, counters);
+    auto exact = detail::analyze_multicluster_exact(model, layouts, options, caches, counters);
+    if (!exact.ok()) return exact.error();
+    result = std::move(exact).value();
+    return true;
   }
   if (layouts.size() != C) {
     return make_error("analyze_multicluster: layout count does not match cluster count");
   }
-  auto cache_of = [&](std::size_t c) -> AnalysisComponentCache* {
-    return c < caches.size() ? caches[c] : nullptr;
-  };
   auto caps_of = [&](std::size_t c) -> std::span<const Time> {
     return c < dyn_message_caps.size() ? std::span<const Time>(dyn_message_caps[c])
                                        : std::span<const Time>{};
   };
 
-  MulticlusterResult result;
-  result.clusters.resize(C);
-
-  // Injected release-jitter floors, indexed [cluster][local TaskId]; only
-  // forwarding relays ever get a non-zero entry.
-  std::vector<std::vector<Time>> external(C);
+  std::vector<std::vector<Time>>& external = workspace.external;
+  workspace.arenas.resize(C);
+  external.resize(C);
   for (std::size_t c = 0; c < C; ++c) {
     external[c].assign(model.cluster_app(c)->task_count(), 0);
   }
+  result.clusters.resize(C);
+  result.cross_iterations = 0;
 
   bool stable = false;
   for (int iter = 0; iter < kMaxCrossIterations && !stable; ++iter) {
     ++result.cross_iterations;
     for (std::size_t c = 0; c < C; ++c) {
-      auto analysis = analyze_one(layouts[c], options, cache_of(c), counters, external[c],
-                                  caps_of(c));
+      auto analysis = analyze_one(layouts[c], options, *caches[c], workspace.arenas[c],
+                                  result.clusters[c], counters, external[c], caps_of(c));
       if (!analysis.ok()) {
         return make_error("cluster " + std::to_string(c) + ": " + analysis.error().message);
       }
-      result.clusters[c] = std::move(analysis).value();
     }
     // Jacobi update of the coupling jitters: all clusters are analysed
     // against the previous sweep's bounds, so cluster order cannot matter.
@@ -149,7 +173,7 @@ Expected<MulticlusterResult> analyze_multicluster(
             result.clusters[c].message_completion);
   }
   result.cost = acc.finish();
-  return result;
+  return true;
 }
 
 }  // namespace flexopt

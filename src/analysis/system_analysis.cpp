@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "flexopt/analysis/arena.hpp"
-#include "flexopt/analysis/incremental.hpp"
+#include "engine.hpp"
 #include "flexopt/math/hyperperiod.hpp"
 
 namespace flexopt {
@@ -33,20 +32,15 @@ Expected<Time> analysis_horizon(const Application& app) {
 Expected<AnalysisResult> analyze_system(const BusLayout& layout, const AnalysisOptions& options,
                                         AnalysisWorkCounters* counters,
                                         std::span<const Time> external_task_jitter,
-                                        std::span<const Time> dyn_message_caps,
-                                        AnalysisComponentCache* cache) {
+                                        std::span<const Time> dyn_message_caps) {
   if (options.mode == AnalysisMode::Exact) {
     return make_error("analyze_system runs the holistic analysis only; exact mode runs through "
                       "analyze_multicluster");
   }
-  if (cache == nullptr) {
-    AnalysisComponentCache call_local;
-    return analyze_system(layout, options, counters, external_task_jitter, dyn_message_caps,
-                          &call_local);
-  }
+  AnalysisComponentCache cache;
   AnalysisArena arena;
   AnalysisResult result;
-  const auto status = analyze_system_into(layout, options, *cache, arena, result, counters,
+  const auto status = analyze_system_into(layout, options, cache, arena, result, counters,
                                           external_task_jitter, dyn_message_caps);
   if (!status.ok()) return status.error();
   return result;

@@ -1,7 +1,6 @@
 #include "flexopt/core/evaluator.hpp"
 
 #include "flexopt/analysis/multicluster.hpp"
-#include "flexopt/flexray/bus_layout.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -13,10 +12,13 @@ namespace flexopt {
 /// Per-worker evaluation state (see the declaration in evaluator.hpp).
 struct CostEvaluator::WorkerSlot {
   EvaluatorWorkStats stats;
-  AnalysisArena arena;  ///< fixed-point state, reused per evaluation
-  BusLayout layout;     ///< rebuilt in place per candidate
-  SystemConfig key;     ///< the candidate's memo key, rebuilt in place
-  Evaluation eval;      ///< evaluate_in_slot's return storage
+  std::vector<ClusterLayout> layouts;  ///< one per cluster, re-assigned per candidate
+  MulticlusterWorkspace workspace;     ///< per-cluster arenas, jitters and results
+  SystemConfig key;                    ///< the candidate's memo key, rebuilt in place
+  /// The last memo miss: validity, cost and error (its per-cluster results
+  /// are workspace.result's).
+  Evaluation miss;
+  Evaluation eval;  ///< evaluate_in_slot's return storage
 };
 
 std::size_t hash_config(const BusConfig& config) {
@@ -64,7 +66,6 @@ std::size_t hash_system_config(const SystemConfig& config) {
 CostEvaluator::CostEvaluator(SystemModel model, const BusParams& params,
                              AnalysisOptions options, EvaluatorOptions evaluator_options)
     : model_(std::move(model)),
-      app_(model_.global()),
       params_(params),
       options_(options),
       evaluator_options_(evaluator_options),
@@ -156,32 +157,30 @@ void clear_keeping_capacity(AnalysisResult& a) {
   a.converged = true;
 }
 
-/// The evaluate_system shape of a slot-engine result (the memo entry).
-CostEvaluator::Evaluation system_view(const CostEvaluator::Evaluation& slot_eval) {
-  CostEvaluator::Evaluation out;
-  out.valid = slot_eval.valid;
-  out.cost = slot_eval.cost;
-  out.error = slot_eval.error;
-  if (slot_eval.valid) out.cluster_analysis.push_back(slot_eval.analysis);
-  return out;
-}
-
 }  // namespace
 
-void CostEvaluator::assign_focused_view(const Evaluation& entry, Evaluation& out) const {
+void CostEvaluator::assign_focused_view(const Evaluation& outcome,
+                                        std::span<const AnalysisResult> clusters,
+                                        Evaluation& out) const {
   // Single-bus algorithms read per-activity completions off
   // Evaluation::analysis (the OBC curve fit); copying all C cluster results
-  // out of the cache per candidate would dominate the descent's hot path.
-  out.valid = entry.valid;
-  out.cost = entry.cost;
-  out.error = entry.error;
+  // per candidate would dominate the descent's hot path.
+  out.valid = outcome.valid;
+  out.cost = outcome.cost;
+  out.error = outcome.error;
   out.cluster_analysis.clear();
   const auto focus = static_cast<std::size_t>(focus_cluster_);
-  if (entry.valid && focus < entry.cluster_analysis.size()) {
-    out.analysis = entry.cluster_analysis[focus];
+  if (outcome.valid && focus < clusters.size()) {
+    out.analysis = clusters[focus];
   } else {
     clear_keeping_capacity(out.analysis);
   }
+}
+
+CostEvaluator::Evaluation CostEvaluator::system_entry(const WorkerSlot& s) {
+  Evaluation entry = s.miss;
+  if (entry.valid) entry.cluster_analysis = s.workspace.result.clusters;
+  return entry;
 }
 
 std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::cached_system(
@@ -206,10 +205,14 @@ void CostEvaluator::insert_system_cache(const SystemConfig& config,
 void CostEvaluator::record_analysis(WorkerSlot& s, const AnalysisWorkCounters& counters) {
   s.stats.analysis += counters;
   ++s.stats.full_evaluations;
-  // The arena tracks its own lifetime totals; mirroring them (assignment,
+  // The arenas track their own lifetime totals; mirroring them (assignment,
   // not accumulation) keeps the sum over slots exact.
-  s.stats.arena_binds = s.arena.binds;
-  s.stats.arena_reuses = s.arena.reuses;
+  s.stats.arena_binds = 0;
+  s.stats.arena_reuses = 0;
+  for (const AnalysisArena& arena : s.workspace.arenas) {
+    s.stats.arena_binds += arena.binds;
+    s.stats.arena_reuses += arena.reuses;
+  }
   s.stats.components_per_evaluation.record(counters.components());
 }
 
@@ -245,17 +248,27 @@ const CostEvaluator::Evaluation& CostEvaluator::evaluate_focused(WorkerSlot& s,
   s.key = focus_context_;
   s.key.clusters[static_cast<std::size_t>(focus_cluster_)].flexray = config;
   if (const auto hit = cached_system(s.key)) {
-    assign_focused_view(*hit, s.eval);
-    return s.eval;
+    assign_focused_view(*hit, hit->cluster_analysis, s.eval);
+  } else {
+    analyze_miss(s, s.key);
+    assign_focused_view(s.miss, s.workspace.result.clusters, s.eval);
   }
-  if (slot_engine()) return analyze_into_slot(s, config);
-  assign_focused_view(*analyze_system_entry(s, s.key), s.eval);
   return s.eval;
 }
 
-const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(WorkerSlot& s,
-                                                                  const BusConfig& config) {
-  Evaluation& out = s.eval;
+CostEvaluator::Evaluation CostEvaluator::evaluate_system(const SystemConfig& config) {
+  Evaluation out;
+  if (const auto hit = cached_system(config)) {
+    out = *hit;
+  } else {
+    analyze_miss(*slots_[0], config);
+    out = system_entry(*slots_[0]);
+  }
+  note_failure(out);
+  return out;
+}
+
+void CostEvaluator::analyze_miss(WorkerSlot& s, const SystemConfig& config) {
   // Concurrent misses of the same configuration (repeats within one
   // evaluate_many batch) analyse redundantly but converge on identical
   // values (the analysis is deterministic), so no per-key coordination is
@@ -263,128 +276,64 @@ const CostEvaluator::Evaluation& CostEvaluator::analyze_into_slot(WorkerSlot& s,
   if (evaluator_options_.cache_enabled) {
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
   }
+  Evaluation& out = s.miss;
   out.valid = false;
-  out.error.clear();
   out.cost = Cost{kInvalidConfigCost, false, 0};
-  out.cluster_analysis.clear();
-
-  auto layout = s.layout.assign(*app_, params_, config);
-  if (layout.ok()) {
+  out.error.clear();
+  const auto layouts = assign_system_layouts(model_, params_, config, s.layouts);
+  if (layouts.ok()) {
     evaluations_.fetch_add(1, std::memory_order_relaxed);
     AnalysisWorkCounters counters;
-    const Expected<bool> analysis = analyze_system_into(s.layout, options_, components_[0],
-                                                        s.arena, out.analysis, &counters);
+    const auto analysis = analyze_multicluster(model_, s.layouts, options_, cluster_caches_,
+                                               s.workspace, &counters);
     record_analysis(s, counters);
     if (analysis.ok()) {
       out.valid = true;
-      out.cost = out.analysis.cost;
+      out.cost = s.workspace.result.cost;
     } else {
       out.error = analysis.error().message;
     }
   } else {
-    out.error = layout.error().message;
-  }
-  // An invalid result carries no bounds, not the slot's previous ones.
-  if (!out.valid) clear_keeping_capacity(out.analysis);
-
-#ifndef NDEBUG
-  // Debug builds re-analyse every configuration on a call-local component
-  // cache and compare bit for bit: a stale or mis-keyed cached component
-  // can never hide.
-  if (layout.ok()) {
-    auto reference = analyze_system(s.layout, options_);
-    assert(reference.ok() == out.valid);
-    if (reference.ok()) {
-      const AnalysisResult& ref = reference.value();
-      assert(out.analysis.converged == ref.converged);
-      assert(out.analysis.task_completion == ref.task_completion);
-      assert(out.analysis.message_completion == ref.message_completion);
-      assert(out.analysis.task_jitter == ref.task_jitter);
-      assert(out.analysis.message_jitter == ref.message_jitter);
-      assert(out.cost.value == ref.cost.value);
-      assert(out.cost.schedulable == ref.cost.schedulable);
-      assert(out.cost.unbounded_activities == ref.cost.unbounded_activities);
-    }
-  }
-#endif
-  if (evaluator_options_.cache_enabled) {
-    insert_system_cache(s.key, std::make_shared<const Evaluation>(system_view(out)));
-  }
-  return out;
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate_system(const SystemConfig& config) {
-  const auto hit = cached_system(config);
-  const std::shared_ptr<const Evaluation> entry =
-      hit ? hit : analyze_system_entry(*slots_[0], config);
-  note_failure(*entry);
-  return *entry;
-}
-
-std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::analyze_system_entry(
-    WorkerSlot& s, const SystemConfig& config) {
-  if (evaluator_options_.cache_enabled) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto entry = std::make_shared<const Evaluation>(analyze_system_config(s, config));
-  insert_system_cache(config, entry);
-  return entry;
-}
-
-CostEvaluator::Evaluation CostEvaluator::analyze_system_config(WorkerSlot& s,
-                                                               const SystemConfig& config) {
-  Evaluation out;
-  auto layouts = build_system_layouts(model_, params_, config);
-  if (!layouts.ok()) {
     out.error = layouts.error().message;
-    return out;
   }
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  AnalysisWorkCounters counters;
-  auto analysis =
-      analyze_multicluster(model_, layouts.value(), options_, cluster_caches_, &counters);
-  record_analysis(s, counters);
-  if (!analysis.ok()) {
-    out.error = analysis.error().message;
-    return out;
-  }
-  MulticlusterResult result = std::move(analysis).value();
-  out.valid = true;
-  out.cost = result.cost;
-  out.cluster_analysis = std::move(result.clusters);
 
 #ifndef NDEBUG
-  // Debug builds cross-check every evaluation against the same fixed point
-  // on call-local caches, bit for bit — the system-path analogue of the
-  // slot-engine assertion.  Exact mode compares the engine counters too, so
-  // a stale exact-space entry cannot hide behind equal costs either.
-  auto reference = analyze_multicluster(model_, layouts.value(), options_);
-  assert(reference.ok());
-  if (reference.ok()) {
-    const MulticlusterResult& ref = reference.value();
-    assert(ref.cost.value == out.cost.value);
-    assert(ref.cost.schedulable == out.cost.schedulable);
-    assert(ref.cost.unbounded_activities == out.cost.unbounded_activities);
-    for (std::size_t c = 0; c < ref.clusters.size(); ++c) {
-      const AnalysisResult& a = out.cluster_analysis[c];
-      const AnalysisResult& r = ref.clusters[c];
-      assert(r.converged == a.converged);
-      assert(r.task_completion == a.task_completion);
-      assert(r.message_completion == a.message_completion);
-      assert(r.task_jitter == a.task_jitter);
-      assert(r.message_jitter == a.message_jitter);
-      assert((r.exact == nullptr) == (a.exact == nullptr));
-      if (r.exact != nullptr && a.exact != nullptr) {
-        assert(r.exact->fallback == a.exact->fallback);
-        assert(r.exact->explored_states == a.exact->explored_states);
-        assert(r.exact->merged_states == a.exact->merged_states);
-        assert(r.exact->transitions == a.exact->transitions);
-        assert(r.exact->refined_messages == a.exact->refined_messages);
+  // Debug builds re-analyse every miss on call-local component caches and
+  // compare bit for bit, so a stale or mis-keyed cached component, or state
+  // a worker slot carried over from an earlier candidate, can never hide.
+  // Exact mode compares the engine counters too, so a stale exact-space
+  // entry cannot hide behind equal costs either.
+  if (layouts.ok()) {
+    auto reference = analyze_multicluster(model_, s.layouts, options_);
+    assert(reference.ok() == out.valid);
+    if (reference.ok() && out.valid) {
+      const MulticlusterResult& ref = reference.value();
+      assert(ref.cost.value == out.cost.value);
+      assert(ref.cost.schedulable == out.cost.schedulable);
+      assert(ref.cost.unbounded_activities == out.cost.unbounded_activities);
+      for (std::size_t c = 0; c < ref.clusters.size(); ++c) {
+        const AnalysisResult& a = s.workspace.result.clusters[c];
+        const AnalysisResult& r = ref.clusters[c];
+        assert(r.converged == a.converged);
+        assert(r.task_completion == a.task_completion);
+        assert(r.message_completion == a.message_completion);
+        assert(r.task_jitter == a.task_jitter);
+        assert(r.message_jitter == a.message_jitter);
+        assert((r.exact == nullptr) == (a.exact == nullptr));
+        if (r.exact != nullptr && a.exact != nullptr) {
+          assert(r.exact->fallback == a.exact->fallback);
+          assert(r.exact->explored_states == a.exact->explored_states);
+          assert(r.exact->merged_states == a.exact->merged_states);
+          assert(r.exact->transitions == a.exact->transitions);
+          assert(r.exact->refined_messages == a.exact->refined_messages);
+        }
       }
     }
   }
 #endif
-  return out;
+  if (evaluator_options_.cache_enabled) {
+    insert_system_cache(config, std::make_shared<const Evaluation>(system_entry(s)));
+  }
 }
 
 std::vector<CostEvaluator::Evaluation> CostEvaluator::evaluate_many(

@@ -16,13 +16,14 @@
 /// BusConfig forms that substitute the candidate into the focus coordinate
 /// (see set_focus): `evaluate` (by value), `evaluate_in_slot` (by reference
 /// into the driving thread's worker slot, allocation-free at steady state)
-/// and `evaluate_many`.  On a memo miss a BusConfig form on one holistic
-/// FlexRay cluster runs the arena engine (flexopt/analysis/incremental.hpp)
-/// on a worker slot; everything else — evaluate_system at every cluster
-/// count, exact mode, TSN, multi-cluster — runs analyze_multicluster.
-/// Both analyse cold on the evaluator's component caches, so a
-/// configuration's result does not depend on which entry point or which
-/// worker analysed it first.
+/// and `evaluate_many`.  Every memo miss takes one path, whatever the entry
+/// point, cluster count, backend or analysis mode: the worker slot
+/// re-assigns its per-cluster layouts in place and runs
+/// analyze_multicluster's in-place form (flexopt/analysis/multicluster.hpp)
+/// on its own workspace and the evaluator's per-cluster component caches.
+/// Every analysis starts cold, so a configuration's result does not depend
+/// on which entry point or which worker analysed it first; Debug builds
+/// check each miss against a call-local re-analysis, bit for bit.
 
 #include <atomic>
 #include <cstdint>
@@ -163,9 +164,10 @@ class CostEvaluator {
   /// evaluate(), returned by reference into worker slot 0 (the driving
   /// thread's): the hot path of SA's neighbour loop.  The reference is
   /// valid until the next evaluator call — copy it to keep it.  At steady
-  /// state (same application, single-cluster holistic analysis) a memo hit
-  /// or an uncached analysis performs zero heap allocations; a memo miss
-  /// allocates its cache entry, and the system path allocates.
+  /// state a memo hit performs zero heap allocations, and so does a valid
+  /// holistic analysis of an all-FlexRay system, at any cluster count,
+  /// whose schedule tables are cached.  Cache entries, table builds, TSN
+  /// clusters, exact mode and invalid configurations allocate.
   const Evaluation& evaluate_in_slot(const BusConfig& config);
 
   /// Full system evaluation of one per-cluster configuration product
@@ -238,39 +240,34 @@ class CostEvaluator {
   [[nodiscard]] std::string first_failure() const;
 
  private:
-  /// Per-worker evaluation state: the analysis arena, a reusable BusLayout
-  /// and memo key, the Evaluation evaluate_in_slot returns by reference,
-  /// and this worker's share of the work statistics.  Slot 0 serves the
-  /// driving thread; evaluate_many's worker w owns slot w for the batch,
-  /// so no slot is ever touched by two threads at once.
+  /// Per-worker evaluation state: the per-cluster layouts and workspace
+  /// that memo misses run on, the memo key, the Evaluation evaluate_in_slot
+  /// returns by reference, and this worker's share of the work statistics.
+  /// Slot 0 serves the driving thread; evaluate_many's worker w owns slot w
+  /// for the batch, so no slot is ever touched by two threads at once.
   struct WorkerSlot;
 
-  /// A BusConfig-form memo miss runs on the slot engine: one holistic
-  /// FlexRay cluster.
-  [[nodiscard]] bool slot_engine() const {
-    return focused() && model_.single_cluster() && options_.mode == AnalysisMode::Holistic;
-  }
-  /// A BusConfig form on `slot`: memo lookup, then the slot engine or the
-  /// system path on a miss.
+  /// A BusConfig form on `slot`: memo lookup, then analyze_miss on a miss.
   const Evaluation& evaluate_focused(WorkerSlot& slot, const BusConfig& config);
-  /// The slot engine on a memo miss: in-place layout assign + analysis into
-  /// the slot's Evaluation, entered into the memo cache under slot.key.
-  const Evaluation& analyze_into_slot(WorkerSlot& slot, const BusConfig& config);
-  /// The system path on a memo miss: analyze_multicluster, entered into the
-  /// memo cache.
-  std::shared_ptr<const Evaluation> analyze_system_entry(WorkerSlot& slot,
-                                                         const SystemConfig& config);
-  Evaluation analyze_system_config(WorkerSlot& slot, const SystemConfig& config);
-  /// Writes cost + the focused cluster's result of a memo entry into `out`
-  /// (the BusConfig-form shape), reusing out's capacity.
-  void assign_focused_view(const Evaluation& entry, Evaluation& out) const;
+  /// The memo miss of every entry point: assigns the slot's cluster layouts
+  /// in place, runs analyze_multicluster on the slot's workspace, records
+  /// the outcome in the slot, and enters it into the memo cache.
+  void analyze_miss(WorkerSlot& slot, const SystemConfig& config);
+  /// The slot's last miss in the evaluate_system shape (a memo entry).
+  static Evaluation system_entry(const WorkerSlot& slot);
+  /// Writes `outcome`'s validity, cost and error and the focused cluster's
+  /// entry of `clusters` into `out` (the BusConfig-form shape), reusing
+  /// out's capacity: for memo hits and misses alike.
+  void assign_focused_view(const Evaluation& outcome, std::span<const AnalysisResult> clusters,
+                           Evaluation& out) const;
   /// Cache lookup only (no analysis on miss); nullptr when absent.
   std::shared_ptr<const Evaluation> cached_system(const SystemConfig& config);
   void insert_system_cache(const SystemConfig& config, std::shared_ptr<const Evaluation> entry);
   /// Books one analysis' work into `slot`.
   static void record_analysis(WorkerSlot& slot, const AnalysisWorkCounters& counters);
   [[nodiscard]] const std::shared_ptr<const Application>& search_app() const {
-    return focused() ? model_.cluster_app(static_cast<std::size_t>(focus_cluster_)) : app_;
+    return focused() ? model_.cluster_app(static_cast<std::size_t>(focus_cluster_))
+                     : model_.global();
   }
 
   struct SystemConfigHash {
@@ -280,7 +277,6 @@ class CostEvaluator {
   };
 
   SystemModel model_;
-  std::shared_ptr<const Application> app_;  ///< the global application
   BusParams params_;
   AnalysisOptions options_;
   EvaluatorOptions evaluator_options_;

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file table.hpp
-/// Plain-text and CSV table rendering for the benchmark harnesses, so every
-/// bench binary prints paper-style rows that EXPERIMENTS.md can quote.
+/// Plain-text and CSV table rendering for the benchmark harnesses and the
+/// CLI: every bench binary prints its paper-style rows through it.
 
 #include <iosfwd>
 #include <string>

@@ -7,9 +7,10 @@
 // stops when a sweep changes nothing.  Nothing is cached and nothing is
 // skipped.
 //
-// The production engine (analyze_system_into, flexopt/analysis/
-// incremental.hpp) relaxes the same monotone iteration in Gauss-Seidel
-// order and skips recurrences whose inputs did not move.  Both climb from
+// The production engine (analyze_system_into, private to the analysis
+// module and reached through analyze_system) relaxes the same monotone
+// iteration in Gauss-Seidel order and skips recurrences whose inputs did
+// not move.  Both climb from
 // the same cold start to the same least fixed point, so wherever neither
 // trajectory stops an FPS or DYN recurrence at its iteration cap and this
 // reference converges, the two agree bit for bit.  The carve-outs:

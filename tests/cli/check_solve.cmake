@@ -1,20 +1,24 @@
 # Runs `flexopt_cli solve` on one fixture and checks its report:
 #
 #   cmake -DCLI=<flexopt_cli> -DSYSTEM=<system file> -DARGS="<solve flags>"
-#         -DEXPECT=<regex> [-DEXIT=<code>] -P check_solve.cmake
+#         -DEXPECT=<regex> [-DEXIT=<code>] [-DREJECT=<regex>] -P check_solve.cmake
 #
 # Without EXIT, passes only when the CLI exits 0 (schedulable) or 1 (not
 # schedulable) — a crash or a usage error fails even after printing — and
 # its standard output matches EXPECT, which spans the report's WCRT rows.
 # With EXIT, passes only when the CLI exits with exactly that code and its
 # standard error matches EXPECT (a rejected command line, or a system with
-# no analysable configuration).
+# no analysable configuration).  With REJECT, standard output must not
+# match that regex either way.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(
   COMMAND "${CLI}" solve "${SYSTEM}" ${args}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
+if(DEFINED REJECT AND out MATCHES "${REJECT}")
+  message(FATAL_ERROR "report matches '${REJECT}'\n${out}\n${err}")
+endif()
 if(DEFINED EXIT)
   if(NOT rc STREQUAL "${EXIT}")
     message(FATAL_ERROR "flexopt_cli exited with '${rc}', expected '${EXIT}'\n${out}\n${err}")

@@ -35,8 +35,9 @@ TEST(BackendDispatch, SingleClusterFlexrayIsBitIdenticalThroughSystemConfig) {
   EXPECT_EQ(old_path.cost.value, new_path.cost.value);
   EXPECT_EQ(old_path.cost.schedulable, new_path.cost.schedulable);
   // evaluate_system has one shape at every cluster count: one per-cluster
-  // result, here the single bus's.  It ran analyze_multicluster, the
-  // BusConfig form the thread-slot engine — byte for byte the same bounds.
+  // result, here the single bus's.  Both forms ran the same memo-miss path,
+  // and the BusConfig form's focused view carries byte for byte the same
+  // bounds.
   ASSERT_EQ(new_path.cluster_analysis.size(), 1u);
   EXPECT_EQ(old_path.analysis.task_completion, new_path.cluster_analysis[0].task_completion);
   EXPECT_EQ(old_path.analysis.message_completion, new_path.cluster_analysis[0].message_completion);

@@ -2,6 +2,8 @@
 // across >= 25 random MultiCluster scenarios with alternating FlexRay/TSN
 // clusters, (a) an evaluator whose component caches a walk of random moves
 // of either backend has warmed matches a fresh evaluator bit for bit, and
+// so do the FlexRay moves through the BusConfig forms on the worker slots
+// of a warm memo-off evaluator (tests/property/slot_forms.hpp), and
 // (b) every completion the
 // network simulator observes stays within its analyze_multicluster bound on
 // the mixed systems (the TSN guard-banding soundness check).
@@ -10,6 +12,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "flexopt/analysis/multicluster.hpp"
@@ -18,6 +21,7 @@
 #include "flexopt/gen/scenario.hpp"
 #include "flexopt/netsim/netsim.hpp"
 #include "flexopt/util/rng.hpp"
+#include "property/slot_forms.hpp"
 
 namespace flexopt {
 namespace {
@@ -91,6 +95,7 @@ TEST(MixedBackendProperty, WarmedEvaluatorMatchesAFreshOneAcrossBackends) {
     const ScenarioSpec spec = random_mixed_spec(rng);
     const SystemModel model = make_model(spec, params);
     CostEvaluator evaluator(model, params, AnalysisOptions{});
+    CostEvaluator slots(model, params, AnalysisOptions{}, testing::slot_forms_options());
     SystemConfig base = start_configs(model, params);
 
     for (int step = 0; step < 3; ++step) {
@@ -102,6 +107,12 @@ TEST(MixedBackendProperty, WarmedEvaluatorMatchesAFreshOneAcrossBackends) {
       const auto warm = evaluator.evaluate_system(substituted);
       CostEvaluator fresh(model, params, AnalysisOptions{});
       const auto full = fresh.evaluate_system(substituted);
+      if (base.clusters[c_moved].kind == ClusterBackendKind::FlexRay) {
+        testing::expect_slot_forms_match(
+            slots, base, c_moved, substituted.clusters[c_moved].flexray, full,
+            fresh.evaluate_system(base),
+            "scenario " + std::to_string(i) + " step " + std::to_string(step));
+      }
       ASSERT_EQ(warm.valid, full.valid) << "scenario " << i << " step " << step;
       if (!warm.valid) continue;
       EXPECT_EQ(warm.cost.value, full.cost.value) << "scenario " << i << " step " << step;

@@ -134,6 +134,12 @@ bool check_analysable(const SystemModel& model) {
   return true;
 }
 
+/// A solve's cost, or "-" when nothing analysable was found (the cost is
+/// then the invalid-configuration sentinel, not a measurement).
+std::string fmt_cost(double cost) {
+  return cost >= kInvalidConfigCost ? "-" : fmt_double(cost, 1) + " us";
+}
+
 int list_algorithms() {
   Table table({"algorithm", "description"});
   for (const OptimizerInfo& info : OptimizerRegistry::list()) {
@@ -312,13 +318,8 @@ int solve_main(int argc, char** argv) {
     request.progress = [](const SolveProgress& p) {
       std::cerr << "[" << p.algorithm << "] " << p.evaluations;
       if (p.max_evaluations > 0) std::cerr << "/" << p.max_evaluations;
-      std::cerr << " analyses, best cost ";
-      if (p.best_cost >= kInvalidConfigCost) {
-        std::cerr << "-";
-      } else {
-        std::cerr << fmt_double(p.best_cost, 1) << " us";
-      }
-      std::cerr << ", " << fmt_double(p.elapsed_seconds, 1) << " s\r";
+      std::cerr << " analyses, best cost " << fmt_cost(p.best_cost) << ", "
+                << fmt_double(p.elapsed_seconds, 1) << " s\r";
       return true;  // never cancels; Ctrl-C remains the way out
     };
   }
@@ -360,8 +361,8 @@ int solve_main(int argc, char** argv) {
 
   std::cout << "\n" << outcome.algorithm << ": "
             << (outcome.feasible ? "SCHEDULABLE" : "not schedulable") << ", cost "
-            << fmt_double(outcome.cost.value, 1) << " us, " << outcome.evaluations
-            << " analyses in " << fmt_double(outcome.wall_seconds, 3) << " s ("
+            << fmt_cost(outcome.cost.value) << ", " << outcome.evaluations << " analyses in "
+            << fmt_double(outcome.wall_seconds, 3) << " s ("
             << to_string(report.status) << ", " << report.cache_hits << " cache hits)\n";
   std::cout << "incremental: " << report.components_recomputed << " components recomputed, "
             << report.components_reused << " reused\n";
@@ -591,8 +592,7 @@ int simulate_main(int argc, char** argv) {
   const OptimizationOutcome& outcome = report.outcome;
   std::cout << outcome.algorithm << ": "
             << (outcome.feasible ? "SCHEDULABLE" : "not schedulable") << ", cost "
-            << fmt_double(outcome.cost.value, 1) << " us, " << outcome.evaluations
-            << " analyses\n";
+            << fmt_cost(outcome.cost.value) << ", " << outcome.evaluations << " analyses\n";
   if (outcome.cost.value >= kInvalidConfigCost) {
     std::cerr << "no analysable configuration found"
               << (outcome.error.empty() ? "" : ": " + outcome.error) << "; nothing to simulate\n";
