@@ -138,8 +138,10 @@ DynBounds dyn_segment_bounds(const Application& app, const BusParams& params, Ti
     largest = std::max(largest, params.frame_minislots(m.size_bytes));
   }
   if (dyn_msgs == 0) {
-    bounds.min_minislots = 0;
-    bounds.max_minislots = 0;
+    // No DYN segment is needed, but a bus cycle cannot be empty: without a
+    // static segment either, the cycle is one minislot.
+    bounds.min_minislots = st_len > 0 ? 0 : 1;
+    bounds.max_minislots = bounds.min_minislots;
     return bounds;
   }
   // With unique FrameIDs the highest slot number is dyn_msgs; it must still

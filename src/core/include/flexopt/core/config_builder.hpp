@@ -48,7 +48,9 @@ Time min_static_slot_len(const Application& app, const BusParams& params);
 /// min = max(largest DYN frame footprint, number of DYN messages) so that
 /// every frame fits (pLatestTx >= 1) and unique FrameIDs are possible;
 /// max = protocol limit, further capped so the bus cycle stays within
-/// 16 ms given the ST segment length `st_len`.
+/// 16 ms given the ST segment length `st_len`.  Without DYN messages the
+/// bounds are [0, 0], or [1, 1] when `st_len` is 0 too, so that a cluster
+/// with no bus traffic still gets a non-empty cycle.
 struct DynBounds {
   int min_minislots = 0;
   int max_minislots = 0;

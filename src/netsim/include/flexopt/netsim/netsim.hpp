@@ -12,6 +12,12 @@
 /// (held back by an engine gate until the upstream receive completes) sends
 /// the next hop frame.
 ///
+/// The engines' sending DYN minislot steps take part in the merged order at
+/// the rank and instant of a step-by-step walk, while each engine takes its
+/// idle minislot steps in bulk; NetSimResult::events still counts one event
+/// per minislot step, and NetSimResult::queued_events counts only the
+/// events that passed through an engine's event queue.
+///
 /// The simulator is the executable ground truth for analyze_multicluster:
 /// check_soundness() verifies that every observed completion is dominated
 /// by the analysed bound and quantifies the pessimism gap, and
@@ -109,7 +115,13 @@ struct NetSimResult {
   /// One entry per gateway transition, in relay-link order.
   std::vector<GatewayStats> gateways;
   Time horizon = 0;
+  /// Logical events over all cluster engines, one per DYN minislot step
+  /// included (ClusterEngine::events_processed).
   std::uint64_t events = 0;
+  /// Events that passed through an engine's event queue
+  /// (ClusterEngine::queued_events): `events` without the DYN minislot
+  /// steps, which each engine's walker takes without queueing.
+  std::uint64_t queued_events = 0;
   int unfinished_jobs = 0;
   int precedence_violations = 0;
 };

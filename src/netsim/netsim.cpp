@@ -259,6 +259,7 @@ Expected<NetSimResult> simulate_network(const SystemModel& model,
   result.clusters.reserve(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
     result.events += engines[c]->events_processed();
+    result.queued_events += engines[c]->queued_events();
     SimResult cluster_result = engines[c]->finish();
     cluster_result.horizon = horizon;
     result.unfinished_jobs += cluster_result.unfinished_jobs;

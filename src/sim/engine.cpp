@@ -26,6 +26,8 @@ enum class EventType : int {
   GraphRelease = 4,
   TaskRelease = 5,
   ScsStart = 6,
+  // One logical DYN minislot step.  The DYN walker takes these itself and
+  // never queues one; the rank orders its sending steps against the queue.
   DynSlot = 7,
   // Appended after DynSlot so the FlexRay tie-break order (and with it the
   // recorded traces) is untouched.  TSN only: serve one egress port's ET
@@ -37,16 +39,24 @@ struct Event {
   Time time = 0;
   EventType type{};
   std::uint64_t seq = 0;
-  std::size_t a = 0;   // node / graph index
+  std::size_t a = 0;   // node / graph / port index
   std::size_t b = 0;   // job index
-  std::int64_t c = 0;  // generation / counter / cycle
-  std::int64_t d = 0;  // extra payload (FrameID, …)
+  std::int64_t c = 0;  // CPU generation (FpsFinish)
+  std::int64_t d = 0;  // task / message index
 
   bool operator>(const Event& other) const {
     if (time != other.time) return time > other.time;
     if (type != other.type) return type > other.type;
     return seq > other.seq;
   }
+};
+
+/// One logical step of a DYN segment: in bus cycle `cycle`, the slot
+/// counter reads FrameID `fid` while the minislot counter reads `counter`.
+struct DynStep {
+  std::int64_t cycle = 0;
+  std::int64_t counter = 1;
+  int fid = 1;
 };
 
 struct TaskJob {
@@ -117,13 +127,32 @@ struct ClusterEngine::Impl {
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
   std::uint64_t seq = 0;
+  /// Logical events taken: heap events plus DYN steps, idle ones included.
   std::uint64_t processed = 0;
+  /// Events that passed through the heap.
+  std::uint64_t queued = 0;
 
   std::vector<NodeState> cpus;
   /// CHI dynamic send queues: keyed by FrameID on FlexRay, by egress-port
-  /// node index on TSN (priority = et_priority there).
+  /// node index on TSN (priority = et_priority there).  On FlexRay only
+  /// non-empty queues are kept, so the walker finds the next queued
+  /// FrameID with one lower_bound.
   std::map<int, std::multiset<ChiEntry>> chi;
   std::vector<Time> port_busy_until;  // TSN only, per node
+
+  // ---- DYN segment walker (FlexRay with at least one DYN FrameID) --------
+  // Each bus cycle's DYN segment is a run of logical minislot steps.  A
+  // step whose FrameID has nothing queued, or whose owner is past
+  // pLatestTx, is idle and advances FrameID and minislot counter by one; a
+  // sending step advances the counter by the frame's minislots; the step
+  // past the last FrameID or minislot ends the segment.  Only sending steps
+  // have effects, and whether a step sends depends only on the CHI queues,
+  // which change only in this engine's own events.  So the walker keeps
+  // the next sending step as `target` and takes every step before it at
+  // once, counting each one in `processed`.
+  DynStep cursor;  // first step not yet taken
+  DynStep target;  // next sending step, when has_target
+  bool has_target = false;
 
   SimResult result;
   std::vector<Event> recompute_stack;   // deferred burst projections
@@ -221,6 +250,10 @@ struct ClusterEngine::Impl {
           } else {
             const int fid = layout->frame_id(static_cast<MessageId>(s.index));
             chi[fid].insert(ChiEntry{app->messages()[s.index].priority, when, s.index, job});
+            // The frame is seen from the step at `when` on, since DynSlot
+            // ranks after every other event of an instant.
+            skip_to(when);
+            find_target();
           }
         }
         // ST messages are replayed from the table; readiness is only used
@@ -287,6 +320,119 @@ struct ClusterEngine::Impl {
       if (!moved) return pos;  // nothing ahead within two cycles
     }
     return kTimeNone;  // the gaps never fit this frame
+  }
+
+  Time step_time(const DynStep& s) const {
+    return s.cycle * cycle_len + layout->st_segment_len() +
+           (s.counter - 1) * layout->params().gd_minislot;
+  }
+
+  /// FrameID of the step that ends the segment `s` lies in: the first one
+  /// past the last FrameID or, at s's counter lead, past the last minislot.
+  std::int64_t segment_end(const DynStep& s) const {
+    return std::min<std::int64_t>(layout->max_frame_id(),
+                                  layout->config().minislot_count - (s.counter - s.fid)) +
+           1;
+  }
+
+  /// The first step at or after the cursor whose instant is not before
+  /// min(t, horizon).  Every step before it must be idle.
+  DynStep first_step_at(Time t) const {
+    t = std::min(t, horizon);
+    const Time gd = layout->params().gd_minislot;
+    DynStep s = cursor;
+    const Time start = step_time(s);
+    if (t <= start) return s;
+    if (t <= start + (segment_end(s) - s.fid) * gd) {
+      const std::int64_t n = ceil_div(t - start, gd);
+      return DynStep{s.cycle, s.counter + n, s.fid + static_cast<int>(n)};
+    }
+    // Idle segments of later cycles: one step per FrameID, then the end
+    // step at offset `last` into the cycle.
+    const Time last = layout->st_segment_len() + layout->max_frame_id() * gd;
+    std::int64_t cycle = s.cycle + 1;
+    if (t - last > cycle * cycle_len) cycle = ceil_div(t - last, cycle_len);
+    s = DynStep{cycle, 1, 1};
+    const Time first = step_time(s);
+    if (t <= first) return s;
+    const std::int64_t n = ceil_div(t - first, gd);
+    return DynStep{cycle, 1 + n, 1 + static_cast<int>(n)};
+  }
+
+  /// Steps from the cursor up to `to` (exclusive), which lies in the
+  /// cursor's cycle or a later one.
+  std::uint64_t steps_until(const DynStep& to) const {
+    if (to.cycle == cursor.cycle) return static_cast<std::uint64_t>(to.fid - cursor.fid);
+    const std::int64_t rest = segment_end(cursor) - cursor.fid + 1;
+    const std::int64_t whole = (to.cycle - cursor.cycle - 1) * (layout->max_frame_id() + 1);
+    return static_cast<std::uint64_t>(rest + whole + to.fid - 1);
+  }
+
+  /// Takes every step before instant `t` (all idle).
+  void skip_to(Time t) {
+    const DynStep to = first_step_at(t);
+    processed += steps_until(to);
+    cursor = to;
+  }
+
+  /// The first step at or after the cursor that sends with the current
+  /// queues: the first queued FrameID of the cursor's segment whose owner
+  /// is still within pLatestTx there, else the first one whose owner is at
+  /// the start of the next segment.  None when that lies past the horizon.
+  void find_target() {
+    const auto sends = [&](int fid, std::int64_t counter) {
+      NodeId owner{};
+      return layout->frame_id_owner(fid, &owner) && counter <= layout->p_latest_tx(owner);
+    };
+    const std::int64_t lead = cursor.counter - cursor.fid;
+    has_target = false;
+    for (auto it = chi.lower_bound(cursor.fid); it != chi.end() && !has_target; ++it) {
+      if (sends(it->first, it->first + lead)) {
+        target = DynStep{cursor.cycle, it->first + lead, it->first};
+        has_target = true;
+      }
+    }
+    for (auto it = chi.begin(); it != chi.end() && !has_target; ++it) {
+      if (sends(it->first, it->first)) {
+        target = DynStep{cursor.cycle + 1, it->first, it->first};
+        has_target = true;
+      }
+    }
+    has_target = has_target && step_time(target) < horizon;
+  }
+
+  /// True when the walker's sending step is the engine's next event.
+  bool target_first() const {
+    if (!has_target) return false;
+    if (events.empty()) return true;
+    const Time at = step_time(target);
+    return at < events.top().time ||
+           (at == events.top().time && EventType::DynSlot < events.top().type);
+  }
+
+  /// Takes the idle steps up to the target and the target itself: the
+  /// FrameID's highest-priority frame goes on the bus.  Every queued frame
+  /// is ready, since it entered its queue at an event no later than now.
+  void send_target() {
+    const Time now = step_time(target);
+    processed += steps_until(target) + 1;
+    const auto queue = chi.find(target.fid);
+    const ChiEntry frame = *queue->second.begin();  // order = (priority, ready, job)
+    assert(frame.ready <= now);
+    queue->second.erase(queue->second.begin());
+    if (queue->second.empty()) chi.erase(queue);
+    const auto m = static_cast<MessageId>(frame.message);
+    const Time delivery = now + layout->message_occupancy(m);
+    push(Event{delivery, EventType::DynDelivery, 0, 0, frame.job, 0,
+               static_cast<std::int64_t>(frame.message)});
+    if (options.record_trace) {
+      result.trace.push_back(TransmissionRecord{m, static_cast<int>(frame.job), true,
+                                                target.fid, now / cycle_len, now, delivery,
+                                                options.cluster, hop_of(frame.message)});
+    }
+    cursor = DynStep{target.cycle, target.counter + layout->message_minislots(m),
+                     target.fid + 1};
+    find_target();
   }
 
   void process(const Event& ev) {
@@ -375,46 +521,9 @@ struct ClusterEngine::Impl {
         }
         break;
       }
-      case EventType::DynSlot: {
-        const int fid = static_cast<int>(ev.d);
-        const std::int64_t counter = ev.c;
-        if (fid > layout->max_frame_id() || counter > layout->config().minislot_count) {
-          break;  // segment exhausted
-        }
-        std::int64_t advance = 1;
-        NodeId owner{};
-        if (layout->frame_id_owner(fid, &owner) && counter <= layout->p_latest_tx(owner)) {
-          auto& queue = chi[fid];
-          // Pick the highest-priority message that reached the CHI before
-          // this slot started.
-          auto best = queue.end();
-          for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (it->ready <= now) {
-              best = it;
-              break;  // multiset order = (priority, ready, job)
-            }
-          }
-          if (best != queue.end()) {
-            const std::uint32_t m = best->message;
-            const std::size_t job_index = best->job;
-            const int slots = layout->message_minislots(static_cast<MessageId>(m));
-            const Time delivery = now + layout->message_occupancy(static_cast<MessageId>(m));
-            push(Event{delivery, EventType::DynDelivery, 0, 0, job_index, 0,
-                       static_cast<std::int64_t>(m)});
-            if (options.record_trace) {
-              result.trace.push_back(TransmissionRecord{static_cast<MessageId>(m),
-                                                        static_cast<int>(job_index), true, fid,
-                                                        now / cycle_len, now, delivery,
-                                                        options.cluster, hop_of(m)});
-            }
-            queue.erase(best);
-            advance = slots;
-          }
-        }
-        push(Event{now + advance * layout->params().gd_minislot, EventType::DynSlot, 0, 0, 0,
-                   counter + advance, static_cast<std::int64_t>(fid) + 1});
+      case EventType::DynSlot:
+        assert(false && "DYN steps are taken by the walker, never queued");
         break;
-      }
       case EventType::EtPortService: {
         const std::size_t port = ev.a;
         if (now < port_busy_until[port]) break;  // a service fires at busy_until
@@ -605,16 +714,6 @@ Expected<std::unique_ptr<ClusterEngine>> ClusterEngine::create_impl(const BusLay
     }
   }
 
-  // DYN segment walkers: one chain of DynSlot events per bus cycle.  TSN
-  // needs none — ports are event-driven (EtPortService is armed by each
-  // frame arrival and re-armed after each transmission).
-  if (bus != nullptr && bus->max_frame_id() > 0) {
-    for (Time c = 0; c * cycle_len < horizon; ++c) {
-      im.push(Event{c * cycle_len + bus->st_segment_len(), EventType::DynSlot, 0, 0, 0,
-                    /*counter=*/1, /*fid=*/1});
-    }
-  }
-
   im.cpus.resize(app.node_count());
   im.port_busy_until.assign(app.node_count(), 0);
   im.result.task_worst_completion.assign(app.task_count(), kTimeNone);
@@ -622,23 +721,32 @@ Expected<std::unique_ptr<ClusterEngine>> ClusterEngine::create_impl(const BusLay
   return engine;
 }
 
-bool ClusterEngine::done() const { return impl_->events.empty(); }
+bool ClusterEngine::done() const { return impl_->events.empty() && !impl_->has_target; }
 
 Time ClusterEngine::next_time() const {
-  return impl_->events.empty() ? kTimeInfinity : impl_->events.top().time;
+  const Impl& im = *impl_;
+  if (im.target_first()) return im.step_time(im.target);
+  return im.events.empty() ? kTimeInfinity : im.events.top().time;
 }
 
 int ClusterEngine::next_order() const {
-  return impl_->events.empty() ? static_cast<int>(EventType::EtPortService) + 1
-                               : static_cast<int>(impl_->events.top().type);
+  const Impl& im = *impl_;
+  if (im.target_first()) return static_cast<int>(EventType::DynSlot);
+  return im.events.empty() ? static_cast<int>(EventType::EtPortService) + 1
+                           : static_cast<int>(im.events.top().type);
 }
 
 void ClusterEngine::process_next() {
   Impl& im = *impl_;
+  if (im.target_first()) {
+    im.send_target();
+    return;
+  }
   assert(!im.events.empty());
   const Event ev = im.events.top();
   im.events.pop();
   ++im.processed;
+  ++im.queued;
   im.process(ev);
 }
 
@@ -655,7 +763,14 @@ void ClusterEngine::release_gated(TaskId task, std::size_t job, Time now) {
 
 Time ClusterEngine::horizon() const { return impl_->horizon; }
 
-std::uint64_t ClusterEngine::events_processed() const { return impl_->processed; }
+std::uint64_t ClusterEngine::events_processed() const {
+  const Impl& im = *impl_;
+  if (im.layout == nullptr || im.layout->max_frame_id() == 0) return im.processed;  // no DYN walk
+  // Idle steps before the next event are taken, up to the horizon when done.
+  return im.processed + im.steps_until(im.first_step_at(next_time()));
+}
+
+std::uint64_t ClusterEngine::queued_events() const { return impl_->queued; }
 
 SimResult ClusterEngine::finish() {
   Impl& im = *impl_;

@@ -6,6 +6,15 @@
 /// scheduler CPUs of the nodes attached to it, exposed as a ClusterEngine
 /// that an external coordinator can advance one event at a time.
 ///
+/// One event is one logical step: a completion, release or delivery, or
+/// one DYN minislot step (one FrameID considered at one minislot counter
+/// value).  The engine takes idle minislot steps in bulk: a per-engine
+/// segment walker keeps the next step that sends a frame, and every step
+/// before it, which has no effect, is counted in events_processed()
+/// without passing through the event queue.  Only sending steps are
+/// visible to a coordinator, at the rank an idle step would have had, so
+/// the order of everything observable is that of a step-by-step walk.
+///
 /// simulate() (simulator.hpp) wraps exactly one engine and drains it — the
 /// single-bus behaviour is bit-identical to the pre-refactor simulator.
 /// The network simulator (flexopt/netsim/netsim.hpp) instantiates one
@@ -89,7 +98,8 @@ class ClusterEngine {
   /// engine-internal EventType order, exposed so a coordinator merging
   /// several engines preserves the single-engine ordering semantics.
   [[nodiscard]] int next_order() const;
-  /// Processes exactly one event (the queue head) and every CPU
+  /// Processes exactly one event (the queue head, or the DYN walker's next
+  /// sending step together with the idle steps before it) and every CPU
   /// recomputation it triggers.
   void process_next();
 
@@ -105,8 +115,13 @@ class ClusterEngine {
 
   /// Simulated horizon (after any lcm alignment).
   [[nodiscard]] Time horizon() const;
-  /// Events processed so far (throughput metric for benches).
+  /// Logical events processed so far: every event ordered before the next
+  /// pending one, idle DYN minislot steps included (all of them below the
+  /// horizon once done()).  Throughput metric for benches.
   [[nodiscard]] std::uint64_t events_processed() const;
+  /// Events that passed through the event queue: events_processed() minus
+  /// the DYN minislot steps, which the walker takes without queueing.
+  [[nodiscard]] std::uint64_t queued_events() const;
   /// Finalizes unfinished-job accounting and surrenders the result.  The
   /// engine must not be stepped afterwards.
   [[nodiscard]] SimResult finish();

@@ -16,7 +16,11 @@
 /// The event kernel itself lives in flexopt/sim/engine.hpp (ClusterEngine);
 /// simulate() drains exactly one engine.  The multi-cluster network
 /// simulator (flexopt/netsim/netsim.hpp) runs one engine per cluster on a
-/// merged event order.
+/// merged event order.  In the kernel one event is one logical step, one
+/// DYN minislot step included; the idle minislot steps, which send
+/// nothing, are taken in bulk, so a long DYN segment costs the walk only
+/// its sending steps while traces and event counts stay those of a
+/// step-by-step walk.
 
 #include <cstdint>
 #include <vector>

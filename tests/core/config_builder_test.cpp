@@ -132,6 +132,25 @@ TEST(DynBounds, NoDynMessagesMeansEmptySegment) {
   EXPECT_EQ(bounds.max_minislots, 0);
 }
 
+TEST(DynBounds, NoBusTrafficMeansAOneMinislotCycle) {
+  // Neither ST slots nor DYN frames: the cycle still needs one minislot.
+  Application app;
+  const NodeId n0 = app.add_node("N0");
+  const GraphId g = app.add_graph("g", timeunits::ms(10), timeunits::ms(10));
+  app.add_task(g, "t", n0, timeunits::us(100), TaskPolicy::Fps, 1);
+  ASSERT_TRUE(app.finalize().ok());
+  const BusParams params;
+  const DynBounds bounds = dyn_segment_bounds(app, params, 0);
+  EXPECT_EQ(bounds.min_minislots, 1);
+  EXPECT_EQ(bounds.max_minislots, 1);
+  const StartConfig start = minimal_start_config(app, params);
+  EXPECT_EQ(start.config.static_slot_count, 0);
+  EXPECT_EQ(start.config.minislot_count, 1);
+  auto layout = BusLayout::build(app, params, start.config);
+  ASSERT_TRUE(layout.ok()) << layout.error().message;
+  EXPECT_EQ(layout.value().cycle_len(), params.gd_minislot);
+}
+
 TEST(MinStaticSlotLen, CoversLargestStFrame) {
   const Application app = build_cruise_controller();
   const BusParams params = cruise_controller_params();

@@ -7,6 +7,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "flexopt/campaign/campaign.hpp"
+#include "flexopt/campaign/spec_format.hpp"
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/solver.hpp"
 #include "flexopt/gen/scenario.hpp"
@@ -254,6 +256,64 @@ TEST(MulticlusterSolve, PortfolioProfileSumsItsMembers) {
   for (const MemberSolveReport& member : report.members) sum += member.profile;
   EXPECT_GT(report.profile.analysis.components(), 0u);
   expect_same_work(report.profile, sum);
+}
+
+TEST(MulticlusterSolve, EveryAlgorithmAnalysesAClusterWithoutBusTraffic) {
+  // The 4-cluster member with alternating FlexRay/TSN clusters of the
+  // grid MulticlusterProperty.SolvesMatchRecordedDigest pins: FlexRay
+  // cluster 2 carries no frame, so its minimal start configuration has no
+  // static slot and needs a one-minislot DYN segment for a non-empty cycle.
+  auto spec = parse_campaign_text(R"(name no-traffic-cluster
+nodes 6
+topology multicluster
+clusters 2 3 4
+backend flexray mixed
+traffic dyn-only
+inter_share 0.25
+node_util 0.20:0.35
+bus_util 0.05:0.20
+periods 20ms 40ms 80ms
+replicates 1
+tasks_per_node 4
+tasks_per_graph 4
+deadline_factor 2.0
+seed 11
+budget 48
+)");
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  auto plans = expand_grid(spec.value());
+  ASSERT_TRUE(plans.ok()) << plans.error().message;
+  const ScenarioPlan& plan = plans.value().at(5);
+  ASSERT_EQ(plan.scenario.clusters, 4);
+  ASSERT_EQ(plan.scenario.backend, BackendMix::Mixed);
+  const BusParams params;
+  auto app = generate_scenario(plan.scenario, params);
+  ASSERT_TRUE(app.ok()) << app.error().message;
+  auto model = SystemModel::build(std::make_shared<const Application>(std::move(app).value()));
+  ASSERT_TRUE(model.ok()) << model.error().message;
+
+  const Application& quiet = *model.value().cluster_app(2);
+  ASSERT_EQ(quiet.cluster_backend(ClusterId{0}), ClusterBackendKind::FlexRay);
+  ASSERT_EQ(quiet.message_count(), 0u);
+  const StartConfig start = minimal_start_config(quiet, params);
+  EXPECT_EQ(start.config.static_slot_count, 0);
+  EXPECT_EQ(start.config.minislot_count, 1);
+  EXPECT_TRUE(BusLayout::build(quiet, params, start.config).ok());
+
+  for (const char* algorithm : {"bbc", "obc-cf", "obc-ee", "sa"}) {
+    auto optimizer = OptimizerRegistry::create(algorithm);
+    ASSERT_TRUE(optimizer.ok()) << optimizer.error().message;
+    EvaluatorOptions options;
+    options.threads = 1;
+    CostEvaluator evaluator(model.value(), params, AnalysisOptions{}, options);
+    SolveRequest request;
+    request.seed = plan.scenario.base.seed;
+    request.max_evaluations = spec.value().max_evaluations;
+    const SolveReport report = optimizer.value()->solve(evaluator, request);
+    EXPECT_GT(report.outcome.evaluations, 0) << algorithm;
+    EXPECT_LT(report.outcome.cost.value, kInvalidConfigCost) << algorithm;
+    EXPECT_TRUE(report.outcome.error.empty()) << algorithm << ": " << report.outcome.error;
+  }
 }
 
 }  // namespace
