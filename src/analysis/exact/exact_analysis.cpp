@@ -85,6 +85,7 @@ std::vector<Time> explore_cluster(const BusLayout& layout, const AnalysisResult&
   info.explored_states = space.explored_states;
   info.merged_states = space.merged_states;
   info.transitions = space.transitions;
+  info.walked_cycles = space.walked_cycles;
   info.fallback = space.fallback;
   if (space.fallback != ExactFallback::None) return {};
   return space.worst_completion;
@@ -167,6 +168,7 @@ PessimismReport make_pessimism_report(std::span<const Application* const> apps,
     if (info != nullptr) {
       report.explored_states += info->explored_states;
       report.merged_states += info->merged_states;
+      report.walked_cycles += info->walked_cycles;
     }
     auto add_entry = [&](bool is_task, std::uint32_t index, Time exact, Time holistic) {
       PessimismActivity entry;

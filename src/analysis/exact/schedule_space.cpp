@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,9 @@ struct DynMsg {
   Time period = 0;
   Time jitter = 0;          ///< holistic release jitter (finite)
   std::uint32_t jobs = 0;   ///< jobs released in the exploration window
+  /// Offset in a cycle of the earliest slot its FrameID can get (the ST
+  /// segment, then every earlier FrameID advancing by one minislot).
+  Time slot_offset = 0;
 };
 
 /// Pruning policy.  Each cycle's successors are routed to kBuckets buckets
@@ -87,17 +91,23 @@ bool row_covers(const std::uint32_t* b, const std::uint32_t* a, std::size_t widt
 
 /// Drops every row from row `from` on that another row of that range
 /// covers (cover chains terminate at minimal elements, so "covered by
-/// anyone" equals "covered by a survivor").  Survivors keep their relative
-/// order and `rows` shrinks to fit.
+/// anyone" equals "covered by a survivor").  The rows are distinct, so a
+/// row that covers another has a strictly smaller count sum, and only such
+/// pairs are compared.  Survivors keep their relative order and `rows`
+/// shrinks to fit.
 void sweep_dominated(std::vector<std::uint32_t>& rows, std::size_t from, std::size_t width,
-                     std::vector<char>& dead) {
+                     std::vector<char>& dead, std::vector<std::uint64_t>& sums) {
   const std::size_t n = rows.size() / width - from;
   if (n < 2) return;
   std::uint32_t* base = rows.data() + from * width;
+  sums.resize(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    sums[a] = std::accumulate(base + a * width, base + (a + 1) * width, std::uint64_t{0});
+  }
   dead.assign(n, 0);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
-      if (a != b && row_covers(base + b * width, base + a * width, width)) {
+      if (sums[b] < sums[a] && row_covers(base + b * width, base + a * width, width)) {
         dead[a] = 1;
         break;
       }
@@ -112,6 +122,32 @@ void sweep_dominated(std::vector<std::uint32_t>& rows, std::size_t from, std::si
     ++write;
   }
   rows.resize((from + write) * width);
+}
+
+/// The last cycle in [cycle, last] up to which every pending head job of
+/// `frontier` keeps the readiness class it has in `cycle`.  A head released
+/// at r with jitter J is maybe-ready from cycle floor(r / C) on and
+/// must-ready from cycle ceil((r + J - slot_offset) / C) on.
+Time stationary_until(const std::vector<std::uint32_t>& frontier, const std::vector<DynMsg>& dyn,
+                      Time cycle, Time last, Time cycle_len) {
+  const std::size_t width = dyn.size();
+  Time until = last;
+  for (std::size_t r = 0; r * width < frontier.size(); ++r) {
+    const std::uint32_t* state = frontier.data() + r * width;
+    for (std::size_t i = 0; i < width; ++i) {
+      if (state[i] >= dyn[i].jobs) continue;
+      const Time release = static_cast<Time>(state[i]) * dyn[i].period;
+      const Time must_after = sat_add(release, dyn[i].jitter) - dyn[i].slot_offset;
+      if (must_after <= cycle * cycle_len) continue;  // must-ready for good
+      // Past the last cycle (a saturated r + J included) the change never
+      // comes; below it, ceil_div cannot overflow.
+      if (must_after <= last * cycle_len) {
+        until = std::min(until, ceil_div(must_after, cycle_len) - 1);
+      }
+      if (release / cycle_len > cycle) until = std::min(until, release / cycle_len - 1);
+    }
+  }
+  return until;
 }
 
 }  // namespace
@@ -155,6 +191,8 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
       return result;
     }
     d.jobs = static_cast<std::uint32_t>(window / d.period);
+    d.slot_offset =
+        layout.st_segment_len() + static_cast<Time>(d.fid - 1) * layout.params().gd_minislot;
     dyn.push_back(d);
   }
   if (dyn.empty()) {
@@ -195,6 +233,7 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
   std::array<std::vector<std::uint32_t>, kBuckets> buckets;
   std::vector<std::uint32_t> slots;  ///< dedup table: row index within a bucket
   std::vector<char> dead;
+  std::vector<std::uint64_t> sums;
   std::vector<Time> worst(width, 0);  ///< per DynMsg worst finish - release
   std::vector<Readiness> status(width, Readiness::Absent);
   std::vector<Walk> stack;
@@ -227,8 +266,7 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
         status[i] = Readiness::Absent;
         if (state[i] >= dyn[i].jobs) continue;
         const Time release = static_cast<Time>(state[i]) * dyn[i].period;
-        const Time earliest_slot = seg_start + static_cast<Time>(dyn[i].fid - 1) * gd;
-        if (release + dyn[i].jitter <= earliest_slot) {
+        if (sat_add(release, dyn[i].jitter) <= cycle_start + dyn[i].slot_offset) {
           status[i] = Readiness::Must;
         } else if (release < cycle_start + cycle_len) {
           status[i] = Readiness::Maybe;
@@ -308,6 +346,7 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
       }
     }
     result.transitions += transitions;
+    ++result.walked_cycles;
 
     // Merge: deduplicate each bucket through one reused open-addressing
     // table, appending its unique rows to `next`, then prune.
@@ -335,13 +374,35 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
         }
       }
       if (unique <= kDominanceSweepLimit) {
-        sweep_dominated(next, from, width, dead);
+        sweep_dominated(next, from, width, dead, sums);
       }
     }
     if (next.size() / width <= kDominanceSweepLimit) {
-      sweep_dominated(next, 0, width, dead);
+      sweep_dominated(next, 0, width, dead, sums);
     }
     result.merged_states += pending - next.size() / width;
+
+    // Stationary stretch: a frontier that merged back to itself walks the
+    // same branches, shifted by whole cycles, until a pending head changes
+    // readiness class.  The cycles before the stretch's last one are taken
+    // in bulk, counted as the step-by-step walk counts them; the last one
+    // is walked, and its finishes are the stretch's latest.  A state
+    // budget that runs out inside the stretch leaves `cycle` just before
+    // the cycle whose budget check aborts.
+    if (next == frontier) {
+      const Time until =
+          stationary_until(frontier, dyn, cycle, max_cycles - 1, cycle_len);
+      if (until - cycle >= 2) {
+        const std::uint64_t rows = frontier.size() / width;
+        const std::uint64_t taken =
+            std::min(static_cast<std::uint64_t>(until - cycle - 1),
+                     (options.max_states - result.explored_states) / rows);
+        result.explored_states += taken * rows;
+        result.transitions += taken * transitions;
+        result.merged_states += taken * (pending - rows);
+        cycle += static_cast<Time>(taken);
+      }
+    }
     frontier.swap(next);
   }
 

@@ -71,6 +71,9 @@ struct ExactClusterInfo {
   std::uint64_t merged_states = 0;
   /// Cycle-step successors generated (incl. readiness/tie branches).
   std::uint64_t transitions = 0;
+  /// Bus cycles walked state by state (a stationary stretch's cycles taken
+  /// in one step are not counted; see schedule_space.hpp).
+  std::uint64_t walked_cycles = 0;
   /// DYN messages whose exact bound is strictly below the holistic one.
   std::size_t refined_messages = 0;
   /// Holistic reference bounds (graph-relative, kTimeInfinity = unbounded),

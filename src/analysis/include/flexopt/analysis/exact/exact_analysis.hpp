@@ -49,6 +49,7 @@ struct PessimismReport {
   double max_gap = 0.0;
   std::uint64_t explored_states = 0;
   std::uint64_t merged_states = 0;
+  std::uint64_t walked_cycles = 0;  ///< bus cycles walked state by state
   /// True when any cluster fell back to its holistic bounds.
   bool any_fallback = false;
   std::vector<ExactFallback> cluster_fallbacks;

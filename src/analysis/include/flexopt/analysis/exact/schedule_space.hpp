@@ -37,7 +37,24 @@
 /// Dominance: of two states in the same cycle, the one with pointwise >=
 /// transmitted counts has pointwise less backlog, so every future finish
 /// reachable from it is also reachable (no later) from the less progressed
-/// state; the more progressed state is dropped.
+/// state; the more progressed state is dropped.  The swept states are
+/// distinct, so a state that covers another has a strictly smaller count
+/// sum; the sweep compares only such pairs.
+///
+/// Stationary stretches: when a cycle's merge gives back exactly the
+/// frontier it started from, row for row (typically one state whose "not
+/// sent" branch dominates every fork of a maybe-ready head whose jitter
+/// spans many cycles), every later cycle walks the same branches, shifted by
+/// whole cycles, and merges back to the same frontier — until a pending
+/// head changes readiness class: absent -> maybe at cycle floor(r / C), or
+/// maybe -> must at cycle ceil((r + J - st_len - (fid - 1) * gd) / C), for
+/// a head released at r with jitter J on cycle length C.  The cycles of
+/// such a stretch before its last one are taken in one step; only the last
+/// one, whose finishes are the stretch's latest, is walked.  The counters
+/// stay those of the cycle-by-cycle walk: `explored_states`, `transitions`
+/// and `merged_states` count every cycle the stretch spans, and a state
+/// budget that runs out inside it aborts at the same cycle with the same
+/// counts.  `walked_cycles` counts only the cycles actually walked.
 ///
 /// The walk is single-threaded and its result is a function of the state
 /// *set* of each cycle, never of iteration order: each cycle's successors are
@@ -75,6 +92,9 @@ struct ScheduleSpaceResult {
   std::uint64_t merged_states = 0;
   /// (readiness subset, terminal fork) pairs over all explored states.
   std::uint64_t transitions = 0;
+  /// Bus cycles walked state by state; the cycles of a stationary stretch
+  /// taken in one step are not among them.
+  std::uint64_t walked_cycles = 0;
 };
 
 /// Explores all DYN jobs released in [0, hyperperiod) to completion, walking

@@ -23,10 +23,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -310,6 +312,7 @@ ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> messa
       }
     }
     result.transitions += transitions;
+    ++result.walked_cycles;
 
     next.clear();
     for (const auto& bucket : buckets) {
@@ -353,6 +356,124 @@ ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> messa
 }
 
 }  // namespace reference
+
+/// Every ScheduleSpaceResult field of the engine equals the reference's,
+/// except `walked_cycles`: the reference walks every cycle, the engine
+/// takes a stationary stretch's cycles before its last one in one step.
+void expect_same_exploration(const ScheduleSpaceResult& lazy, const ScheduleSpaceResult& eager,
+                             const std::string& label) {
+  EXPECT_EQ(lazy.fallback, eager.fallback) << label;
+  EXPECT_EQ(lazy.explored_states, eager.explored_states) << label;
+  EXPECT_EQ(lazy.merged_states, eager.merged_states) << label;
+  EXPECT_EQ(lazy.transitions, eager.transitions) << label;
+  EXPECT_EQ(lazy.worst_completion, eager.worst_completion) << label;
+  EXPECT_LE(lazy.walked_cycles, eager.walked_cycles) << label;
+}
+
+/// A hand-built bus for the stationary-stretch cases: N0 sends `messages`
+/// DYN messages to N1 on FrameIDs 1, 2, ..., each in its own 1 ms graph; a
+/// 3 ms graph on N1 makes the window 3 ms, so every message has 3 jobs.
+struct StretchBus {
+  Application app;
+  BusParams params = lane_params();
+  std::vector<MessageId> dyn;
+  std::unique_ptr<BusLayout> layout;
+  Time horizon = 0;
+
+  explicit StretchBus(int messages) {
+    const NodeId n0 = app.add_node("N0");
+    const NodeId n1 = app.add_node("N1");
+    for (int k = 0; k < messages; ++k) {
+      const std::string name = std::to_string(k);
+      const GraphId g = app.add_graph("g" + name, timeunits::ms(1), timeunits::ms(1));
+      const TaskId src = app.add_task(g, "src" + name, n0, timeunits::us(10), TaskPolicy::Fps, k);
+      const TaskId dst = app.add_task(g, "dst" + name, n1, timeunits::us(10), TaskPolicy::Fps, k);
+      dyn.push_back(app.add_message(g, "m" + name, src, dst, 8, MessageClass::Dynamic, k));
+    }
+    const GraphId slow = app.add_graph("slow", timeunits::ms(3), timeunits::ms(3));
+    app.add_task(slow, "idle", n1, timeunits::us(10), TaskPolicy::Fps, messages);
+    auto fin = app.finalize();
+    if (!fin.ok()) throw std::runtime_error(fin.error().message);
+
+    BusConfig config;
+    config.static_slot_count = 2;
+    config.static_slot_len = timeunits::us(20);
+    config.static_slot_owner = {n0, n1};
+    config.minislot_count = 4 * messages + 8;
+    config.frame_id.assign(app.message_count(), 0);
+    for (int k = 0; k < messages; ++k) config.frame_id[index_of(dyn[k])] = k + 1;
+    auto built = BusLayout::build(app, params, config);
+    if (!built.ok()) throw std::runtime_error(built.error().message);
+    layout = std::make_unique<BusLayout>(std::move(built).value());
+    auto h = analysis_horizon(app);
+    if (!h.ok()) throw std::runtime_error(h.error().message);
+    horizon = h.value();
+  }
+
+  /// The engine and the reference explore under `jitter` (indexed by
+  /// MessageId) at each budget; both must agree field for field.
+  /// Returns the engine's unbudgeted result.
+  ScheduleSpaceResult compare(const std::vector<Time>& jitter,
+                              std::initializer_list<std::uint64_t> budgets) const {
+    ExactOptions options;
+    options.max_states = std::numeric_limits<std::uint64_t>::max();
+    const ScheduleSpaceResult full =
+        explore_dyn_schedule_space(*layout, jitter, horizon, options);
+    expect_same_exploration(
+        full, reference::explore(*layout, jitter, horizon, options.max_states, true), "no budget");
+    for (const std::uint64_t max_states : budgets) {
+      options.max_states = max_states;
+      expect_same_exploration(explore_dyn_schedule_space(*layout, jitter, horizon, options),
+                              reference::explore(*layout, jitter, horizon, max_states, true),
+                              "budget " + std::to_string(max_states));
+    }
+    return full;
+  }
+};
+
+/// (a) One DYN message whose jitter spans 24 bus cycles (10 cycles per
+/// period): job 0 is maybe-ready in cycles 0-24 and must-ready in 25, jobs
+/// 1 and 2 are maybe-ready for the 9 cycles before theirs.  In those cycles
+/// the "not sent" state dominates every fork and the one-state frontier
+/// merges back to itself, so the engine walks each stretch's first and
+/// last cycle and the must-ready one after it: 9 of the 46 cycles.
+/// Budgets that run out inside a stretch, at its last cycle or just after
+/// it abort where the cycle-by-cycle walk does, with its counts.
+TEST(ExactProperty, StationaryStretchMatchesEagerReference) {
+  StretchBus bus(1);
+  const Time cycle = bus.layout->cycle_len();
+  ASSERT_EQ(timeunits::ms(1), 10 * cycle);
+  std::vector<Time> jitter(bus.app.message_count(), 0);
+  jitter[index_of(bus.dyn[0])] = 24 * cycle + cycle / 2;
+  const ScheduleSpaceResult full =
+      bus.compare(jitter, {1, 2, 7, 23, 24, 25, 26, 30, 35, 36, 40, 45});
+  ASSERT_EQ(full.fallback, ExactFallback::None);
+  EXPECT_LT(full.worst_completion[index_of(bus.dyn[0])], kTimeInfinity);
+  EXPECT_EQ(full.explored_states, 46u);
+  EXPECT_EQ(full.walked_cycles, 9u);
+}
+
+/// (b) A message whose jitter outlasts the horizon is never must-ready, so
+/// the adversary keeps it unsent: the one-state frontier stays put, in
+/// stretches between the other message's class changes, and after that
+/// message's last job in one stretch that runs into the cycle horizon
+/// (cycles 21-100 of 101).  The message stays uncovered (no refinement).
+/// Its jitter is the largest finite Time, so the class thresholds saturate.
+TEST(ExactProperty, NeverSentMessageStretchRunsIntoTheHorizon) {
+  StretchBus bus(2);
+  const Time cycle = bus.layout->cycle_len();
+  std::vector<Time> jitter(bus.app.message_count(), 0);
+  jitter[index_of(bus.dyn[0])] = 3 * cycle;
+  jitter[index_of(bus.dyn[1])] = kTimeInfinity - 1;
+  const Time max_cycles = bus.horizon / cycle + 1;
+  ASSERT_EQ(max_cycles, 101);
+  const ScheduleSpaceResult full = bus.compare(jitter, {5, 6, 22, 50, 100});
+  ASSERT_EQ(full.fallback, ExactFallback::None);
+  EXPECT_LT(full.worst_completion[index_of(bus.dyn[0])], kTimeInfinity);
+  EXPECT_EQ(full.worst_completion[index_of(bus.dyn[1])], kTimeInfinity);
+  EXPECT_EQ(full.explored_states, 101u);
+  EXPECT_EQ(full.walked_cycles, 15u);
+}
 
 /// Entry-wise `lhs <= rhs`; `rhs` may be infinite anywhere.
 void expect_bounded_by(const std::vector<Time>& lhs, const std::vector<Time>& rhs,
@@ -534,9 +655,13 @@ bool has_frame_id_priority_tie(const Application& app, const BusConfig& config) 
 /// The layouts draw FrameIDs by criticality (unique) or one per node (shared,
 /// so equal-priority messages tie on a FrameID, one of them possibly
 /// must-ready and another maybe-ready), minislot counts across the DYN
-/// bounds, and two state budgets, the smaller one aborting explorations.
-/// The reference's own pruning switch checks that the dominance sweeps keep
-/// the bounds, never explore more states, and do merge.
+/// bounds, and three state budgets: 2^16, 2^9 (aborting explorations) and
+/// half of what the layout explores under 2^16 (its unbudgeted count unless
+/// the maybe-set cap aborts it), which lands inside a stationary stretch.
+/// The engine must take some stretches in bulk (fewer walked cycles than
+/// the reference), also before a budget abort.  The reference's own
+/// pruning switch checks that the dominance sweeps keep the bounds, never
+/// explore more states, and do merge.
 TEST(ExactProperty, LazyWalkMatchesEagerReference) {
   constexpr int kLayouts = 48;
   Rng rng(20261017);
@@ -544,6 +669,8 @@ TEST(ExactProperty, LazyWalkMatchesEagerReference) {
   int compared = 0;
   int tied_layouts = 0;
   int budget_aborts = 0;
+  int bulk_layouts = 0;  ///< explorations under 2^16 that took a stretch in bulk
+  int bulk_aborts = 0;   ///< budget aborts after or inside a stretch taken in bulk
   int pruning_shrank = 0;
   std::uint64_t pruned_merges = 0;
   for (int attempt = 0; attempt < 4 * kLayouts && compared < kLayouts; ++attempt) {
@@ -573,20 +700,27 @@ TEST(ExactProperty, LazyWalkMatchesEagerReference) {
     ASSERT_TRUE(horizon.ok());
     const std::vector<Time>& jitter = holistic.value().message_jitter;
 
-    for (const std::uint64_t max_states : {std::uint64_t{1} << 16, std::uint64_t{1} << 9}) {
+    std::uint64_t first_states = 0;  ///< explored under the first budget
+    for (const int budget : {0, 1, 2}) {
       ExactOptions options;
-      options.max_states = max_states;
+      options.max_states = budget == 0   ? std::uint64_t{1} << 16
+                           : budget == 1 ? std::uint64_t{1} << 9
+                                         : std::max<std::uint64_t>(1, first_states / 2);
+      const std::uint64_t max_states = options.max_states;
       const ScheduleSpaceResult lazy =
           explore_dyn_schedule_space(layout.value(), jitter, horizon.value(), options);
       const ScheduleSpaceResult eager =
           reference::explore(layout.value(), jitter, horizon.value(), max_states, true);
-      EXPECT_EQ(lazy.fallback, eager.fallback) << "attempt " << attempt;
-      EXPECT_EQ(lazy.explored_states, eager.explored_states) << "attempt " << attempt;
-      EXPECT_EQ(lazy.merged_states, eager.merged_states) << "attempt " << attempt;
-      EXPECT_EQ(lazy.transitions, eager.transitions) << "attempt " << attempt;
-      EXPECT_EQ(lazy.worst_completion, eager.worst_completion) << "attempt " << attempt;
-      if (eager.fallback == ExactFallback::BudgetExceeded) ++budget_aborts;
-      if (max_states != std::uint64_t{1} << 16) continue;
+      expect_same_exploration(lazy, eager, "attempt " + std::to_string(attempt) + " budget " +
+                                               std::to_string(max_states));
+      if (budget == 0) first_states = lazy.explored_states;
+      const bool bulk = lazy.walked_cycles < eager.walked_cycles;
+      if (eager.fallback == ExactFallback::BudgetExceeded) {
+        ++budget_aborts;
+        if (bulk) ++bulk_aborts;
+      }
+      if (budget != 0) continue;
+      if (bulk) ++bulk_layouts;
 
       const ScheduleSpaceResult unpruned =
           reference::explore(layout.value(), jitter, horizon.value(), max_states, false);
@@ -602,6 +736,8 @@ TEST(ExactProperty, LazyWalkMatchesEagerReference) {
   ASSERT_GE(compared, kLayouts);
   EXPECT_GT(tied_layouts, 0);
   EXPECT_GT(budget_aborts, 0);
+  EXPECT_GT(bulk_layouts, 0);
+  EXPECT_GT(bulk_aborts, 0);
   EXPECT_GT(pruning_shrank, 0);
   EXPECT_GT(pruned_merges, 0u);
 }

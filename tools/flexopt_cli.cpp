@@ -56,6 +56,7 @@
 #include "flexopt/core/solver.hpp"
 #include "flexopt/io/solve_report_json.hpp"
 #include "flexopt/io/system_format.hpp"
+#include "flexopt/math/hyperperiod.hpp"
 #include "flexopt/netsim/netsim.hpp"
 #include "flexopt/netsim/trace_json.hpp"
 #include "flexopt/util/table.hpp"
@@ -617,9 +618,22 @@ int simulate_main(int argc, char** argv) {
   const NetSimResult& net = result.value();
   const SoundnessReport verdict = check_soundness(sys, analysis.value(), net);
 
-  std::cout << "\nsimulated " << sim_options.hyperperiods << " hyper-period"
-            << (sim_options.hyperperiods > 1 ? "s" : "") << " (horizon "
-            << format_time(net.horizon) << ", " << net.events << " events): "
+  // From 2 hyper-periods on, the simulator aligns its horizon up to a
+  // multiple of lcm(hyper-period, every cluster's bus cycle).
+  const Time hyperperiod = analysis.value().clusters[0].schedule().hyperperiod();
+  const std::int64_t simulated = net.horizon / hyperperiod;
+  if (simulated != sim_options.hyperperiods) {
+    Time block = hyperperiod;
+    for (const ClusterLayout& layout : layouts.value()) {
+      block = checked_lcm(block, layout.cycle_len()).value();
+    }
+    std::cerr << "note: --hyperperiods " << sim_options.hyperperiods << " ran " << simulated
+              << " hyper-periods: the horizon is aligned up to a multiple of lcm(hyper-period, "
+                 "bus cycles) = "
+              << format_time(block) << "\n";
+  }
+  std::cout << "\nsimulated " << simulated << " hyper-period" << (simulated > 1 ? "s" : "")
+            << " (horizon " << format_time(net.horizon) << ", " << net.events << " events): "
             << net.unfinished_jobs << " unfinished jobs, " << net.precedence_violations
             << " precedence violations\n";
 
