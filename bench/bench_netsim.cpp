@@ -94,10 +94,10 @@ bool simulate_system(const Application& app, const BusParams& params, int hyperp
   if (!rerun.ok()) throw std::runtime_error(rerun.error().message);
   const SoundnessReport rerun_verdict =
       check_soundness(model.value(), analysis.value(), rerun.value());
-  const std::string first = write_netsim_trace_json(model.value(), analysis.value(),
-                                                    result.value(), verdict, hyperperiods);
-  const std::string second = write_netsim_trace_json(
-      model.value(), analysis.value(), rerun.value(), rerun_verdict, hyperperiods);
+  const std::string first =
+      write_netsim_trace_json(model.value(), analysis.value(), result.value(), verdict);
+  const std::string second =
+      write_netsim_trace_json(model.value(), analysis.value(), rerun.value(), rerun_verdict);
 
   row.clusters = static_cast<int>(model.value().cluster_count());
   row.tasks = app.task_count();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -29,13 +30,14 @@ struct DynMsg {
   Time slot_offset = 0;
 };
 
-/// Pruning policy.  Each cycle's successors are routed to kBuckets buckets
-/// by the top bits of their key hash; every bucket is deduplicated on its
-/// own and, when it holds at most kDominanceSweepLimit states,
-/// dominance-swept locally.  Dominated pairs often land in different
-/// buckets, so the whole frontier is swept once more when at most
-/// kDominanceSweepLimit states survive.  Above the limit the O(n^2) sweep
-/// is skipped; identical-state merging always applies.
+/// Pruning policy.  Each cycle's distinct successors are ordered by
+/// kBuckets buckets, picked by the top bits of their key hash, and within a
+/// bucket by first occurrence.  When at most kDominanceSweepLimit of them
+/// remain, one dominance sweep over all of them keeps the minimal states.
+/// Above the limit every bucket of at most kDominanceSweepLimit states is
+/// swept on its own, and the survivors are swept once more when at most
+/// kDominanceSweepLimit remain; larger sets skip the O(n^2) sweep, and
+/// identical-state merging always applies.
 constexpr std::size_t kBucketBits = 5;
 constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
 constexpr std::size_t kDominanceSweepLimit = 256;
@@ -63,13 +65,14 @@ std::size_t bucket_of(std::uint64_t hash) { return hash >> (64 - kBucketBits); }
 /// Where a pending head job stands at the start of a cycle.
 enum class Readiness : char { Absent, Maybe, Must };
 
-/// A partially walked bus cycle: the next FrameID slot, an index into the
-/// walk pool row holding the counts accumulated on this branch, and the
-/// number of the state's readiness subsets the branch stands for.
+/// A partially walked bus cycle: the next FrameID slot, the minislot
+/// counter (the slot starts counter - 1 minislots into the DYN segment), an
+/// index into the walk pool row holding the counts accumulated on this
+/// branch, and the number of the state's readiness subsets the branch
+/// stands for.
 struct Walk {
   int fid = 1;
   std::int64_t counter = 1;
-  Time slot_time = 0;
   std::size_t sent_at = 0;
   std::uint64_t weight = 1;
 };
@@ -84,45 +87,81 @@ bool row_all_done(const std::uint32_t* row, const std::vector<DynMsg>& dyn) {
 /// `b` covers `a`: pointwise b <= a over distinct keys — b is at least as
 /// far behind everywhere, so b's reachable finishes include a's.
 bool row_covers(const std::uint32_t* b, const std::uint32_t* a, std::size_t width) {
-  bool covers = true;
-  for (std::size_t i = 0; i < width; ++i) covers &= b[i] <= a[i];
-  return covers;
+  for (std::size_t i = 0; i < width; ++i) {
+    if (b[i] > a[i]) return false;
+  }
+  return true;
 }
 
-/// Drops every row from row `from` on that another row of that range
-/// covers (cover chains terminate at minimal elements, so "covered by
-/// anyone" equals "covered by a survivor").  The rows are distinct, so a
-/// row that covers another has a strictly smaller count sum, and only such
-/// pairs are compared.  Survivors keep their relative order and `rows`
-/// shrinks to fit.
-void sweep_dominated(std::vector<std::uint32_t>& rows, std::size_t from, std::size_t width,
-                     std::vector<char>& dead, std::vector<std::uint64_t>& sums) {
-  const std::size_t n = rows.size() / width - from;
-  if (n < 2) return;
-  std::uint32_t* base = rows.data() + from * width;
-  sums.resize(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    sums[a] = std::accumulate(base + a * width, base + (a + 1) * width, std::uint64_t{0});
+/// The first FrameID from `fid` on whose bit is set in `marked`, or one
+/// past every bit of `marked` when there is none.
+int next_marked(const std::vector<std::uint64_t>& marked, int fid) {
+  std::size_t word = static_cast<std::size_t>(fid) >> 6;
+  std::uint64_t bits = marked[word] & (~std::uint64_t{0} << (fid & 63));
+  while (bits == 0) {
+    if (++word == marked.size()) return static_cast<int>(word * 64);
+    bits = marked[word];
   }
-  dead.assign(n, 0);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (sums[b] < sums[a] && row_covers(base + b * width, base + a * width, width)) {
-        dead[a] = 1;
-        break;
+  return static_cast<int>(word * 64) + std::countr_zero(bits);
+}
+
+/// Dominance sweeps over distinct rows, on reused scratch.
+class DominanceSweep {
+ public:
+  /// Marks every row in [from, to) that another row of that range covers.
+  /// Rows are visited by ascending count sum and compared only with the
+  /// rows kept so far of strictly smaller sum: a row that covers another
+  /// has a strictly smaller sum (the rows are distinct), and cover chains
+  /// end at a row nothing covers, which is kept.
+  void mark(const std::uint32_t* rows, std::size_t from, std::size_t to, std::size_t width) {
+    if (to - from < 2) return;
+    order_.clear();
+    for (std::size_t r = from; r < to; ++r) {
+      const std::uint32_t* row = rows + r * width;
+      order_.emplace_back(std::accumulate(row, row + width, std::uint64_t{0}), r);
+    }
+    std::sort(order_.begin(), order_.end());
+    kept_.clear();
+    for (const auto& [sum, a] : order_) {
+      bool covered = false;
+      for (const auto& [kept_sum, b] : kept_) {
+        if (kept_sum >= sum) break;
+        if (row_covers(rows + b * width, rows + a * width, width)) {
+          covered = true;
+          break;
+        }
+      }
+      if (covered) {
+        dead_[a] = 1;
+      } else {
+        kept_.emplace_back(sum, a);
       }
     }
   }
-  std::size_t write = 0;
-  for (std::size_t a = 0; a < n; ++a) {
-    if (dead[a] != 0) continue;
-    if (write != a) {
-      std::memmove(base + write * width, base + a * width, width * sizeof(std::uint32_t));
+
+  /// Clears the marks for `rows` rows.
+  void reset(std::size_t rows) { dead_.assign(rows, 0); }
+
+  /// Drops the marked rows; the others keep their order.
+  void compact(std::vector<std::uint32_t>& rows, std::size_t width) {
+    const std::size_t n = rows.size() / width;
+    std::size_t write = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+      if (dead_[a] != 0) continue;
+      if (write != a) {
+        std::memcpy(rows.data() + write * width, rows.data() + a * width,
+                    width * sizeof(std::uint32_t));
+      }
+      ++write;
     }
-    ++write;
+    rows.resize(write * width);
   }
-  rows.resize((from + write) * width);
-}
+
+ private:
+  std::vector<std::pair<std::uint64_t, std::size_t>> order_;  ///< (count sum, row)
+  std::vector<std::pair<std::uint64_t, std::size_t>> kept_;   ///< by ascending sum
+  std::vector<char> dead_;
+};
 
 /// The last cycle in [cycle, last] up to which every pending head job of
 /// `frontier` keeps the readiness class it has in `cycle`.  A head released
@@ -230,14 +269,42 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
   // all-zero state.
   std::vector<std::uint32_t> frontier(width, 0);
   std::vector<std::uint32_t> next;
-  std::array<std::vector<std::uint32_t>, kBuckets> buckets;
-  std::vector<std::uint32_t> slots;  ///< dedup table: row index within a bucket
-  std::vector<char> dead;
-  std::vector<std::uint64_t> sums;
-  std::vector<Time> worst(width, 0);  ///< per DynMsg worst finish - release
+  std::vector<std::uint32_t> staged;         ///< distinct successors, first occurrence first
+  std::vector<std::uint64_t> staged_hash;    ///< hash_key of each staged row
+  std::vector<std::uint32_t> slots;          ///< dedup table: index into `staged`
+  DominanceSweep sweep;
+  std::vector<Time> worst(width, 0);         ///< per DynMsg worst finish - release
   std::vector<Readiness> status(width, Readiness::Absent);
+  /// Bit f: FrameID f holds a maybe- or must-ready head in the walked state.
+  std::vector<std::uint64_t> marked(static_cast<std::size_t>(max_fid + 1) / 64 + 1);
   std::vector<Walk> stack;
   std::vector<std::uint32_t> pool;  ///< walk rows, stride = width
+
+  // Stages a successor unless an identical one already is.  Equal rows
+  // share a hash, so they share a bucket too.
+  auto stage = [&](const std::uint32_t* row) {
+    const std::uint64_t hash = hash_key(row, width);
+    std::size_t mask = slots.size() - 1;
+    std::size_t probe = hash & mask;
+    for (;; probe = (probe + 1) & mask) {
+      const std::uint32_t at = slots[probe];
+      if (at == kEmptySlot) break;
+      if (staged_hash[at] == hash && std::equal(row, row + width, staged.data() + at * width)) {
+        return;
+      }
+    }
+    slots[probe] = static_cast<std::uint32_t>(staged_hash.size());
+    staged.insert(staged.end(), row, row + width);
+    staged_hash.push_back(hash);
+    if (2 * staged_hash.size() <= slots.size()) return;
+    slots.assign(2 * slots.size(), kEmptySlot);
+    mask = slots.size() - 1;
+    for (std::uint32_t k = 0; k < staged_hash.size(); ++k) {
+      probe = staged_hash[k] & mask;
+      while (slots[probe] != kEmptySlot) probe = (probe + 1) & mask;
+      slots[probe] = k;
+    }
+  };
 
   for (Time cycle = 0; cycle < max_cycles && !frontier.empty(); ++cycle) {
     result.explored_states += frontier.size() / width;
@@ -248,20 +315,24 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
     const Time cycle_start = cycle * cycle_len;
     const Time seg_start = cycle_start + st_len;
 
-    // Expansion: walk every state's cycle once and stage the successors
-    // with work left in their buckets.  Counters are committed only once
-    // the cycle completes, so a branch-cap abort reports whole cycles.
+    // Expansion: walk every state's cycle once and stage the distinct
+    // successors with work left.  Counters are committed only once the
+    // cycle completes, so a branch-cap abort reports whole cycles.
     std::uint64_t transitions = 0;  ///< (readiness subset, terminal fork) pairs
     std::uint64_t pending = 0;      ///< the same, for successors not all-done
-    for (auto& bucket : buckets) bucket.clear();
+    slots.assign(std::bit_ceil(std::max<std::size_t>(64, 2 * staged_hash.size() + 2)), kEmptySlot);
+    staged.clear();
+    staged_hash.clear();
     for (std::size_t r = 0; r * width < frontier.size(); ++r) {
       const std::uint32_t* state = frontier.data() + r * width;
 
       // Classify pending head jobs.  Must: certainly in the CHI by the
       // earliest slot its FrameID can get (all earlier slots advancing by
       // one minislot); maybe: released before the cycle ends, so the
-      // adversary chooses whether it arrived in time.
+      // adversary chooses whether it arrived in time.  Either marks its
+      // FrameID.
       std::size_t maybe_count = 0;
+      std::fill(marked.begin(), marked.end(), 0);
       for (std::size_t i = 0; i < width; ++i) {
         status[i] = Readiness::Absent;
         if (state[i] >= dyn[i].jobs) continue;
@@ -271,7 +342,10 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
         } else if (release < cycle_start + cycle_len) {
           status[i] = Readiness::Maybe;
           ++maybe_count;
+        } else {
+          continue;
         }
+        marked[static_cast<std::size_t>(dyn[i].fid) >> 6] |= std::uint64_t{1} << (dyn[i].fid & 63);
       }
       if (maybe_count > kMaxBranchMessages) {
         result.fallback = ExactFallback::BudgetExceeded;
@@ -281,35 +355,50 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
       // Replay the DynSlot chain (sim/engine.cpp): one slot per FrameID,
       // stop when the FrameIDs or the minislots run out.  One walk covers
       // all 2^k readiness subsets of the maybe set: a branch's weight is the
-      // number of subsets that drive the walk down it.
+      // number of subsets that drive the walk down it.  A branch goes on
+      // with its "nothing sent" continuation and leaves its forks on the
+      // stack, so the branches end in depth-first order.
       stack.clear();
       pool.assign(state, state + width);
-      stack.push_back(Walk{1, 1, seg_start, 0, std::uint64_t{1} << maybe_count});
+      stack.push_back(Walk{1, 1, 0, std::uint64_t{1} << maybe_count});
       while (!stack.empty()) {
         Walk w = stack.back();
         stack.pop_back();
-        if (w.fid > max_fid || w.counter > minislot_count) {
-          transitions += w.weight;
-          const std::uint32_t* sent = pool.data() + w.sent_at;
-          if (!row_all_done(sent, dyn)) {
-            pending += w.weight;
-            auto& bucket = buckets[bucket_of(hash_key(sent, width))];
-            bucket.insert(bucket.end(), sent, sent + width);
+        for (;;) {
+          // Jump to the next FrameID that arbitrates: every FrameID before
+          // it has no ready head, or an owner past pLatestTx, and takes one
+          // minislot.
+          int fid = next_marked(marked, w.fid);
+          std::int64_t counter = w.counter + (fid - w.fid);
+          while (fid <= max_fid && counter <= minislot_count &&
+                 counter > p_latest[static_cast<std::size_t>(fid)]) {
+            const int to = next_marked(marked, fid + 1);
+            counter += to - fid;
+            fid = to;
           }
-          continue;
-        }
-        // Arbitrate one priority level at a time (the engine's CHI multiset
-        // orders by (priority, ready, job)): the first level holding a ready
-        // head transmits, forking over every ready one there, since the
-        // engine breaks ties by CHI arrival order, which the ready intervals
-        // cannot resolve.  `idle` weighs the subsets with no ready head so
-        // far.  A must message transmits under all of them and ends the
-        // arbitration; a maybe one under the half with its bit set, and the
-        // other half passes it over.  A message is visited once per walk, so
-        // its count is still the state's.
-        std::uint64_t idle = w.weight;
-        if (w.counter <= p_latest[static_cast<std::size_t>(w.fid)]) {
-          const auto& group = by_fid[static_cast<std::size_t>(w.fid)];
+          if (fid > max_fid || counter > minislot_count) {
+            transitions += w.weight;
+            const std::uint32_t* sent = pool.data() + w.sent_at;
+            if (!row_all_done(sent, dyn)) {
+              pending += w.weight;
+              stage(sent);
+            }
+            break;
+          }
+          w.fid = fid;
+          w.counter = counter;
+          const Time slot_time = seg_start + (counter - 1) * gd;
+          // Arbitrate one priority level at a time (the engine's CHI
+          // multiset orders by (priority, ready, job)): the first level
+          // holding a ready head transmits, forking over every ready one
+          // there, since the engine breaks ties by CHI arrival order, which
+          // the ready intervals cannot resolve.  `idle` weighs the subsets
+          // with no ready head so far.  A must message transmits under all
+          // of them and ends the arbitration; a maybe one under the half
+          // with its bit set, and the other half passes it over.  A message
+          // is visited once per walk, so its count is still the state's.
+          std::uint64_t idle = w.weight;
+          const auto& group = by_fid[static_cast<std::size_t>(fid)];
           for (std::size_t at = 0; at < group.size() && idle != 0;) {
             const int priority = dyn[group[at]].priority;
             std::uint64_t passed = idle;
@@ -321,81 +410,74 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
               const std::size_t fork_at = pool.size();
               pool.resize(fork_at + width);
               std::copy_n(pool.data() + w.sent_at, width, pool.data() + fork_at);
-              const Time finish = w.slot_time + dyn[i].occupancy;
               const Time release = static_cast<Time>(pool[fork_at + i]) * dyn[i].period;
-              worst[i] = std::max(worst[i], finish - release);
+              worst[i] = std::max(worst[i], slot_time + dyn[i].occupancy - release);
               pool[fork_at + i] += 1;
-              Walk n = w;
-              n.sent_at = fork_at;
-              n.slot_time += static_cast<Time>(dyn[i].minislots) * gd;
-              n.counter += dyn[i].minislots;
-              n.fid += 1;
-              n.weight = must ? idle : idle / 2;
-              stack.push_back(n);
+              stack.push_back(Walk{fid + 1, counter + dyn[i].minislots, fork_at,
+                                   must ? idle : idle / 2});
             }
             idle = passed;
           }
-        }
-        if (idle != 0) {
-          w.slot_time += gd;
-          w.counter += 1;
+          if (idle == 0) break;
           w.fid += 1;
+          w.counter += 1;
           w.weight = idle;
-          stack.push_back(w);
         }
       }
     }
     result.transitions += transitions;
     ++result.walked_cycles;
 
-    // Merge: deduplicate each bucket through one reused open-addressing
-    // table, appending its unique rows to `next`, then prune.
-    next.clear();
-    for (const auto& bucket : buckets) {
-      const std::size_t candidates = bucket.size() / width;
-      if (candidates == 0) continue;
-      const std::size_t from = next.size() / width;
-      std::size_t table_size = 1;
-      while (table_size < candidates * 2) table_size <<= 1;
-      slots.assign(table_size, kEmptySlot);
-      std::uint32_t unique = 0;
-      for (std::size_t r = 0; r < candidates; ++r) {
-        const std::uint32_t* row = bucket.data() + r * width;
-        std::size_t probe = hash_key(row, width) & (table_size - 1);
-        for (;;) {
-          const std::uint32_t at = slots[probe];
-          if (at == kEmptySlot) {
-            slots[probe] = unique++;
-            next.insert(next.end(), row, row + width);
-            break;
-          }
-          if (std::equal(row, row + width, next.data() + (from + at) * width)) break;
-          probe = (probe + 1) & (table_size - 1);
+    // Merge: order the distinct successors by bucket, then by first
+    // occurrence (a stable counting sort on the bucket bits), then prune.
+    const std::size_t distinct = staged_hash.size();
+    std::array<std::size_t, kBuckets + 1> bucket_start{};
+    for (const std::uint64_t hash : staged_hash) ++bucket_start[bucket_of(hash) + 1];
+    std::partial_sum(bucket_start.begin(), bucket_start.end(), bucket_start.begin());
+    std::array<std::size_t, kBuckets> cursor;
+    std::copy_n(bucket_start.begin(), kBuckets, cursor.begin());
+    next.resize(distinct * width);
+    for (std::size_t k = 0; k < distinct; ++k) {
+      const std::size_t to = cursor[bucket_of(staged_hash[k])]++;
+      std::copy_n(staged.data() + k * width, width, next.data() + to * width);
+    }
+    sweep.reset(distinct);
+    if (distinct <= kDominanceSweepLimit) {
+      sweep.mark(next.data(), 0, distinct, width);
+      sweep.compact(next, width);
+    } else {
+      for (std::size_t b = 0; b < kBuckets; ++b) {
+        if (bucket_start[b + 1] - bucket_start[b] <= kDominanceSweepLimit) {
+          sweep.mark(next.data(), bucket_start[b], bucket_start[b + 1], width);
         }
       }
-      if (unique <= kDominanceSweepLimit) {
-        sweep_dominated(next, from, width, dead, sums);
+      sweep.compact(next, width);
+      const std::size_t survivors = next.size() / width;
+      if (survivors <= kDominanceSweepLimit) {
+        sweep.reset(survivors);
+        sweep.mark(next.data(), 0, survivors, width);
+        sweep.compact(next, width);
       }
-    }
-    if (next.size() / width <= kDominanceSweepLimit) {
-      sweep_dominated(next, 0, width, dead, sums);
     }
     result.merged_states += pending - next.size() / width;
 
     // Stationary stretch: a frontier that merged back to itself walks the
     // same branches, shifted by whole cycles, until a pending head changes
-    // readiness class.  The cycles before the stretch's last one are taken
-    // in bulk, counted as the step-by-step walk counts them; the last one
-    // is walked, and its finishes are the stretch's latest.  A state
-    // budget that runs out inside the stretch leaves `cycle` just before
-    // the cycle whose budget check aborts.
+    // readiness class.  The stretch's cycles after this one are taken in
+    // bulk, counted as the step-by-step walk counts them.  Their finishes
+    // need no walk: each is a head job's, sent from a row that stays in the
+    // frontier, so a job of that message released no later is still
+    // pending after the stretch (dominance keeps a row with no more sends)
+    // and finishes in a later cycle, or leaves the message uncovered at the
+    // horizon; either way its bound is larger.  A state budget that runs
+    // out inside the stretch leaves `cycle` just before the cycle whose
+    // budget check aborts.
     if (next == frontier) {
-      const Time until =
-          stationary_until(frontier, dyn, cycle, max_cycles - 1, cycle_len);
-      if (until - cycle >= 2) {
+      const Time until = stationary_until(frontier, dyn, cycle, max_cycles - 1, cycle_len);
+      if (until > cycle) {
         const std::uint64_t rows = frontier.size() / width;
         const std::uint64_t taken =
-            std::min(static_cast<std::uint64_t>(until - cycle - 1),
+            std::min(static_cast<std::uint64_t>(until - cycle),
                      (options.max_states - result.explored_states) / rows);
         result.explored_states += taken * rows;
         result.transitions += taken * transitions;

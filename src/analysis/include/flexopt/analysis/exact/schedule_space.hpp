@@ -23,11 +23,13 @@
 /// minislot count (else by one).  A maybe-ready message's readiness is read
 /// only at its own FrameID's arbitration, within pLatestTx, and only if no
 /// better-priority candidate there is ready, so one depth-first walk per
-/// state branches on it there and covers all 2^k subsets at once.  Where
-/// the engine breaks priority ties by CHI arrival order — unresolvable from
-/// intervals — the walk forks over every tied candidate.  Supersets on
-/// every axis means: max explored finish >= every finish the simulator can
-/// observe.
+/// state branches on it there and covers all 2^k subsets at once.  A branch
+/// jumps from one FrameID holding a maybe- or must-ready head to the next,
+/// each FrameID in between (and each such FrameID whose owner is past
+/// pLatestTx) taking one minislot.  Where the engine breaks priority ties
+/// by CHI arrival order — unresolvable from intervals — the walk forks over
+/// every tied candidate.  Supersets on every axis means: max explored
+/// finish >= every finish the simulator can observe.
 ///
 /// Counting: each walked branch stands for the readiness subsets that drive
 /// the walk down it, and `transitions` and `merged_states` count those
@@ -39,7 +41,7 @@
 /// reachable from it is also reachable (no later) from the less progressed
 /// state; the more progressed state is dropped.  The swept states are
 /// distinct, so a state that covers another has a strictly smaller count
-/// sum; the sweep compares only such pairs.
+/// sum, and a covered state is always covered by one that nothing covers.
 ///
 /// Stationary stretches: when a cycle's merge gives back exactly the
 /// frontier it started from, row for row (typically one state whose "not
@@ -48,20 +50,27 @@
 /// whole cycles, and merges back to the same frontier — until a pending
 /// head changes readiness class: absent -> maybe at cycle floor(r / C), or
 /// maybe -> must at cycle ceil((r + J - st_len - (fid - 1) * gd) / C), for
-/// a head released at r with jitter J on cycle length C.  The cycles of
-/// such a stretch before its last one are taken in one step; only the last
-/// one, whose finishes are the stretch's latest, is walked.  The counters
-/// stay those of the cycle-by-cycle walk: `explored_states`, `transitions`
-/// and `merged_states` count every cycle the stretch spans, and a state
-/// budget that runs out inside it aborts at the same cycle with the same
-/// counts.  `walked_cycles` counts only the cycles actually walked.
+/// a head released at r with jitter J on cycle length C.  The stretch's
+/// cycles after the walked one are derived, not walked, and their finishes
+/// are not needed: each is a head job's, sent from a state that stays in
+/// the frontier, so a job of that message released no later is still
+/// pending after the stretch and finishes in a later cycle, or leaves the
+/// message uncovered at the horizon — a larger bound either way.  The
+/// counters stay those of the cycle-by-cycle walk: `explored_states`,
+/// `transitions` and `merged_states` count every cycle the stretch spans,
+/// and a state budget that runs out inside it aborts at the same cycle with
+/// the same counts.  `walked_cycles` counts only the cycles actually walked.
 ///
-/// The walk is single-threaded and its result is a function of the state
-/// *set* of each cycle, never of iteration order: each cycle's successors are
-/// routed to 32 buckets by a hash of the transmitted-count key, each bucket
-/// is deduplicated through an open-addressing table and, when it holds at
-/// most 256 states, swept for dominance on its own; when at most 256 states
-/// survive, the whole frontier is swept once more.  Larger sets skip the
+/// Merging and pruning: the walk is single-threaded and its result is a
+/// function of the state *set* of each cycle, never of iteration order.
+/// Each successor is hashed once and deduplicated through one
+/// open-addressing table as its branch ends; the distinct successors are
+/// then ordered by the top 5 bits of their hash (32 buckets) and, within a
+/// bucket, by first occurrence.  When at most 256 of them remain, one sweep
+/// keeps the states no other one covers; it visits them by ascending count
+/// sum and compares each only with the kept states of strictly smaller sum.
+/// Above 256, each bucket of at most 256 states is swept on its own, and
+/// the survivors once more when at most 256 remain; larger sets skip the
 /// O(n^2) sweep but still merge identical states.  A state whose maybe-ready
 /// set exceeds 12 messages aborts the exploration with
 /// ExactFallback::BudgetExceeded.
@@ -92,8 +101,8 @@ struct ScheduleSpaceResult {
   std::uint64_t merged_states = 0;
   /// (readiness subset, terminal fork) pairs over all explored states.
   std::uint64_t transitions = 0;
-  /// Bus cycles walked state by state; the cycles of a stationary stretch
-  /// taken in one step are not among them.
+  /// Bus cycles walked state by state; the cycles a stationary stretch
+  /// derives from its first one are not among them.
   std::uint64_t walked_cycles = 0;
 };
 

@@ -36,9 +36,12 @@
 
 namespace flexopt {
 
-/// Cross-cluster sweeps before declaring divergence.  Each sweep runs every
-/// cluster's holistic analysis once (Jacobi across clusters, so the result
-/// is independent of cluster order).
+/// Cross-cluster sweeps before declaring divergence.  Each sweep runs a
+/// cluster's holistic analysis at most once (Jacobi across clusters, so the
+/// result is independent of cluster order): the first sweep analyses every
+/// cluster, later ones only those whose injected jitters changed, since a
+/// cluster's analysis is a function of its layout, options, injected
+/// jitters and caps, none of which else changes within a call.
 inline constexpr int kMaxCrossIterations = 16;
 
 struct MulticlusterResult {
@@ -49,6 +52,9 @@ struct MulticlusterResult {
   Cost cost;
   bool converged = true;
   int cross_iterations = 0;
+  /// Per-cluster analyses run over all cross iterations: after the first
+  /// sweep only clusters whose injected jitters changed are analysed again.
+  int cluster_analyses = 0;
 
   [[nodiscard]] bool schedulable() const { return cost.schedulable; }
 };
@@ -60,6 +66,9 @@ struct MulticlusterWorkspace {
   /// Injected release-jitter floors, indexed [cluster][local TaskId]; only
   /// forwarding relays ever get a non-zero entry.
   std::vector<std::vector<Time>> external;
+  /// Per cluster: whether the last Jacobi update changed its injected
+  /// jitters, so the next sweep must analyse it again.
+  std::vector<char> stale;
   MulticlusterResult result;  ///< the last successful call's outcome
 };
 

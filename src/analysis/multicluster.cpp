@@ -111,18 +111,24 @@ Expected<bool> analyze_multicluster(const SystemModel& model,
   };
 
   std::vector<std::vector<Time>>& external = workspace.external;
+  std::vector<char>& stale = workspace.stale;
   workspace.arenas.resize(C);
   external.resize(C);
   for (std::size_t c = 0; c < C; ++c) {
     external[c].assign(model.cluster_app(c)->task_count(), 0);
   }
+  stale.assign(C, 1);
   result.clusters.resize(C);
   result.cross_iterations = 0;
+  result.cluster_analyses = 0;
 
   bool stable = false;
   for (int iter = 0; iter < kMaxCrossIterations && !stable; ++iter) {
     ++result.cross_iterations;
     for (std::size_t c = 0; c < C; ++c) {
+      if (stale[c] == 0) continue;  // same inputs as its last analysis
+      stale[c] = 0;
+      ++result.cluster_analyses;
       auto analysis = analyze_one(layouts[c], options, *caches[c], workspace.arenas[c],
                                   result.clusters[c], counters, external[c], caps_of(c));
       if (!analysis.ok()) {
@@ -138,6 +144,7 @@ Expected<bool> analyze_multicluster(const SystemModel& model,
       Time& slot = external[link.downstream_cluster][index_of(link.downstream_send)];
       if (slot != upstream) {
         slot = upstream;
+        stale[link.downstream_cluster] = 1;
         stable = false;
       }
     }

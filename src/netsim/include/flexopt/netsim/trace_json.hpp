@@ -14,7 +14,9 @@
 /// null.  `tasks` and `messages` carry the observed worst completion, the
 /// analysed bound and the observed latency distribution per *global*
 /// activity; `traces` (record_trace runs only) carries per-instance
-/// HopRecord chains.
+/// HopRecord chains.  `hyperperiods` is the count the run simulated,
+/// horizon / hyper-period, which from 2 requested hyper-periods on may
+/// exceed the request (see NetSimOptions::hyperperiods).
 
 #include <string>
 
@@ -25,7 +27,6 @@ namespace flexopt {
 [[nodiscard]] std::string write_netsim_trace_json(const SystemModel& model,
                                                   const MulticlusterResult& analysis,
                                                   const NetSimResult& result,
-                                                  const SoundnessReport& soundness,
-                                                  int hyperperiods);
+                                                  const SoundnessReport& soundness);
 
 }  // namespace flexopt

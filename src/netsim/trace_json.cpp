@@ -47,13 +47,16 @@ void latency_field(JsonWriter& writer, const LatencyStat& stat) {
 std::string write_netsim_trace_json(const SystemModel& model,
                                     const MulticlusterResult& analysis,
                                     const NetSimResult& result,
-                                    const SoundnessReport& soundness, int hyperperiods) {
+                                    const SoundnessReport& soundness) {
   const Application& global = *model.global();
+  // The hyper-periods actually simulated: from 2 on, the simulator aligns
+  // its horizon up to a multiple of lcm(hyper-period, bus cycles).
+  const Time hyperperiod = analysis.clusters[0].schedule().hyperperiod();
   JsonWriter writer;
   writer.begin_object();
   writer.field("schema", "flexopt-netsim-trace/1");
   writer.field("clusters", static_cast<unsigned long long>(model.cluster_count()));
-  writer.field("hyperperiods", hyperperiods);
+  writer.field("hyperperiods", static_cast<long long>(result.horizon / hyperperiod));
   writer.field("horizon", static_cast<long long>(result.horizon));
   writer.field("events", static_cast<unsigned long long>(result.events));
   writer.field("unfinished_jobs", result.unfinished_jobs);

@@ -62,6 +62,9 @@ TEST(Multicluster, GatewayJitterGatesDownstreamDelivery) {
   // The coupling needs at least one extra sweep to propagate upstream
   // completions into cluster 1.
   EXPECT_GE(r.cross_iterations, 2);
+  // Only cluster 1 receives injected jitter, so after the first sweep only
+  // cluster 1 is analysed again.
+  EXPECT_EQ(r.cluster_analyses, r.cross_iterations + 1);
 
   const RelayLink& link = m.relay_links()[0];
   const Time recv_done = r.clusters[0].task_completion[index_of(link.upstream_recv)];

@@ -227,8 +227,7 @@ TEST(NetSim, TraceJsonIsByteIdenticalAcrossRuns) {
     auto result = simulate_network(net.model, net.layouts, net.analysis, options);
     if (!result.ok()) throw std::runtime_error(result.error().message);
     const SoundnessReport report = check_soundness(net.model, net.analysis, result.value());
-    return write_netsim_trace_json(net.model, net.analysis, result.value(), report,
-                                   options.hyperperiods);
+    return write_netsim_trace_json(net.model, net.analysis, result.value(), report);
   };
   const std::string first = json();
   const std::string second = json();

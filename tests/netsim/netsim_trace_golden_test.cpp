@@ -81,7 +81,7 @@ TEST(NetsimTraceGolden, TwoClusterTraceMatchesGolden) {
   EXPECT_TRUE(soundness.sound);
   expect_golden("netsim_trace_twocluster.json",
                 write_netsim_trace_json(model.value(), analysis.value(), result.value(),
-                                        soundness, options.hyperperiods));
+                                        soundness));
 }
 
 }  // namespace

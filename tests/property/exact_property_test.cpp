@@ -83,11 +83,37 @@ ScenarioSpec lane_spec(int attempt, Rng& rng) {
 }
 
 /// Reference for explore_dyn_schedule_space: the same cycle-by-cycle
-/// reachability walk, hash buckets, merging and pruning, except that every
-/// state replays its whole minislot walk once for each of the 2^k readiness
-/// subsets of its k maybe-ready messages, and the dominance sweeps sit
-/// behind `prune`.
+/// reachability walk, merging and pruning, except that every state replays
+/// its whole minislot walk FrameID by FrameID once for each of the 2^k
+/// readiness subsets of its k maybe-ready messages, every cycle is walked,
+/// each of 32 hash buckets is deduplicated and swept on its own before the
+/// whole frontier is swept, and the dominance sweeps sit behind `prune`.
 namespace reference {
+
+/// How often an exploration takes the engine's rarer paths, and how many of
+/// its cycles the engine derives from a stationary stretch's first cycle
+/// instead of walking them.
+struct PathCounts {
+  /// Cycles with more than kDominanceSweepLimit distinct successors, which
+  /// the engine sweeps bucket by bucket.
+  std::uint64_t wide_merges = 0;
+  /// Walks (one per readiness subset) that pass a FrameID holding a ready
+  /// head because its owner is past pLatestTx.
+  std::uint64_t late_ready_passes = 0;
+  /// Budget aborts at a cycle the engine derives.
+  std::uint64_t stretch_aborts = 0;
+  /// Walked cycles the engine derives: the previous cycle merged back to
+  /// its own frontier, row for row, and every pending head keeps its
+  /// readiness class.
+  std::uint64_t derived_cycles = 0;
+
+  void add(const PathCounts& other) {
+    wide_merges += other.wide_merges;
+    late_ready_passes += other.late_ready_passes;
+    stretch_aborts += other.stretch_aborts;
+    derived_cycles += other.derived_cycles;
+  }
+};
 
 struct DynMsg {
   std::uint32_t message = 0;
@@ -156,7 +182,10 @@ void sweep_dominated(std::vector<std::uint32_t>& rows, std::size_t from, std::si
 }
 
 ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> message_jitter,
-                            Time horizon, std::uint64_t max_states, bool prune) {
+                            Time horizon, std::uint64_t max_states, bool prune,
+                            PathCounts* paths = nullptr) {
+  PathCounts local_paths;
+  if (paths == nullptr) paths = &local_paths;
   ScheduleSpaceResult result;
   const Application& app = layout.application();
   const auto hp_result = app.hyperperiod();
@@ -224,9 +253,27 @@ ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> messa
   std::vector<Walk> stack;
   std::vector<std::uint32_t> pool;
 
+  // A pending head's readiness class in `cycle`: 0 absent, 1 maybe, 2 must.
+  auto readiness = [&](const std::uint32_t* state, std::size_t i, Time cycle) {
+    const Time release = static_cast<Time>(state[i]) * dyn[i].period;
+    const Time earliest_slot =
+        cycle * cycle_len + st_len + static_cast<Time>(dyn[i].fid - 1) * gd;
+    if (sat_add(release, dyn[i].jitter) <= earliest_slot) return 2;
+    return release < (cycle + 1) * cycle_len ? 1 : 0;
+  };
+  bool stationary = false;  ///< the last cycle merged back to its own frontier
   for (Time cycle = 0; cycle < max_cycles && !frontier.empty(); ++cycle) {
+    bool derived = stationary;
+    for (std::size_t r = 0; derived && r * width < frontier.size(); ++r) {
+      const std::uint32_t* state = frontier.data() + r * width;
+      for (std::size_t i = 0; derived && i < width; ++i) {
+        derived = state[i] >= dyn[i].jobs ||
+                  readiness(state, i, cycle) == readiness(state, i, cycle - 1);
+      }
+    }
     result.explored_states += frontier.size() / width;
     if (result.explored_states > max_states) {
+      if (derived) ++paths->stretch_aborts;
       result.fallback = ExactFallback::BudgetExceeded;
       return result;
     }
@@ -285,6 +332,13 @@ ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> messa
               best_priority = dyn[i].priority;
               tied.push_back(i);
             }
+          } else {
+            for (const std::size_t i : by_fid[static_cast<std::size_t>(w.fid)]) {
+              if (ready[i] != 0 && pool[w.sent_at + i] < dyn[i].jobs) {
+                ++paths->late_ready_passes;
+                break;
+              }
+            }
           }
           if (tied.empty()) {
             w.slot_time += gd;
@@ -313,8 +367,10 @@ ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> messa
     }
     result.transitions += transitions;
     ++result.walked_cycles;
+    if (derived) ++paths->derived_cycles;
 
     next.clear();
+    std::size_t distinct = 0;
     for (const auto& bucket : buckets) {
       const std::size_t candidates = bucket.size() / width;
       if (candidates == 0) continue;
@@ -337,10 +393,13 @@ ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> messa
           probe = (probe + 1) & (table_size - 1);
         }
       }
+      distinct += unique;
       if (prune && unique <= kDominanceSweepLimit) sweep_dominated(next, from, width);
     }
+    if (distinct > kDominanceSweepLimit) ++paths->wide_merges;
     if (prune && next.size() / width <= kDominanceSweepLimit) sweep_dominated(next, 0, width);
     result.merged_states += pending - next.size() / width;
+    stationary = next == frontier;
     frontier.swap(next);
   }
 
@@ -359,20 +418,39 @@ ScheduleSpaceResult explore(const BusLayout& layout, std::span<const Time> messa
 
 /// Every ScheduleSpaceResult field of the engine equals the reference's,
 /// except `walked_cycles`: the reference walks every cycle, the engine
-/// takes a stationary stretch's cycles before its last one in one step.
+/// derives a stationary stretch's cycles after its first one.
 void expect_same_exploration(const ScheduleSpaceResult& lazy, const ScheduleSpaceResult& eager,
-                             const std::string& label) {
+                             const reference::PathCounts& paths, const std::string& label) {
   EXPECT_EQ(lazy.fallback, eager.fallback) << label;
   EXPECT_EQ(lazy.explored_states, eager.explored_states) << label;
   EXPECT_EQ(lazy.merged_states, eager.merged_states) << label;
   EXPECT_EQ(lazy.transitions, eager.transitions) << label;
   EXPECT_EQ(lazy.worst_completion, eager.worst_completion) << label;
-  EXPECT_LE(lazy.walked_cycles, eager.walked_cycles) << label;
+  EXPECT_EQ(lazy.walked_cycles, eager.walked_cycles - paths.derived_cycles) << label;
+}
+
+/// Explores `layout` with the engine and the pruned reference under
+/// `max_states`, expects the same exploration, and adds the reference's
+/// path counts to `paths`.  Returns the engine's and the reference's
+/// results.
+std::pair<ScheduleSpaceResult, ScheduleSpaceResult> compare_with_reference(
+    const BusLayout& layout, std::span<const Time> jitter, Time horizon, std::uint64_t max_states,
+    const std::string& label, reference::PathCounts& paths) {
+  ExactOptions options;
+  options.max_states = max_states;
+  reference::PathCounts counted;
+  ScheduleSpaceResult lazy = explore_dyn_schedule_space(layout, jitter, horizon, options);
+  ScheduleSpaceResult eager = reference::explore(layout, jitter, horizon, max_states, true, &counted);
+  expect_same_exploration(lazy, eager, counted, label);
+  paths.add(counted);
+  return {std::move(lazy), std::move(eager)};
 }
 
 /// A hand-built bus for the stationary-stretch cases: N0 sends `messages`
 /// DYN messages to N1 on FrameIDs 1, 2, ..., each in its own 1 ms graph; a
 /// 3 ms graph on N1 makes the window 3 ms, so every message has 3 jobs.
+/// The DYN segment has `minislots` minislots, or room for every frame when
+/// 0.
 struct StretchBus {
   Application app;
   BusParams params = lane_params();
@@ -380,7 +458,7 @@ struct StretchBus {
   std::unique_ptr<BusLayout> layout;
   Time horizon = 0;
 
-  explicit StretchBus(int messages) {
+  explicit StretchBus(int messages, int minislots = 0) {
     const NodeId n0 = app.add_node("N0");
     const NodeId n1 = app.add_node("N1");
     for (int k = 0; k < messages; ++k) {
@@ -399,7 +477,7 @@ struct StretchBus {
     config.static_slot_count = 2;
     config.static_slot_len = timeunits::us(20);
     config.static_slot_owner = {n0, n1};
-    config.minislot_count = 4 * messages + 8;
+    config.minislot_count = minislots > 0 ? minislots : 4 * messages + 8;
     config.frame_id.assign(app.message_count(), 0);
     for (int k = 0; k < messages; ++k) config.frame_id[index_of(dyn[k])] = k + 1;
     auto built = BusLayout::build(app, params, config);
@@ -411,21 +489,19 @@ struct StretchBus {
   }
 
   /// The engine and the reference explore under `jitter` (indexed by
-  /// MessageId) at each budget; both must agree field for field.
-  /// Returns the engine's unbudgeted result.
+  /// MessageId) without a budget and at each of `budgets`; both must agree
+  /// field for field.  Adds the reference's path counts to `paths` and
+  /// returns the engine's unbudgeted result.
   ScheduleSpaceResult compare(const std::vector<Time>& jitter,
-                              std::initializer_list<std::uint64_t> budgets) const {
-    ExactOptions options;
-    options.max_states = std::numeric_limits<std::uint64_t>::max();
-    const ScheduleSpaceResult full =
-        explore_dyn_schedule_space(*layout, jitter, horizon, options);
-    expect_same_exploration(
-        full, reference::explore(*layout, jitter, horizon, options.max_states, true), "no budget");
+                              std::initializer_list<std::uint64_t> budgets,
+                              reference::PathCounts& paths) const {
+    ScheduleSpaceResult full =
+        compare_with_reference(*layout, jitter, horizon, std::numeric_limits<std::uint64_t>::max(),
+                               "no budget", paths)
+            .first;
     for (const std::uint64_t max_states : budgets) {
-      options.max_states = max_states;
-      expect_same_exploration(explore_dyn_schedule_space(*layout, jitter, horizon, options),
-                              reference::explore(*layout, jitter, horizon, max_states, true),
-                              "budget " + std::to_string(max_states));
+      compare_with_reference(*layout, jitter, horizon, max_states,
+                             "budget " + std::to_string(max_states), paths);
     }
     return full;
   }
@@ -435,22 +511,25 @@ struct StretchBus {
 /// period): job 0 is maybe-ready in cycles 0-24 and must-ready in 25, jobs
 /// 1 and 2 are maybe-ready for the 9 cycles before theirs.  In those cycles
 /// the "not sent" state dominates every fork and the one-state frontier
-/// merges back to itself, so the engine walks each stretch's first and
-/// last cycle and the must-ready one after it: 9 of the 46 cycles.
-/// Budgets that run out inside a stretch, at its last cycle or just after
-/// it abort where the cycle-by-cycle walk does, with its counts.
+/// merges back to itself, so the engine walks each stretch's first cycle
+/// and the must-ready one after it, and derives the rest of the stretch,
+/// its latest finishes included: 6 of the 46 cycles are walked.  Budgets
+/// that run out inside a stretch, at its last cycle or just after it abort
+/// where the cycle-by-cycle walk does, with its counts.
 TEST(ExactProperty, StationaryStretchMatchesEagerReference) {
   StretchBus bus(1);
   const Time cycle = bus.layout->cycle_len();
   ASSERT_EQ(timeunits::ms(1), 10 * cycle);
   std::vector<Time> jitter(bus.app.message_count(), 0);
   jitter[index_of(bus.dyn[0])] = 24 * cycle + cycle / 2;
+  reference::PathCounts paths;
   const ScheduleSpaceResult full =
-      bus.compare(jitter, {1, 2, 7, 23, 24, 25, 26, 30, 35, 36, 40, 45});
+      bus.compare(jitter, {1, 2, 7, 23, 24, 25, 26, 30, 35, 36, 40, 45}, paths);
   ASSERT_EQ(full.fallback, ExactFallback::None);
   EXPECT_LT(full.worst_completion[index_of(bus.dyn[0])], kTimeInfinity);
   EXPECT_EQ(full.explored_states, 46u);
-  EXPECT_EQ(full.walked_cycles, 9u);
+  EXPECT_EQ(full.walked_cycles, 6u);
+  EXPECT_GT(paths.stretch_aborts, 0u);
 }
 
 /// (b) A message whose jitter outlasts the horizon is never must-ready, so
@@ -467,12 +546,13 @@ TEST(ExactProperty, NeverSentMessageStretchRunsIntoTheHorizon) {
   jitter[index_of(bus.dyn[1])] = kTimeInfinity - 1;
   const Time max_cycles = bus.horizon / cycle + 1;
   ASSERT_EQ(max_cycles, 101);
-  const ScheduleSpaceResult full = bus.compare(jitter, {5, 6, 22, 50, 100});
+  reference::PathCounts paths;
+  const ScheduleSpaceResult full = bus.compare(jitter, {5, 6, 22, 50, 100}, paths);
   ASSERT_EQ(full.fallback, ExactFallback::None);
   EXPECT_LT(full.worst_completion[index_of(bus.dyn[0])], kTimeInfinity);
   EXPECT_EQ(full.worst_completion[index_of(bus.dyn[1])], kTimeInfinity);
   EXPECT_EQ(full.explored_states, 101u);
-  EXPECT_EQ(full.walked_cycles, 15u);
+  EXPECT_EQ(full.walked_cycles, 9u);
 }
 
 /// Entry-wise `lhs <= rhs`; `rhs` may be infinite anywhere.
@@ -673,6 +753,7 @@ TEST(ExactProperty, LazyWalkMatchesEagerReference) {
   int bulk_aborts = 0;   ///< budget aborts after or inside a stretch taken in bulk
   int pruning_shrank = 0;
   std::uint64_t pruned_merges = 0;
+  reference::PathCounts paths;
   for (int attempt = 0; attempt < 4 * kLayouts && compared < kLayouts; ++attempt) {
     SyntheticSpec spec;
     spec.nodes = 2 + static_cast<int>(rng.uniform_int(0, 2));
@@ -707,12 +788,9 @@ TEST(ExactProperty, LazyWalkMatchesEagerReference) {
                            : budget == 1 ? std::uint64_t{1} << 9
                                          : std::max<std::uint64_t>(1, first_states / 2);
       const std::uint64_t max_states = options.max_states;
-      const ScheduleSpaceResult lazy =
-          explore_dyn_schedule_space(layout.value(), jitter, horizon.value(), options);
-      const ScheduleSpaceResult eager =
-          reference::explore(layout.value(), jitter, horizon.value(), max_states, true);
-      expect_same_exploration(lazy, eager, "attempt " + std::to_string(attempt) + " budget " +
-                                               std::to_string(max_states));
+      const auto [lazy, eager] = compare_with_reference(
+          layout.value(), jitter, horizon.value(), max_states,
+          "attempt " + std::to_string(attempt) + " budget " + std::to_string(max_states), paths);
       if (budget == 0) first_states = lazy.explored_states;
       const bool bulk = lazy.walked_cycles < eager.walked_cycles;
       if (eager.fallback == ExactFallback::BudgetExceeded) {
@@ -740,6 +818,21 @@ TEST(ExactProperty, LazyWalkMatchesEagerReference) {
   EXPECT_GT(bulk_aborts, 0);
   EXPECT_GT(pruning_shrank, 0);
   EXPECT_GT(pruned_merges, 0u);
+
+  // The layouts never hold a ready head past its owner's pLatestTx.  On a
+  // DYN segment one minislot short of two frames, FrameID 2 is passed
+  // whenever FrameID 1 sends.
+  const StretchBus roomy(2);
+  const StretchBus tight(2, 2 * roomy.layout->message_minislots(roomy.dyn[0]) - 1);
+  std::vector<Time> late_jitter(tight.app.message_count(), 0);
+  late_jitter[index_of(tight.dyn[0])] = 3 * tight.layout->cycle_len();
+  late_jitter[index_of(tight.dyn[1])] = 3 * tight.layout->cycle_len();
+  tight.compare(late_jitter, {4, 9, 20}, paths);
+
+  EXPECT_GT(paths.wide_merges, 0u);        // per-bucket sweeps
+  EXPECT_GT(paths.late_ready_passes, 0u);  // jumps past a late FrameID
+  EXPECT_GT(paths.stretch_aborts, 0u);     // budgets out inside a derived stretch
+  EXPECT_GT(paths.derived_cycles, 0u);
 }
 
 TEST(ExactProperty, ExactEvaluationBitDeterministicAcrossWorkerCounts) {

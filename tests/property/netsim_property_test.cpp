@@ -136,8 +136,7 @@ TEST(NetsimProperty, TraceJsonIsPortfolioJobCountInvariant) {
       if (!result.ok()) throw std::runtime_error(result.error().message);
       const SoundnessReport soundness = check_soundness(m, analysis.value(), result.value());
       EXPECT_TRUE(soundness.sound) << "seed " << spec.base.seed << " jobs " << jobs;
-      return write_netsim_trace_json(m, analysis.value(), result.value(), soundness,
-                                     options.hyperperiods);
+      return write_netsim_trace_json(m, analysis.value(), result.value(), soundness);
     };
 
     const std::string serial = trace_json(1);

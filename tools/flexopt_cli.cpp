@@ -686,8 +686,7 @@ int simulate_main(int argc, char** argv) {
   }
 
   if (trace_out.pending() &&
-      !trace_out.commit(write_netsim_trace_json(sys, analysis.value(), net, verdict,
-                                                sim_options.hyperperiods))) {
+      !trace_out.commit(write_netsim_trace_json(sys, analysis.value(), net, verdict))) {
     std::cerr << "cannot write '" << trace_path << "'\n";
     return 2;
   }
